@@ -12,6 +12,7 @@ for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .enumeration import (
 )
 from .errors import DegseqError, TooLarge
 from .graphicality import (
+    PREDICATE_NAMES,
     RegionPredicate,
     is_graphic,
     is_graphic_tv,
@@ -42,6 +44,7 @@ from .graphicality import (
     leg,
     region_fully_graphic,
     satisfies_stability_bound,
+    sweep,
     very_simple_region_fully_graphic,
 )
 from .mcmc import (
@@ -117,34 +120,33 @@ def cmd_leg(args) -> None:
 def cmd_region(args) -> None:
     if args.params:
         parsed = parse_region(args.params)
-        args.n, args.c1, args.c2 = parsed.n, parsed.c1, parsed.c2
-        args.sigma = parsed.sigma if isinstance(parsed, SimpleRegion) else None
+        n, c1, c2 = parsed.n, parsed.c1, parsed.c2
+        sigma = parsed.sigma if isinstance(parsed, SimpleRegion) else None
     elif None in (args.n, args.c1, args.c2):
         raise ValueError("give either a region string or --n, --c1 and --c2")
-    inputs = {"n": args.n, "sigma": args.sigma, "c1": args.c1, "c2": args.c2}
+    else:
+        n, c1, c2, sigma = args.n, args.c1, args.c2, args.sigma
+    inputs = {"n": n, "sigma": sigma, "c1": c1, "c2": c2}
     if args.predicate:
         epsilon = Fraction(args.epsilon) if args.epsilon else None
         pred = RegionPredicate(args.predicate, epsilon=epsilon)
-        holds = pred.evaluate(args.n, args.c1, args.c2, sigma=args.sigma)
+        holds = pred.evaluate(n, c1, c2, sigma=sigma)
         result = {"predicate": args.predicate, "holds": holds}
         if args.epsilon:
             result["epsilon"] = str(epsilon)
             result["exception_bound"] = pred.exception_bound
         if args.predicate == "phi_JMS_star_sigma":
-            result["margin"] = jms_star_sigma_margin(
-                args.n, args.sigma, args.c1, args.c2
-            )
+            result["margin"] = jms_star_sigma_margin(n, sigma, c1, c2)
         inputs["predicate"] = args.predicate
         _emit(args, "region", inputs, result,
               f"{args.predicate}: {'holds' if holds else 'fails'}")
         return
-    if args.sigma is not None:
-        region = SimpleRegion(args.n, args.sigma, args.c1, args.c2)
+    if sigma is not None:
+        region = SimpleRegion(n, sigma, c1, c2)
         fg = region_fully_graphic(region)
         result = {"fully_graphic": fg, "leg": str(leg(region))}
     else:
-        vregion = VerySimpleRegion(args.n, args.c1, args.c2)
-        fg = very_simple_region_fully_graphic(vregion)
+        fg = very_simple_region_fully_graphic(VerySimpleRegion(n, c1, c2))
         result = {"fully_graphic": fg}
     _emit(args, "region", inputs, result,
           "fully graphic" if fg else "not fully graphic")
@@ -373,42 +375,9 @@ def cmd_mcmc(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        for c1 in range(0, n):
-            for c2 in range(0, c1 + 1):
-                region = VerySimpleRegion(n, c1, c2)
-                if args.with_sigma:
-                    for sigma in range(n * c2, n * c1 + 1):
-                        if sigma % 2:
-                            rows.append(
-                                {"n": n, "sigma": sigma, "c1": c1, "c2": c2,
-                                 "classification": "EMPTY"}
-                            )
-                            continue
-                        sub = SimpleRegion(n, sigma, c1, c2)
-                        label = (
-                            "FULLY_GRAPHIC"
-                            if region_fully_graphic(sub)
-                            else "NOT_FULLY_GRAPHIC"
-                        )
-                        rows.append(
-                            {"n": n, "sigma": sigma, "c1": c1, "c2": c2,
-                             "classification": label}
-                        )
-                else:
-                    if not any(True for _ in region.sigma_values()):
-                        label = "EMPTY"
-                    elif very_simple_region_fully_graphic(region):
-                        label = "FULLY_GRAPHIC"
-                    else:
-                        label = "NOT_FULLY_GRAPHIC"
-                    rows.append(
-                        {"n": n, "c1": c1, "c2": c2, "classification": label}
-                    )
-    if args.with_sigma:
-        rows.sort(key=lambda r: (r["n"], r["sigma"], r["c1"], r["c2"]))
-    human = "\n".join(
+    rows = sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
+    # The text form is as long as the JSON one; build it only when printed.
+    human = "" if args.json else "\n".join(
         " ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
         + f" {row['classification']}"
         for row in rows
@@ -422,7 +391,9 @@ def cmd_sweep(args) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="degseq",
         description="Degree-sequence regions: graphicality, exact counts, "
@@ -449,10 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=int)
     p.add_argument("--c2", type=int)
     p.add_argument("--sigma", type=int)
-    p.add_argument("--predicate", choices=(
-        "phi_JMS", "phi_JMS_star_k", "phi_JMS_star_sigma",
-        "phi_GS", "phi_eps", "phi_FG",
-    ))
+    p.add_argument("--predicate", choices=PREDICATE_NAMES)
     p.add_argument("--epsilon", help="rational like 1/2 (phi_eps only)")
     p.set_defaults(func=cmd_region)
 
@@ -526,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except TooLarge as exc:

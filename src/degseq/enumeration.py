@@ -17,6 +17,7 @@ has exponentially many.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -27,8 +28,28 @@ from typing import Iterable, Iterator
 from .core import DegreeSequence, LabeledGraph, PerturbationKind
 from .errors import InvalidInput, NotGraphic, TooLarge
 
-DEFAULT_MAX_N = int(os.environ.get("DEGSEQ_MAX_N", "16"))
-DEFAULT_NODE_BUDGET = int(os.environ.get("DEGSEQ_NODE_BUDGET", "5000000"))
+
+def _env_limit(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidInput(f"{name} must be a non-negative integer, got {text!r}")
+    return value
+
+
+@functools.cache
+def _default_limits() -> tuple[int, int]:
+    """(max_n, node_budget) from DEGSEQ_MAX_N and DEGSEQ_NODE_BUDGET.
+
+    Read on first use, not at import, so a bad value surfaces as
+    InvalidInput where a limit is needed.  Defaults: 16 and 5,000,000.
+    """
+    return _env_limit("DEGSEQ_MAX_N", 16), _env_limit("DEGSEQ_NODE_BUDGET", 5_000_000)
 
 
 @dataclass
@@ -58,8 +79,8 @@ class RealizationCounter:
         node_budget: int | None = None,
         use_memo: bool = True,
     ):
-        self.max_n = DEFAULT_MAX_N if max_n is None else max_n
-        self.node_budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+        self.max_n = _default_limits()[0] if max_n is None else max_n
+        self.node_budget = _default_limits()[1] if node_budget is None else node_budget
         self.use_memo = use_memo
         self._memo: dict[tuple[int, ...], int] = {}
         self._nodes = 0
@@ -140,12 +161,10 @@ def _neighbor_choices(groups, d):
     yield from rec(0, d, 1)
 
 
-_default_counter = RealizationCounter()
-
-
+@functools.cache
 def default_counter() -> RealizationCounter:
-    """The process-wide shared counter."""
-    return _default_counter
+    """The process-wide shared counter, made on first use."""
+    return RealizationCounter()
 
 
 def count_realizations(
@@ -156,7 +175,7 @@ def count_realizations(
     Sequences with an entry outside [0, n-1] count zero rather than raising;
     a length above the configured limit raises TooLarge.
     """
-    return (counter or _default_counter).count(seq)
+    return (counter or default_counter()).count(seq)
 
 
 def enumerate_realizations(
@@ -170,7 +189,7 @@ def enumerate_realizations(
     branches over the eliminated vertex's possible neighbourhoods, which
     partitions the realization set, so no graph is produced twice.
     """
-    ceiling = DEFAULT_MAX_N if max_n is None else max_n
+    ceiling = _default_limits()[0] if max_n is None else max_n
     degrees = seq.degrees
     n = len(degrees)
     if n > ceiling:
@@ -286,7 +305,7 @@ def family_count(
     counter: RealizationCounter | None = None,
 ) -> PerturbationFamilyCount:
     """Count all labeled graphs whose degree vector lies in one family of ``seq``."""
-    counter = counter or _default_counter
+    counter = counter or default_counter()
     vectors = _family_vectors(seq.degrees, kind)
     total = sum(_count_vector(v, counter) for v in vectors)
     return PerturbationFamilyCount(
@@ -303,7 +322,7 @@ def p_measure(
     The sum is positional: pairs producing equal vectors still contribute
     separately.  Children with a negative entry count zero.
     """
-    counter = counter or _default_counter
+    counter = counter or default_counter()
     base = counter.count(seq).count
     if base == 0:
         raise NotGraphic(f"{seq} has no realization")
@@ -363,7 +382,7 @@ def verify_family_bounds(
     seq: DegreeSequence, counter: RealizationCounter | None = None
 ) -> FamilyBoundsReport:
     """Evaluate all three family bounds for a graphic sequence, exactly."""
-    counter = counter or _default_counter
+    counter = counter or default_counter()
     base = counter.count(seq).count
     if base == 0:
         raise NotGraphic(f"{seq} has no realization")
@@ -457,7 +476,7 @@ def count_staircase_family(
     """Exact counts of the staircase sequence and its bumped variant."""
     if m < 2:
         raise InvalidInput(f"staircase family counts need m >= 2, got {m}")
-    counter = counter or _default_counter
+    counter = counter or default_counter()
     base = counter.count(staircase_sequence(m)).count
     bumped = counter.count(bumped_staircase_sequence(m)).count
     return base, bumped

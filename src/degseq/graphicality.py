@@ -7,8 +7,16 @@ every k in [1, n]
 
 This module provides the full test, the Tripathi-Vijay reduction that checks
 only descent indices, the least Erdos-Gallai (primitive) member of a region,
-fully-graphic decisions for regions, and the closed-form region predicates
-from the P-stability literature.
+fully-graphic decisions for regions and grids of regions, and the
+closed-form region predicates from the P-stability literature.
+
+Costs.  Both tests share one scan (after Ivanyi, Lucz, Mori and Soter): the
+prefix sums are built once and a pointer to the crossover (the number of
+entries >= k) only moves left as k grows, so a test costs O(n) in all.  A
+fixed-sum region decision costs O(1): it evaluates the inequality in closed
+form on the block form (c1, alpha), (a, 1), (c2, beta) of the primitive
+member, at its block ends only.  A very simple region costs O(1) per
+admissible sum.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from typing import Sequence
 
 from .core import DegreeSequence, SimpleRegion, VerySimpleRegion
 from .errors import InvalidInput, MissingSigma
@@ -37,23 +47,31 @@ class EGReport:
     odd_sum: bool = False
 
 
-def _eg_holds(degs: tuple[int, ...], k: int) -> bool:
-    lhs = sum(degs[:k])
-    rhs = k * (k - 1) + sum(min(d, k) for d in degs[k:])
-    return lhs <= rhs
+def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
+    """Evaluate the inequality at the increasing indices ``ks``, stopping at
+    the first failure, in O(n + len(ks)).
+
+    With ``w`` entries >= k, the entries after k that are capped at k are
+    those at positions k+1..w, so with m = max(k, w) the right-hand side is
+    k(k-1) + k(m-k) + (sum of the entries after m) = k(m-1) + total - prefix[m].
+    """
+    prefix = list(accumulate(degs, initial=0))
+    total = prefix[-1]
+    w = len(degs)
+    for i, k in enumerate(ks):
+        while w and degs[w - 1] < k:
+            w -= 1
+        m = w if w > k else k
+        if prefix[k] > k * (m - 1) + total - prefix[m]:
+            return EGReport(graphic=False, failing_k=k, checked_ks=list(ks[: i + 1]))
+    return EGReport(graphic=True, failing_k=None, checked_ks=list(ks))
 
 
 def is_graphic(seq: DegreeSequence) -> EGReport:
     """Full graphicality test, checking every index until one fails."""
-    degs = seq.degrees
     if seq.sigma % 2:
         return EGReport(graphic=False, failing_k=None, odd_sum=True)
-    checked = []
-    for k in range(1, len(degs) + 1):
-        checked.append(k)
-        if not _eg_holds(degs, k):
-            return EGReport(graphic=False, failing_k=k, checked_ks=checked)
-    return EGReport(graphic=True, failing_k=None, checked_ks=checked)
+    return _eg_scan(seq.degrees, range(1, len(seq) + 1))
 
 
 def is_graphic_tv(seq: DegreeSequence) -> EGReport:
@@ -68,14 +86,9 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
         raise InvalidInput(f"reduction requires max degree below n, got d1={degs[0]}")
     if seq.sigma % 2:
         return EGReport(graphic=False, failing_k=None, odd_sum=True)
-    indices = [k for k in range(1, n) if degs[k - 1] > degs[k]]
-    indices.append(n)
-    checked = []
-    for k in indices:
-        checked.append(k)
-        if not _eg_holds(degs, k):
-            return EGReport(graphic=False, failing_k=k, checked_ks=checked)
-    return EGReport(graphic=True, failing_k=None, checked_ks=checked)
+    descents = [k for k in range(1, n) if degs[k - 1] > degs[k]]
+    descents.append(n)
+    return _eg_scan(degs, descents)
 
 
 def is_primitive(seq: DegreeSequence, c1: int, c2: int) -> bool:
@@ -117,22 +130,80 @@ def leg(region: SimpleRegion) -> DegreeSequence:
     return DegreeSequence((c1,) * alpha + (a,) + (c2,) * (n - 1 - alpha))
 
 
+def _leg_graphic(n: int, sigma: int, c1: int, c2: int) -> bool:
+    """Whether leg(n, sigma, c1, c2) is graphic, for valid region parameters.
+
+    The block form is (c1, alpha), (a, 1), (c2, beta) with c2 <= a < c1 and
+    beta = n - 1 - alpha.  By Tripathi-Vijay only the block ends alpha,
+    alpha + 1 and n need the inequality; at k = n it always holds, because
+    every entry is at most c1 <= n - 1.  A constant sequence (c1 == c2 or
+    sigma == n * c1) with an even sum and entries below n is regular, hence
+    graphic.
+    """
+    if c1 == c2:
+        return True
+    alpha, r = divmod(sigma - n * c2, c1 - c2)
+    if alpha >= n:
+        return True
+    a = c2 + r
+    beta = n - 1 - alpha
+    # k = alpha: the a entry and the c2 block are capped at alpha.
+    if alpha and alpha * c1 > alpha * (alpha - 1) + min(a, alpha) + beta * min(c2, alpha):
+        return False
+    # k = alpha + 1: only the c2 block lies after k.
+    return alpha * c1 + a <= (alpha + 1) * alpha + beta * min(c2, alpha + 1)
+
+
 def region_fully_graphic(region: SimpleRegion) -> bool:
-    """Whether every member of the fixed-sum region is graphic."""
-    return is_graphic(leg(region)).graphic
+    """Whether every member of the fixed-sum region is graphic.  O(1)."""
+    return _leg_graphic(region.n, region.sigma, region.c1, region.c2)
 
 
 def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     """Whether every member, over all admissible even sums, is graphic.
 
     A region with no admissible even sum is empty and counts as fully
-    graphic (vacuously).
+    graphic (vacuously).  O(1) per admissible sum.
     """
-    for sigma in region.sigma_values():
-        sub = SimpleRegion(region.n, sigma, region.c1, region.c2)
-        if not region_fully_graphic(sub):
-            return False
-    return True
+    n, c1, c2 = region.n, region.c1, region.c2
+    return all(_leg_graphic(n, sigma, c1, c2) for sigma in region.sigma_values())
+
+
+def _label(fully_graphic: bool) -> str:
+    return "FULLY_GRAPHIC" if fully_graphic else "NOT_FULLY_GRAPHIC"
+
+
+def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
+    """Classify every region with n_min <= n <= n_max and n > c1 >= c2 >= 0.
+
+    Each row is a dict with keys ``n``, ``c1``, ``c2`` and ``classification``
+    (``FULLY_GRAPHIC``, ``NOT_FULLY_GRAPHIC`` or ``EMPTY``, the last for a
+    region without a member with even sum), ordered by (n, c1, c2).  With
+    ``with_sigma`` there is one row per sum n*c2 <= sigma <= n*c1, with the
+    extra key ``sigma``, ordered by (n, sigma, c1, c2); odd sums are
+    ``EMPTY``.
+    """
+    rows = []
+    for n in range(max(n_min, 1), n_max + 1):  # n <= 0 has no c1 < n
+        if with_sigma:
+            for sigma in range(n * (n - 1) + 1):
+                odd = sigma % 2
+                # n*c2 <= sigma <= n*c1 means c2 <= floor and c1 >= ceil of sigma/n.
+                for c1 in range(-(-sigma // n), n):
+                    for c2 in range(min(c1, sigma // n) + 1):
+                        label = "EMPTY" if odd else _label(_leg_graphic(n, sigma, c1, c2))
+                        rows.append({"n": n, "sigma": sigma, "c1": c1, "c2": c2,
+                                     "classification": label})
+            continue
+        for c1 in range(n):
+            for c2 in range(c1 + 1):
+                if c1 == c2 and n * c1 % 2:  # the only case without an even sum
+                    label = "EMPTY"
+                else:
+                    label = _label(very_simple_region_fully_graphic(
+                        VerySimpleRegion(n, c1, c2)))
+                rows.append({"n": n, "c1": c1, "c2": c2, "classification": label})
+    return rows
 
 
 def satisfies_stability_bound(seq: DegreeSequence) -> bool:

@@ -1,15 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft7Validator
 
 from degseq import DegreeSequence
-from degseq.cli import main
+from degseq.cli import build_parser, main
+from degseq.graphicality import PREDICATE_NAMES
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schema" / "output.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schema" / "output.json").read_text())
 VALIDATOR = Draft7Validator(SCHEMA)
 
 
@@ -202,4 +205,49 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing the degree argument
+        assert exc.value.code == 2
+
+
+def run_fresh(*args, **env):
+    """Run ``python *args`` in a fresh interpreter with the given limit variables."""
+    base = {k: v for k, v in os.environ.items() if not k.startswith("DEGSEQ_")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([base["PYTHONPATH"]] if base.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestLimitVariables:
+    @pytest.mark.parametrize("name, value", [
+        ("DEGSEQ_MAX_N", "abc"),
+        ("DEGSEQ_MAX_N", "-1"),
+        ("DEGSEQ_NODE_BUDGET", "1e6"),
+    ])
+    def test_bad_value_is_a_domain_error(self, name, value):
+        done = run_fresh("-c", "import degseq", **{name: value})
+        assert done.returncode == 0, done.stderr
+        done = run_fresh("-m", "degseq.cli", "count", "1,1", **{name: value})
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and name in done.stderr
+        assert "Traceback" not in done.stderr
+        # commands that need no counting limit are unaffected
+        done = run_fresh("-m", "degseq.cli", "check", "1,1", **{name: value})
+        assert done.returncode == 0 and done.stdout.strip() == "graphic"
+
+    def test_valid_value_is_honoured(self):
+        done = run_fresh("-m", "degseq.cli", "count", ",".join(["1"] * 18), DEGSEQ_MAX_N="18")
+        assert done.returncode == 0 and done.stdout.strip() == "34459425"  # 17!!
+
+
+class TestParser:
+    def test_built_once_and_not_at_import(self):
+        done = run_fresh("-c", "import degseq.cli as c; print(c.build_parser.cache_info().currsize)")
+        assert done.stdout.strip() == "0", done.stderr
+        assert build_parser() is build_parser()
+
+    def test_predicate_choices_are_the_library_names(self, capsys):
+        for name in PREDICATE_NAMES:
+            assert build_parser().parse_args(["region", "--predicate", name]).predicate == name
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--n", "4", "--c1", "2", "--c2", "1", "--predicate", "phi_X"])
         assert exc.value.code == 2

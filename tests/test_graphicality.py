@@ -1,7 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degseq import (
     DegreeSequence,
@@ -20,6 +23,7 @@ from degseq import (
     region_fully_graphic,
     region_satisfies_stability_bound,
     satisfies_stability_bound,
+    sweep,
     very_simple_region_fully_graphic,
 )
 from conftest import all_sorted_sequences, brute_force_count
@@ -32,6 +36,68 @@ def all_simple_regions(n_max):
                 start = n * c2 + (n * c2) % 2
                 for sigma in range(start, n * c1 + 1, 2):
                     yield SimpleRegion(n, sigma, c1, c2)
+
+
+def textbook_eg(degs, ks):
+    """The literal Erdos-Gallai inequality at each k of ``ks``, in order,
+    stopping at the first failure: (graphic, failing_k, checked_ks)."""
+    checked = []
+    for k in ks:
+        checked.append(k)
+        if sum(degs[:k]) > k * (k - 1) + sum(min(d, k) for d in degs[k:]):
+            return False, k, checked
+    return True, None, checked
+
+
+def assert_matches_textbook(degs):
+    """``is_graphic`` and ``is_graphic_tv`` against the textbook inequality."""
+    n = len(degs)
+    seq = DegreeSequence(degs)
+    reports = [(is_graphic(seq), range(1, n + 1))]
+    if degs[0] < n:
+        descents = [k for k in range(1, n) if degs[k - 1] > degs[k]] + [n]
+        reports.append((is_graphic_tv(seq), descents))
+    for report, ks in reports:
+        if sum(degs) % 2:
+            assert report.odd_sum and not report.graphic, degs
+            assert report.failing_k is None and report.checked_ks == [], degs
+            continue
+        graphic, failing_k, checked = textbook_eg(degs, ks)
+        assert not report.odd_sum, degs
+        assert (report.graphic, report.failing_k, report.checked_ks) == (
+            graphic, failing_k, checked), degs
+
+
+@st.composite
+def degree_lists(draw):
+    """A random graph's degrees on up to 300 vertices, some entries then
+    raised or lowered (possibly to n and above), sorted non-increasing."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0, 1))
+    degs = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                degs[i] += 1
+                degs[j] += 1
+    for i, delta in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(-3, n + 3)), max_size=6)):
+        degs[i] = max(0, degs[i] + delta)
+    return tuple(sorted(degs, reverse=True))
+
+
+class TestScanAgainstTextbook:
+    def test_exhaustive_small(self):
+        # entries up to n + 1, so degrees at and above n are covered too
+        for n in range(1, 9):
+            for degs in itertools.combinations_with_replacement(range(n + 1, -1, -1), n):
+                assert_matches_textbook(degs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(degree_lists())
+    def test_random_up_to_300(self, degs):
+        assert_matches_textbook(degs)
 
 
 class TestIsGraphic:
@@ -142,6 +208,52 @@ class TestFullyGraphic:
         for region in all_simple_regions(6):
             expected = all(is_graphic(d).graphic for d in iter_region(region))
             assert region_fully_graphic(region) == expected, region
+
+
+class TestBlockFormDecisions:
+    def test_fixed_sum_matches_scan_of_leg(self):
+        for region in all_simple_regions(14):
+            assert region_fully_graphic(region) == is_graphic(leg(region)).graphic, region
+
+    def test_very_simple_matches_scan_of_every_leg(self):
+        for n in range(1, 15):
+            for c1 in range(n):
+                for c2 in range(c1 + 1):
+                    region = VerySimpleRegion(n, c1, c2)
+                    expected = all(
+                        is_graphic(leg(SimpleRegion(n, sigma, c1, c2))).graphic
+                        for sigma in region.sigma_values()
+                    )
+                    assert very_simple_region_fully_graphic(region) == expected, region
+
+
+class TestSweep:
+    @staticmethod
+    def brute_label(region):
+        members = [is_graphic(d).graphic for d in iter_region(region)]
+        if not members:
+            return "EMPTY"
+        return "FULLY_GRAPHIC" if all(members) else "NOT_FULLY_GRAPHIC"
+
+    def test_matches_member_enumeration(self):
+        expected, expected_sigma = [], []
+        for n in range(1, 9):
+            for c1 in range(n):
+                for c2 in range(c1 + 1):
+                    label = self.brute_label(VerySimpleRegion(n, c1, c2))
+                    expected.append({"n": n, "c1": c1, "c2": c2, "classification": label})
+                    for sigma in range(n * c2, n * c1 + 1):
+                        label = "EMPTY" if sigma % 2 else self.brute_label(
+                            SimpleRegion(n, sigma, c1, c2))
+                        expected_sigma.append({"n": n, "sigma": sigma, "c1": c1,
+                                               "c2": c2, "classification": label})
+        expected_sigma.sort(key=lambda r: (r["n"], r["sigma"], r["c1"], r["c2"]))
+        assert sweep(1, 8) == expected
+        assert sweep(1, 8, with_sigma=True) == expected_sigma
+
+    def test_empty_ranges(self):
+        assert sweep(5, 4) == [] and sweep(-3, 0, with_sigma=True) == []
+        assert sweep(-3, 1) == sweep(1, 1)
 
 
 class TestOneStepMonotonicity:
