@@ -316,6 +316,14 @@ class LabeledGraph:
                     raise InvalidInput(f"adjacency not symmetric at ({i}, {j})")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "LabeledGraph":
+        """Skip the O(n^2) validation, for an adjacency the library built."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", adj)
+        return graph
+
+    @classmethod
     def empty(cls, n: int) -> "LabeledGraph":
         return cls(n, (0,) * n)
 

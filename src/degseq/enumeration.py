@@ -187,8 +187,12 @@ def enumerate_realizations(
 
     Vertices are eliminated in order of maximum residual degree; each level
     branches over the eliminated vertex's possible neighbourhoods, which
-    partitions the realization set, so no graph is produced twice.
+    partitions the realization set, so no graph is produced twice.  At most
+    ``limit`` graphs are yielded (none for 0); a negative limit raises
+    InvalidInput.
     """
+    if limit is not None and limit < 0:
+        raise InvalidInput(f"limit must be >= 0, got {limit}")
     ceiling = _default_limits()[0] if max_n is None else max_n
     degrees = seq.degrees
     n = len(degrees)
@@ -199,17 +203,11 @@ def enumerate_realizations(
     adj = [0] * n
     residual = list(degrees)
     active = [v for v in range(n) if residual[v] > 0]
-    yielded = 0
-
-    def emit():
-        nonlocal yielded
-        yielded += 1
-        return LabeledGraph(n, tuple(adj))
 
     def backtrack() -> Iterator[LabeledGraph]:
         live = [v for v in active if residual[v] > 0]
         if not live:
-            yield emit()
+            yield LabeledGraph._trusted(n, tuple(adj))
             return
         pivot = max(live, key=lambda v: residual[v])
         need = residual[pivot]
@@ -236,13 +234,7 @@ def enumerate_realizations(
                 adj[v] &= ~(1 << pivot)
         residual[pivot] = need
 
-    if not active:
-        yield LabeledGraph(n, tuple(adj))
-        return
-    for graph in backtrack():
-        yield graph
-        if limit is not None and yielded >= limit:
-            return
+    yield from itertools.islice(backtrack(), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import DegreeSequence, SimpleRegion, VerySimpleRegion
-from .errors import InvalidInput, MissingSigma
+from .errors import InvalidInput, MissingSigma, TooLarge
 
 
 @dataclass
@@ -173,6 +173,10 @@ def _label(fully_graphic: bool) -> str:
     return "FULLY_GRAPHIC" if fully_graphic else "NOT_FULLY_GRAPHIC"
 
 
+# Most rows one ``sweep`` may build; above it the sweep raises TooLarge.
+SWEEP_MAX_ROWS = 1_000_000
+
+
 def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
     """Classify every region with n_min <= n <= n_max and n > c1 >= c2 >= 0.
 
@@ -181,8 +185,16 @@ def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
     region without a member with even sum), ordered by (n, c1, c2).  With
     ``with_sigma`` there is one row per sum n*c2 <= sigma <= n*c1, with the
     extra key ``sigma``, ordered by (n, sigma, c1, c2); odd sums are
-    ``EMPTY``.
+    ``EMPTY``.  The rows are counted before any is built, and a grid of
+    more than ``SWEEP_MAX_ROWS`` rows raises TooLarge.
     """
+    total = 0
+    for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
+        # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
+        total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
+        if total > SWEEP_MAX_ROWS:
+            raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
+                           "(SWEEP_MAX_ROWS); narrow the n range")
     rows = []
     for n in range(max(n_min, 1), n_max + 1):  # n <= 0 has no c1 < n
         if with_sigma:

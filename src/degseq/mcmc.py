@@ -7,12 +7,21 @@ chain stays put.  The proposal is symmetric, every step preserves the degree
 sequence exactly, and the stationary distribution is uniform over the
 labeled realizations.
 
+One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
+sorted edge list, for :func:`sample`, :func:`switch_step` and the search in
+:func:`switch_connected`.  A step draws one r uniform on [0, 4m(m-1)) for m
+edges, ``DRAW_BLOCK`` at a time: r % 4 is the orientation and r // 4 is
+i * (m - 1) + j' with j = j' + (j' >= i).  This replaced four scalar draws
+per step, so a seed gives a different (still fixed) chain than before.
+
 The starting state is built greedily (Havel-Hakimi): repeatedly satisfy the
 vertex of largest residual degree from the next-largest residuals.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -20,10 +29,13 @@ from typing import Iterator
 import numpy as np
 
 from .core import DegreeSequence, LabeledGraph, edges_to_text
-from .enumeration import enumerate_realizations
+from .enumeration import RealizationCounter, count_realizations
 from .errors import InvalidInput, NotGraphic
 
 RNG_ALGORITHM = "pcg64"
+# Steps drawn per generator call in ``sample``: bounds the draw buffers
+# (a few arrays of this length) whatever the number of steps.
+DRAW_BLOCK = 4096
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -36,7 +48,6 @@ class ChainConfig:
     seed: int
     steps: int
     burn_in: int = 0
-    report_every: int = 0
 
     def __post_init__(self):
         if self.steps < 0 or self.burn_in < 0:
@@ -65,55 +76,54 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
             residual[idx] = (r - 1, u)
             adj[v] |= 1 << u
             adj[u] |= 1 << v
-    return LabeledGraph(n, tuple(adj))
+    return LabeledGraph._trusted(n, tuple(adj))
 
 
-def _propose(edges: list[tuple[int, int]], adj: list[int], rng) -> tuple | None:
-    """Draw one switch proposal; None means the chain stays put."""
-    m = len(edges)
-    i = int(rng.integers(m))
-    j = int(rng.integers(m - 1))
-    if j >= i:
-        j += 1
+def _moves(rng: np.random.Generator, m: int, steps: int) -> Iterator[tuple[int, int, int]]:
+    """``steps`` moves (i, j, orientation), uniform over ordered pairs of
+    distinct edge indices times the four orientations; needs m >= 2."""
+    while steps > 0:
+        size = min(steps, DRAW_BLOCK)
+        steps -= size
+        pair, flip = np.divmod(rng.integers(4 * m * (m - 1), size=size), 4)
+        i, j = np.divmod(pair, m - 1)
+        j += j >= i
+        yield from zip(i.tolist(), j.tolist(), flip.tolist())
+
+
+def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> bool:
+    """The switch move, in place: edges[i] = (a,b) and edges[j] = (c,d),
+    reversed by bits 0 and 1 of ``flip``, become (a,c) and (b,d) unless an
+    endpoint repeats or either is already an edge.  ``edges`` stays sorted.
+    Returns whether the state changed."""
     a, b = edges[i]
     c, d = edges[j]
-    if int(rng.integers(2)):
+    if flip & 1:
         a, b = b, a
-    if int(rng.integers(2)):
+    if flip & 2:
         c, d = d, c
-    if a == c or a == d or b == c or b == d:
-        return None
-    if adj[a] >> c & 1 or adj[b] >> d & 1:
-        return None
-    return i, j, (a, c), (b, d)
-
-
-def _apply_switch(edges: list, adj: list[int], move) -> None:
-    i, j, (a, c), (b, d) = move
-    old_ab, old_cd = edges[i], edges[j]
-    for u, v in (old_ab, old_cd):
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    for u, v in ((a, c), (b, d)):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    edges[i] = (min(a, c), max(a, c))
-    edges[j] = (min(b, d), max(b, d))
-    edges.sort()
+    if a == c or a == d or b == c or b == d or adj[a] >> c & 1 or adj[b] >> d & 1:
+        return False
+    adj[a] ^= 1 << b | 1 << c
+    adj[b] ^= 1 << a | 1 << d
+    adj[c] ^= 1 << d | 1 << a
+    adj[d] ^= 1 << c | 1 << b
+    if i < j:
+        i, j = j, i
+    del edges[i]
+    del edges[j]
+    insort(edges, (a, c) if a < c else (c, a))
+    insort(edges, (b, d) if b < d else (d, b))
+    return True
 
 
 def switch_step(graph: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
     """One chain step.  Returns the input graph unchanged on a lazy step or
     when fewer than two edges exist (the chain is then trivially stationary)."""
-    edges = list(graph.edges())
-    if len(edges) < 2:
+    edges, adj = list(graph.edges()), list(graph.adj)
+    if len(edges) < 2 or not _switch(adj, edges, *next(_moves(rng, len(edges), 1))):
         return graph
-    adj = list(graph.adj)
-    move = _propose(edges, adj, rng)
-    if move is None:
-        return graph
-    _apply_switch(edges, adj, move)
-    return LabeledGraph(graph.n, tuple(adj))
+    return LabeledGraph._trusted(graph.n, tuple(adj))
 
 
 @dataclass
@@ -128,23 +138,29 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
 
     States are keyed by the canonical (sorted) edge list of the labeled
     graph.  Only the ``steps`` states after burn-in are recorded, one per
-    step, so the histogram total equals ``config.steps``.
+    step, so the histogram total equals ``config.steps``; ``final`` is the
+    state after the last step.  Moves are drawn in blocks (see the module
+    docstring), and a key is built only when a step changes the state.
     """
     start = havel_hakimi_graph(seq)
-    rng = make_rng(config.seed)
-    edges = list(start.edges())
-    adj = list(start.adj)
+    edges, adj = list(start.edges()), list(start.adj)
     histogram: Counter = Counter()
     accepted = 0
-    trivial = len(edges) < 2
-    for step in range(config.burn_in + config.steps):
-        if not trivial:
-            move = _propose(edges, adj, rng)
-            if move is not None:
-                _apply_switch(edges, adj, move)
+    key, run = tuple(edges), config.steps  # run: recorded steps in state key
+    if len(edges) >= 2:
+        moves = _moves(make_rng(config.seed), len(edges), config.burn_in + config.steps)
+        for i, j, flip in itertools.islice(moves, config.burn_in):
+            accepted += _switch(adj, edges, i, j, flip)
+        key, run = tuple(edges), 0
+        for i, j, flip in moves:
+            if _switch(adj, edges, i, j, flip):
                 accepted += 1
-        if step >= config.burn_in:
-            histogram[tuple(edges)] += 1
+                if run:
+                    histogram[key] += run
+                key, run = tuple(edges), 0
+            run += 1
+    if run:
+        histogram[key] += run
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,
@@ -153,56 +169,43 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
         "accepted": accepted,
         "start": edges_to_text(start.edges()),
     }
-    return SampleResult(
-        final=LabeledGraph(seq.n, tuple(adj)), histogram=histogram, metadata=metadata
-    )
+    final = LabeledGraph._trusted(seq.n, tuple(adj))
+    return SampleResult(final=final, histogram=histogram, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # State-space structure at desk scale
 # ---------------------------------------------------------------------------
 
-def _switch_targets(adj: tuple[int, ...], edges) -> Iterator[tuple[int, ...]]:
-    """All graphs one valid switch away, as adjacency tuples."""
-    m = len(edges)
-    for x in range(m):
-        a, b = edges[x]
-        for y in range(x + 1, m):
-            c, d = edges[y]
-            if a in (c, d) or b in (c, d):
-                continue
-            for (p, q), (r, s) in (((a, c), (b, d)), ((a, d), (b, c))):
-                if adj[p] >> q & 1 or adj[r] >> s & 1:
-                    continue
-                new = list(adj)
-                for u, v in ((a, b), (c, d)):
-                    new[u] &= ~(1 << v)
-                    new[v] &= ~(1 << u)
-                for u, v in ((p, q), (r, s)):
-                    new[u] |= 1 << v
-                    new[v] |= 1 << u
-                yield tuple(new)
-
-
 def switch_connected(seq: DegreeSequence, max_n: int | None = None) -> bool:
     """Whether the switch graph on all realizations of ``seq`` is connected.
 
-    Explicit check: enumerate the realizations, then BFS along valid
-    switches.  Raises NotGraphic when there are no realizations.
+    A graph search from the Havel-Hakimi realization along every valid
+    switch (both pairings of each pair of edges), until it has reached as
+    many states as the exact realization count.  Raises NotGraphic when
+    there are none, and TooLarge when n exceeds ``max_n`` (default: the
+    counter's limit).
     """
-    states = {g.adj: g.edges() for g in enumerate_realizations(seq, max_n=max_n)}
-    if not states:
+    counter = None if max_n is None else RealizationCounter(max_n=max_n)
+    total = count_realizations(seq, counter).count
+    if total == 0:
         raise NotGraphic(f"{seq} has no realization")
-    start = next(iter(states))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for nxt in _switch_targets(current, states[current]):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(states)
+    start = havel_hakimi_graph(seq)
+    seen = {start.adj}
+    frontier = [(start.adj, start.edges())]
+    while frontier and len(seen) < total:
+        adj, edges = frontier.pop()
+        work_adj, work_edges = list(adj), list(edges)
+        for i, j in itertools.combinations(range(len(edges)), 2):
+            for flip in (0, 1):  # the two ways to re-pair edges i and j
+                if _switch(work_adj, work_edges, i, j, flip):
+                    key = tuple(work_adj)
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append((key, tuple(work_edges)))
+                    work_adj[:] = adj
+                    work_edges[:] = edges
+    return len(seen) == total
 
 
 def tv_distance_to_uniform(

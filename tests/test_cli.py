@@ -65,6 +65,12 @@ class TestBasicCommands:
         envelope = run_json(capsys, "enumerate", "2,2,2")
         assert envelope["result"]["realizations"] == ["1-2,1-3,2-3"]
 
+    def test_enumerate_limit(self, capsys):
+        envelope = run_json(capsys, "enumerate", "1,1", "--limit", "0")
+        assert envelope["result"] == {"realizations": [], "yielded": 0}
+        code, _, err = run(capsys, "--json", "enumerate", "1,1", "--limit", "-1")
+        assert code == 1 and "limit" in err
+
     def test_pmeasure(self, capsys):
         envelope = run_json(capsys, "pmeasure", "1,1,1,1")
         assert envelope["result"]["p"] == "2/1"
@@ -122,6 +128,10 @@ class TestRegionCommands:
         assert by_key[(3, 1, 1)] == "EMPTY"  # no even sum available
         assert by_key[(3, 2, 1)] == "FULLY_GRAPHIC"
         assert by_key[(3, 2, 0)] == "NOT_FULLY_GRAPHIC"  # contains 2,2,0
+
+    def test_sweep_too_large(self, capsys):
+        code, _, err = run(capsys, "sweep", "--n-min", "1", "--n-max", "200", "--with-sigma")
+        assert code == 3 and "1000000" in err
 
     def test_sweep_with_sigma_marks_odd_sums_empty(self, capsys):
         envelope = run_json(

@@ -7,6 +7,7 @@ import pytest
 from degseq import (
     DegreeSequence,
     InvalidInput,
+    LabeledGraph,
     NotGraphic,
     PerturbationKind,
     RealizationCounter,
@@ -122,6 +123,21 @@ class TestEnumerateRealizations:
     def test_limit(self):
         got = list(enumerate_realizations(DegreeSequence([1, 1, 1, 1]), limit=2))
         assert len(got) == 2
+
+    def test_limit_zero_yields_nothing(self):
+        for degs in ((1, 1, 1, 1), (0, 0), (2, 2, 2)):
+            assert list(enumerate_realizations(DegreeSequence(degs), limit=0)) == []
+        assert len(list(enumerate_realizations(DegreeSequence([0, 0]), limit=1))) == 1
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(InvalidInput):
+            list(enumerate_realizations(DegreeSequence([1, 1]), limit=-1))
+
+    def test_yielded_graphs_pass_full_validation(self):
+        for n in range(1, 6):
+            for seq in all_sorted_sequences(n):
+                for g in enumerate_realizations(DegreeSequence(seq)):
+                    assert LabeledGraph(g.n, g.adj) == g
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -11,6 +11,7 @@ from degseq import (
     InvalidInput,
     MissingSigma,
     RegionPredicate,
+    TooLarge,
     SimpleRegion,
     VerySimpleRegion,
     evaluate_predicate,
@@ -26,6 +27,7 @@ from degseq import (
     sweep,
     very_simple_region_fully_graphic,
 )
+from degseq.graphicality import SWEEP_MAX_ROWS
 from conftest import all_sorted_sequences, brute_force_count
 
 
@@ -254,6 +256,32 @@ class TestSweep:
     def test_empty_ranges(self):
         assert sweep(5, 4) == [] and sweep(-3, 0, with_sigma=True) == []
         assert sweep(-3, 1) == sweep(1, 1)
+
+    @staticmethod
+    def rows(n, with_sigma):
+        """Rows for one n: each pair c1 >= c2 once, or once per sum."""
+        return sum(n * (c1 - c2) + 1 if with_sigma else 1
+                   for c1 in range(n) for c2 in range(c1 + 1))
+
+    def test_row_count_closed_form(self):
+        for with_sigma in (False, True):
+            for n in range(1, 13):
+                assert len(sweep(n, n, with_sigma=with_sigma)) == self.rows(n, with_sigma)
+
+    def test_size_limit(self):
+        # the largest grids of the desk-scale sweeps stay well inside the limit
+        assert sum(self.rows(n, True) for n in range(1, 13)) < SWEEP_MAX_ROWS // 10
+        with pytest.raises(TooLarge, match=str(SWEEP_MAX_ROWS)):
+            sweep(2, 200, with_sigma=True)
+        with pytest.raises(TooLarge):
+            sweep(1, 10**12)
+        # the limit is on the whole grid: the last n that fits, then one more
+        top = 1
+        while sum(self.rows(n, True) for n in range(1, top + 2)) <= SWEEP_MAX_ROWS:
+            top += 1
+        assert sum(self.rows(n, True) for n in range(1, top + 1)) <= SWEEP_MAX_ROWS
+        with pytest.raises(TooLarge):
+            sweep(1, top + 1, with_sigma=True)
 
 
 class TestOneStepMonotonicity:

@@ -1,12 +1,18 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degseq import (
     ChainConfig,
+    CountResult,
     DegreeSequence,
     InvalidInput,
+    LabeledGraph,
     NotGraphic,
+    TooLarge,
     enumerate_realizations,
     havel_hakimi_graph,
     make_rng,
@@ -15,6 +21,76 @@ from degseq import (
     switch_step,
     tv_distance_to_uniform,
 )
+from degseq import mcmc
+from conftest import all_sorted_sequences
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles: the switch as the literature states it, on edge sets
+# ---------------------------------------------------------------------------
+
+def textbook_switch(edge_set, i, j, flip):
+    """Switch the i-th and j-th edges (in sorted order) of ``edge_set``.
+
+    The pair (a,b), (c,d), read reversed per bits 0 and 1 of ``flip``,
+    becomes (a,c), (b,d) when the four endpoints are distinct and neither
+    new pair is an edge.  Returns the new edge set, or None for no move.
+    """
+    ordered = sorted(edge_set)
+    (a, b), (c, d) = ordered[i], ordered[j]
+    if flip & 1:
+        a, b = b, a
+    if flip & 2:
+        c, d = d, c
+    new = {tuple(sorted(pair)) for pair in ((a, c), (b, d))}
+    if len({a, b, c, d}) < 4 or new & set(edge_set):
+        return None
+    return (set(edge_set) - {ordered[i], ordered[j]}) | new
+
+
+def replay(seq, seed, burn_in, steps):
+    """The states of a ``sample`` run, step by step, re-derived from the
+    documented draw layout with the textbook switch.  Returns the states
+    after each step and the number of moves made."""
+    state = set(havel_hakimi_graph(seq).edges())
+    m = len(state)
+    total = burn_in + steps
+    draws = []
+    rng = make_rng(seed)
+    while m >= 2 and len(draws) < total:
+        block = min(total - len(draws), mcmc.DRAW_BLOCK)
+        draws += rng.integers(4 * m * (m - 1), size=block).tolist()
+    trajectory, moved = [], 0
+    for r in draws or [None] * total:
+        if r is not None:
+            i, j = divmod(r // 4, m - 1)
+            new = textbook_switch(state, i, j + (j >= i), r % 4)
+            if new is not None:
+                state, moved = new, moved + 1
+        trajectory.append(tuple(sorted(state)))
+    return trajectory, moved
+
+
+def switch_component_oracle(seq):
+    """Enumerate the realizations, then search along textbook switches from
+    the first; returns (component size, number of realizations)."""
+    states = {frozenset(g.edges()) for g in enumerate_realizations(seq)}
+    if not states:
+        return 0, 0
+    start = next(iter(states))
+    seen, frontier = {start}, [start]
+    while frontier:
+        edges = frontier.pop()
+        m = len(edges)
+        for i in range(m):
+            for j in range(i + 1, m):
+                for flip in (0, 1):
+                    new = textbook_switch(edges, i, j, flip)
+                    if new is not None and frozenset(new) not in seen:
+                        seen.add(frozenset(new))
+                        frontier.append(frozenset(new))
+    assert seen <= states
+    return len(seen), len(states)
 
 
 class TestHavelHakimi:
@@ -154,3 +230,94 @@ class TestStateSpace:
                 )
             assert distances[1] < distances[0], degs
             assert distances[1] < 0.05, degs
+
+
+class TestEngineOracle:
+    def test_move_matches_textbook_switch(self):
+        """Every state, every i != j and every orientation, for n <= 6."""
+        moves = 0
+        for n in range(1, 7):
+            for degs in all_sorted_sequences(n):
+                for g in enumerate_realizations(DegreeSequence(degs)):
+                    edges = g.edges()
+                    m = len(edges)
+                    for i in range(m):
+                        for j in range(m):
+                            if i == j:
+                                continue
+                            for flip in range(4):
+                                adj, work = list(g.adj), list(edges)
+                                changed = mcmc._switch(adj, work, i, j, flip)
+                                want = textbook_switch(set(edges), i, j, flip)
+                                assert changed == (want is not None), (degs, edges, i, j, flip)
+                                want = sorted(want) if changed else list(edges)
+                                assert work == want
+                                assert tuple(adj) == LabeledGraph.from_edges(n, want).adj
+                                moves += 1
+        assert moves == 207960  # sum of 4m(m-1) over the 1043 states
+
+    def test_draws_cover_every_move_uniformly(self):
+        class Counting:  # draws 0, 1, 2, ... modulo the range
+            def integers(self, high, size):
+                return np.arange(size) % high
+
+        # m = 3: 4 * 3 * 2 = 24 moves, each decoded once from 24 consecutive r
+        moves = list(mcmc._moves(Counting(), 3, 48))
+        assert Counter(moves) == Counter(
+            {(i, j, f): 2 for i in range(3) for j in range(3) if i != j for f in range(4)}
+        )
+
+
+class TestSampleInvariants:
+    BLOCK = mcmc.DRAW_BLOCK
+
+    @pytest.mark.parametrize("degs", [(2, 2, 1, 1, 1, 1), (3, 3, 2, 2, 2), (1, 1), (0, 0, 0)])
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    def test_histogram_final_and_accepted_match_replay(self, degs, burn_in):
+        seq = DegreeSequence(degs)
+        start = havel_hakimi_graph(seq).edges()
+        for steps in (0, 1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1):
+            run = sample(seq, ChainConfig(seed=steps + burn_in, steps=steps, burn_in=burn_in))
+            trajectory, moved = replay(seq, steps + burn_in, burn_in, steps)
+            assert sum(run.histogram.values()) == steps
+            assert run.histogram == Counter(trajectory[burn_in:])
+            for key in run.histogram:
+                assert key == tuple(sorted(set(key)))
+                assert LabeledGraph.from_edges(seq.n, key).degrees() == seq.degrees
+            assert run.final.edges() == (trajectory[-1] if trajectory else start)
+            assert run.metadata["accepted"] == moved
+            if len(start) < 2:
+                assert moved == 0 and set(run.histogram) <= {start}
+
+    def test_switch_step_is_a_one_step_sample(self):
+        seq = DegreeSequence([2, 2, 2, 1, 1])
+        start = havel_hakimi_graph(seq)
+        for seed in range(30):
+            run = sample(seq, ChainConfig(seed=seed, steps=1))
+            assert switch_step(start, make_rng(seed)) == run.final
+
+
+class TestSwitchConnectedOracle:
+    def test_matches_enumeration_search(self, counter):
+        for n in range(1, 7):
+            for degs in all_sorted_sequences(n):
+                seq = DegreeSequence(degs)
+                component, states = switch_component_oracle(seq)
+                if states == 0:
+                    with pytest.raises(NotGraphic):
+                        switch_connected(seq)
+                    continue
+                assert switch_connected(seq) == (component == states), degs
+
+    def test_reached_states_are_compared_with_the_count(self, monkeypatch):
+        seq = DegreeSequence([2, 2, 2, 1, 1])
+        assert switch_connected(seq)
+        monkeypatch.setattr(
+            mcmc, "count_realizations",
+            lambda s, counter=None: CountResult(count=8, nodes_explored=0, from_cache=False),
+        )
+        assert not switch_connected(seq)  # 7 realizations, 8 claimed
+
+    def test_too_large_through_the_counter(self):
+        with pytest.raises(TooLarge):
+            switch_connected(DegreeSequence([1] * 8), max_n=7)
