@@ -332,18 +332,14 @@ def cmd_nonstab_witness(args) -> None:
     _emit(args, "nonstab-witness", inputs, result, human)
 
 
-def _histogram_texts(histogram, n: int) -> dict[str, int]:
-    """``edges_to_text`` of each state, as one join over a table of labels."""
-    labels = [[""] * (u + 1) + [f"{u + 1}-{v + 1}" for v in range(u + 1, n)] for u in range(n)]
-    return {",".join([labels[u][v] for u, v in key]): c for key, c in histogram.items()}
-
-
 def cmd_mcmc(args) -> None:
     seq = _sequence(args.degrees)
     config = ChainConfig(seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     run = sample(seq, config)
+    histogram = {edges_to_text(key): value for key, value in run.histogram.items()}
     result = {
-        "distinct_states": len(run.histogram),
+        "histogram": histogram,
+        "distinct_states": len(histogram),
         "final": edges_to_text(run.final.edges()),
         "metadata": run.metadata,
     }
@@ -358,11 +354,9 @@ def cmd_mcmc(args) -> None:
             run.histogram, states, config.steps
         )
         result["switch_connected"] = switch_connected(seq)
-    # Text keys replace the tuple keys, freed before the envelope is written.
-    result["histogram"] = _histogram_texts(run.histogram, seq.n)
-    del run
+    del run  # frees the tuple-keyed histogram before the envelope is encoded
     human = (
-        f"visited {result['distinct_states']} states in {config.steps} steps"
+        f"visited {len(histogram)} states in {config.steps} steps"
         + (f", TV to uniform {result['tv_to_uniform']:.4f}" if "tv_to_uniform" in result else "")
     )
     _emit(

@@ -311,17 +311,11 @@ class LabeledGraph:
                 raise InvalidInput(f"vertex {i} has neighbours outside 0..{self.n - 1}")
             if bits >> i & 1:
                 raise InvalidInput(f"self-loop at vertex {i}")
-            for j in range(self.n):
-                if (bits >> j & 1) != (self.adj[j] >> i & 1):
+            while bits:
+                j = (bits & -bits).bit_length() - 1
+                if not self.adj[j] >> i & 1:
                     raise InvalidInput(f"adjacency not symmetric at ({i}, {j})")
-
-    @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "LabeledGraph":
-        """Skip the O(n^2) validation, for an adjacency the library built."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adj", adj)
-        return graph
+                bits &= bits - 1
 
     @classmethod
     def empty(cls, n: int) -> "LabeledGraph":
@@ -380,6 +374,21 @@ class LabeledGraph:
         return edges_to_text(self.edges())
 
 
+class _EdgeLabels(dict):
+    """The text of each (u, v) edge tuple, made on first use.  Formatting
+    each edge anew was most of the time of a long ``mcmc`` run's histogram;
+    emptied when full, it holds every pair of up to 256 vertices."""
+
+    def __missing__(self, edge: tuple[int, int]) -> str:
+        if len(self) >= 1 << 15:
+            self.clear()
+        self[edge] = label = f"{edge[0] + 1}-{edge[1] + 1}"
+        return label
+
+
+_EDGE_LABELS = _EdgeLabels()
+
+
 def edges_to_text(edges: Iterable[tuple[int, int]]) -> str:
     """Render an edge list with 1-based labels, e.g. ``1-2,3-4``."""
-    return ",".join(f"{u + 1}-{v + 1}" for u, v in edges)
+    return ",".join(map(_EDGE_LABELS.__getitem__, edges))

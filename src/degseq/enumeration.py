@@ -207,7 +207,7 @@ def enumerate_realizations(
     def backtrack() -> Iterator[LabeledGraph]:
         live = [v for v in active if residual[v] > 0]
         if not live:
-            yield LabeledGraph._trusted(n, tuple(adj))
+            yield LabeledGraph(n, tuple(adj))
             return
         pivot = max(live, key=lambda v: residual[v])
         need = residual[pivot]

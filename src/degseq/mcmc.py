@@ -76,7 +76,7 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
             residual[idx] = (r - 1, u)
             adj[v] |= 1 << u
             adj[u] |= 1 << v
-    return LabeledGraph._trusted(n, tuple(adj))
+    return LabeledGraph(n, tuple(adj))
 
 
 def _moves(rng: np.random.Generator, m: int, steps: int) -> Iterator[tuple[int, int, int]]:
@@ -123,7 +123,7 @@ def switch_step(graph: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
     edges, adj = list(graph.edges()), list(graph.adj)
     if len(edges) < 2 or not _switch(adj, edges, *next(_moves(rng, len(edges), 1))):
         return graph
-    return LabeledGraph._trusted(graph.n, tuple(adj))
+    return LabeledGraph(graph.n, tuple(adj))
 
 
 @dataclass
@@ -169,7 +169,7 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
         "accepted": accepted,
         "start": edges_to_text(start.edges()),
     }
-    final = LabeledGraph._trusted(seq.n, tuple(adj))
+    final = LabeledGraph(seq.n, tuple(adj))
     return SampleResult(final=final, histogram=histogram, metadata=metadata)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from degseq import (
     membership,
     parse_region,
 )
-from degseq.core import LabeledGraph
+from degseq.core import LabeledGraph, edges_to_text
 
 
 class TestDegreeSequence:
@@ -205,7 +207,31 @@ class TestLabeledGraph:
         with pytest.raises(InvalidInput):
             LabeledGraph(2, (1, 0))  # asymmetric
 
+    def test_validation_against_every_matrix(self):
+        # Oracle: the constructor accepts exactly the symmetric, loop-free
+        # bit matrices, checked entry by entry over all of them for n <= 3.
+        for n in range(4):
+            for adj in itertools.product(range(1 << n), repeat=n):
+                simple = all(
+                    (adj[i] >> j & 1) == (adj[j] >> i & 1) and not adj[i] >> i & 1
+                    for i in range(n)
+                    for j in range(n)
+                )
+                try:
+                    LabeledGraph(n, adj)
+                    accepted = True
+                except InvalidInput:
+                    accepted = False
+                assert accepted == simple, adj
+
     def test_canonical_key_is_sorted_edges(self):
         g = LabeledGraph.from_edges(4, [(2, 3), (0, 1)])
         assert g.canonical_key() == ((0, 1), (2, 3))
         assert str(g) == "1-2,3-4"
+
+    def test_edges_to_text_past_the_label_memo(self):
+        # 44,850 distinct edges, more than the label memo holds, twice over.
+        edges = list(itertools.combinations(range(300), 2))
+        expected = ",".join(f"{u + 1}-{v + 1}" for u, v in edges)
+        assert edges_to_text(edges) == expected
+        assert edges_to_text(reversed(edges)) == ",".join(reversed(expected.split(",")))
