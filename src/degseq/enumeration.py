@@ -3,10 +3,12 @@
 ``|G(D)|`` here always means the number of labeled simple graphs in which
 vertex v_i has degree d_i for the given positional vector D; permuting the
 vector permutes the realizations bijectively, so the count depends only on
-the degree multiset.  The counter exploits this: it eliminates a vertex of
-maximum residual degree d, sums over the ways to choose its d neighbours
-grouped by residual value (a product of binomials per choice), and memoizes
-on the sorted residual multiset.  Counts are exact big integers.
+the degree multiset.  The counter exploits this: it keys its state on the
+residual-degree histogram (how many vertices have each residual value),
+eliminates a vertex of maximum residual degree d, sums over the ways to
+choose its d neighbours class by class (a product of binomials per choice,
+each mapping straight to the child histogram), and memoizes on the
+histogram.  Counts are exact big integers.
 
 On top of the counter sit the perturbation-family totals, the local
 stability measure p(D), the family-bound verifier relating the totals of
@@ -65,12 +67,13 @@ class RealizationCounter:
     """Memoized exact counter for labeled realizations.
 
     A single counter may serve many queries; the memo table is keyed by
-    sorted residual multisets and is shared across calls, so related
+    residual-degree histograms (``key[v]`` vertices of residual v + 1,
+    trailing zeros stripped) and is shared across calls, so related
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems.  Results are deterministic and independent of call order.
-    Concurrent queries may duplicate work but never corrupt results (memo
-    writes are idempotent); the node diagnostics are per-query and only
-    meaningful for serial use.
+    The node count and budget are per query, so concurrent queries may
+    duplicate work (memo writes are idempotent) but never corrupt a result
+    or each other's ``nodes_explored``.
     """
 
     def __init__(
@@ -83,82 +86,81 @@ class RealizationCounter:
         self.node_budget = _default_limits()[1] if node_budget is None else node_budget
         self.use_memo = use_memo
         self._memo: dict[tuple[int, ...], int] = {}
-        self._nodes = 0
 
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
-        degrees = tuple(seq.degrees if isinstance(seq, DegreeSequence) else seq)
+        degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
         n = len(degrees)
         if n > self.max_n:
             raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}")
         if any(d < 0 or d > n - 1 for d in degrees):
             return CountResult(count=0, nodes_explored=0, from_cache=False)
-        key = _canonical(degrees)
-        cached = self.use_memo and key in self._memo
-        self._nodes = 0  # budget applies per query; diagnostics are per query too
-        value = self._count(key)
-        return CountResult(
-            count=value, nodes_explored=self._nodes, from_cache=cached
-        )
+        # A list, not a generator: tuple() over-allocates a generator's result, and
+        # each key freed after a memo hit then fills a tuple free list (~0.5 MB).
+        key = tuple([degrees.count(r) for r in range(1, max(degrees, default=0) + 1)])
+        hit = self._memo.get(key) if self.use_memo else None
+        if hit is not None:
+            return CountResult(count=hit, nodes_explored=0, from_cache=True)
+        value, nodes = self._count(key)
+        return CountResult(count=value, nodes_explored=nodes, from_cache=False)
 
     def count_value(self, seq) -> int:
         return self.count(seq).count
 
-    def _count(self, key: tuple[int, ...]) -> int:
-        if self.use_memo:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        self._nodes += 1
-        if self._nodes > self.node_budget:
-            raise TooLarge(f"node budget {self.node_budget} exceeded")
-        if not key:
-            return 1
-        d = key[0]
-        rest = key[1:]
-        if d > len(rest):
-            total = 0
-        else:
-            groups = [(v, len(list(g))) for v, g in itertools.groupby(rest)]
-            total = 0
-            for ways, newkey in _neighbor_choices(groups, d):
-                total += ways * self._count(newkey)
-        if self.use_memo:
-            self._memo[key] = total
-        return total
+    def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
+        """(count, nodes expanded) for a histogram key that is not memoized.
 
+        A node takes k_r of the h[r] vertices of residual r, top class first,
+        in comb(h[r], k_r) ways; ``()`` is never stored, so each visit is a node.
+        """
+        memo = self._memo if self.use_memo else None
+        lookup = memo.get if memo is not None else {}.get
+        comb = math.comb
+        nodes = 0
 
-def _canonical(degrees: Iterable[int]) -> tuple[int, ...]:
-    """Sorted non-increasing multiset with zero entries stripped."""
-    return tuple(sorted((d for d in degrees if d > 0), reverse=True))
+        def expand(key: tuple[int, ...]) -> int:
+            nonlocal nodes
+            nodes += 1
+            if nodes > self.node_budget:
+                raise TooLarge(f"node budget {self.node_budget} exceeded")
+            d = len(key)
+            if not d:
+                return 1
+            h = [0, *key]  # h[r] vertices of residual r; h[0] takes class 1's picks
+            h[d] -= 1  # the eliminated vertex
+            child = h[:]  # the child histogram, edited in place
 
+            def walk(r: int, need: int, ways: int, avail: int) -> int:
+                # ``avail``: the vertices of residual 1..r, all still pickable
+                while not h[r]:  # an empty class gives no neighbour
+                    r -= 1
+                hr = h[r]
+                own = child[r]  # h[r] plus the picks from class r + 1
+                low = need - avail + hr  # the picks the classes below cannot supply
+                total = 0
+                for k in range(hr if hr < need else need, (low if low > 0 else 0) - 1, -1):
+                    child[r] = own - k
+                    child[r - 1] += k
+                    w = ways * comb(hr, k)
+                    if k < need:
+                        total += walk(r - 1, need - k, w, avail - hr)
+                    else:
+                        top = d
+                        while top and not child[top]:
+                            top -= 1
+                        state = tuple(child[1:top + 1])
+                        value = lookup(state)
+                        total += w * (expand(state) if value is None else value)
+                    child[r - 1] -= k
+                child[r] = own
+                return total
 
-def _neighbor_choices(groups, d):
-    """Yield (multiplicity, residual key) for each way to pick d neighbours.
+            left = sum(key) - 1
+            total = walk(d, d, 1, left) if left >= d else 0
+            if memo is not None:
+                memo[key] = total
+            return total
 
-    ``groups`` lists the residual values of the remaining vertices as
-    (value, count) runs.  Picking k vertices out of a run of equal residuals
-    contributes binom(count, k) labelings and decrements k copies.
-    """
-    picks = [0] * len(groups)
-
-    def rec(gi: int, need: int, ways: int):
-        if need == 0:
-            out = []
-            for (value, mult), k in zip(groups, picks):
-                out.extend([value - 1] * k)
-                out.extend([value] * (mult - k))
-            yield ways, _canonical(out)
-            return
-        if gi == len(groups):
-            return
-        value, mult = groups[gi]
-        top = min(mult, need) if value >= 1 else 0
-        for k in range(top, -1, -1):
-            picks[gi] = k
-            yield from rec(gi + 1, need - k, ways * math.comb(mult, k))
-        picks[gi] = 0
-
-    yield from rec(0, d, 1)
+        return expand(key), nodes
 
 
 @functools.cache
@@ -284,13 +286,6 @@ def _family_vectors(
     return out
 
 
-def _count_vector(vec: tuple[int, ...], counter: RealizationCounter) -> int:
-    n = len(vec)
-    if any(d < 0 or d > n - 1 for d in vec):
-        return 0
-    return counter.count(sorted(vec, reverse=True)).count
-
-
 def family_count(
     seq: DegreeSequence,
     kind: PerturbationKind,
@@ -299,7 +294,8 @@ def family_count(
     """Count all labeled graphs whose degree vector lies in one family of ``seq``."""
     counter = counter or default_counter()
     vectors = _family_vectors(seq.degrees, kind)
-    total = sum(_count_vector(v, counter) for v in vectors)
+    # Out-of-range vectors count zero unqueried (no TooLarge for them either).
+    total = sum(counter.count(v).count for v in vectors if 0 <= min(v) <= max(v) < seq.n)
     return PerturbationFamilyCount(
         family=kind, total=total, distinct_vectors=len(vectors)
     )
@@ -312,21 +308,20 @@ def p_measure(
 
     p(D) = sum over positions 1 <= i < j <= n of |G(D - e_i - e_j)| / |G(D)|.
     The sum is positional: pairs producing equal vectors still contribute
-    separately.  Children with a negative entry count zero.
+    separately.  Pairs with a zero entry give a negative child, which counts
+    zero and is skipped.
     """
     counter = counter or default_counter()
     base = counter.count(seq).count
     if base == 0:
         raise NotGraphic(f"{seq} has no realization")
     degrees = seq.degrees
-    n = len(degrees)
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = list(degrees)
-            vec[i] -= 1
-            vec[j] -= 1
-            total += _count_vector(tuple(vec), counter)
+    for i, j in itertools.combinations([i for i, d in enumerate(degrees) if d], 2):
+        vec = list(degrees)
+        vec[i] -= 1
+        vec[j] -= 1
+        total += counter.count(vec).count
     return Fraction(total, base)
 
 

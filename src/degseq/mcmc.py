@@ -30,12 +30,14 @@ import numpy as np
 
 from .core import DegreeSequence, LabeledGraph, edges_to_text
 from .enumeration import RealizationCounter, count_realizations
-from .errors import InvalidInput, NotGraphic
+from .errors import InvalidInput, NotGraphic, TooLarge
 
 RNG_ALGORITHM = "pcg64"
 # Steps drawn per generator call in ``sample``: bounds the draw buffers
 # (a few arrays of this length) whatever the number of steps.
 DRAW_BLOCK = 4096
+# Most realizations ``switch_connected`` searches; it keeps every state it reaches.
+SWITCH_MAX_STATES = 20_000
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -184,12 +186,14 @@ def switch_connected(seq: DegreeSequence, max_n: int | None = None) -> bool:
     switch (both pairings of each pair of edges), until it has reached as
     many states as the exact realization count.  Raises NotGraphic when
     there are none, and TooLarge when n exceeds ``max_n`` (default: the
-    counter's limit).
+    counter's limit) or the count exceeds ``SWITCH_MAX_STATES``.
     """
     counter = None if max_n is None else RealizationCounter(max_n=max_n)
     total = count_realizations(seq, counter).count
     if total == 0:
         raise NotGraphic(f"{seq} has no realization")
+    if total > SWITCH_MAX_STATES:
+        raise TooLarge(f"{total} realizations exceed SWITCH_MAX_STATES = {SWITCH_MAX_STATES}")
     start = havel_hakimi_graph(seq)
     seen = {start.adj}
     frontier = [(start.adj, start.edges())]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence
+from degseq import DegreeSequence, mcmc
 from degseq.cli import build_parser, main
 from degseq.graphicality import PREDICATE_NAMES
 
@@ -197,6 +197,11 @@ class TestMcmcCommand:
         )
         assert "tv_to_uniform" not in envelope["result"]
         assert sum(envelope["result"]["histogram"].values()) == 50
+
+    def test_switch_search_over_its_limit_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)  # 1,1,1,1 has 3 states
+        code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "1")
+        assert code == 3 and "SWITCH_MAX_STATES = 2" in err
 
 
 class TestExitCodes:

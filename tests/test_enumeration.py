@@ -1,6 +1,10 @@
 import itertools
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -24,6 +28,145 @@ from degseq import (
     verify_family_bounds,
 )
 from conftest import all_sorted_sequences, brute_force_count, degree_census
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: a counter on sparse (value, multiplicity) states
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def sparse_count(state):
+    """Realizations of ``state``, a sorted tuple of (residual, multiplicity).
+
+    Eliminates a vertex of the smallest residual (the counter eliminates the
+    largest), choosing its neighbours class by class through dicts.
+    """
+    if not state:
+        return 1
+    (low, mult), rest = state[0], state[1:]
+    classes = (((low, mult - 1),) if mult > 1 else ()) + rest
+    total = 0
+
+    def choose(i, need, ways, out):
+        nonlocal total
+        if need == 0:
+            for value, m in classes[i:]:
+                out[value] = out.get(value, 0) + m
+            child = tuple(sorted((v, m) for v, m in out.items() if v and m))
+            total += ways * sparse_count(child)
+            return
+        if i == len(classes):
+            return
+        value, m = classes[i]
+        for k in range(min(m, need) + 1):
+            nxt = dict(out)
+            nxt[value - 1] = nxt.get(value - 1, 0) + k
+            nxt[value] = nxt.get(value, 0) + m - k
+            choose(i + 1, need - k, ways * math.comb(m, k), nxt)
+
+    choose(0, low, 1, {})
+    return total
+
+
+def oracle_count(degrees):
+    hist = {}
+    for d in degrees:
+        if d:
+            hist[d] = hist.get(d, 0) + 1
+    return sparse_count(tuple(sorted(hist.items())))
+
+
+class TestSparseOracle:
+    @pytest.mark.parametrize("use_memo", [True, False])
+    def test_every_sorted_sequence_up_to_8(self, use_memo):
+        counter = RealizationCounter(use_memo=use_memo)
+        for n in range(1, 9):
+            for seq in all_sorted_sequences(n):
+                assert counter.count(seq).count == oracle_count(seq), seq
+
+    def test_oracle_against_the_census(self):
+        for n in range(1, 7):
+            census = degree_census(n)
+            for seq in all_sorted_sequences(n):
+                assert oracle_count(seq) == census.get(seq, 0), seq
+
+
+# ---------------------------------------------------------------------------
+# Counter diagnostics, pinned: (count, nodes_explored, from_cache)
+# ---------------------------------------------------------------------------
+
+def diagnostics(result):
+    return result.count, result.nodes_explored, result.from_cache
+
+
+def count_concurrently(counter, sequences):
+    """Count each sequence in its own thread, all started together."""
+    barrier = threading.Barrier(len(sequences))
+    results = [None] * len(sequences)
+
+    def work(i, degrees):
+        barrier.wait()
+        results[i] = counter.count(degrees)
+
+    threads = [threading.Thread(target=work, args=item) for item in enumerate(sequences)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-query
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+class TestCounterDiagnostics:
+    @pytest.mark.parametrize("degrees, count, nodes", [
+        ((7,) * 16, 15138592322753242235338875, 2202),
+        ((3,) * 16, 50262958713792825, 108),
+        ((5,) * 14, 283097260184159421, 415),
+    ])
+    def test_regular_cold_then_cached(self, degrees, count, nodes):
+        counter = RealizationCounter()
+        assert diagnostics(counter.count(degrees)) == (count, nodes, False)
+        assert diagnostics(counter.count(degrees)) == (count, 0, True)
+
+    def test_staircase_pairs(self):
+        pinned = {3: ((1, 4), (2, 6)), 4: ((1, 5), (5, 10)), 5: ((1, 6), (13, 16)),
+                  6: ((1, 7), (34, 24)), 7: ((1, 8), (89, 34))}
+        for m, (base, bumped) in pinned.items():
+            counter = RealizationCounter()
+            assert diagnostics(counter.count(staircase_sequence(m))) == (*base, False)
+            assert diagnostics(counter.count(bumped_staircase_sequence(m))) == (*bumped, False)
+
+    def test_repeated_query(self):
+        counter = RealizationCounter()
+        got = [diagnostics(counter.count(DegreeSequence(d))) for d in
+               ([3, 3, 2, 2, 2, 2], [3, 3, 2, 2, 2, 2], [2] * 8, [3, 3, 2, 2, 2, 2])]
+        assert got == [(54, 10, False), (54, 0, True), (3507, 4, False), (54, 0, True)]
+
+    def test_vertex_order_does_not_matter(self):
+        counter = RealizationCounter()
+        assert diagnostics(counter.count([2, 1, 3, 1, 3])) == (2, 5, False)
+        assert diagnostics(counter.count([3, 3, 2, 1, 1])) == (2, 0, True)
+
+    def test_concurrent_cold_queries_on_one_counter(self):
+        # Sums of opposite parity: every residual state of one query has an
+        # even sum and every state of the other an odd one, so the two share
+        # no memo entry and each must report its serial nodes.
+        even, odd = (7,) * 16, (7,) * 15
+        for _ in range(3):
+            got = count_concurrently(RealizationCounter(), [even, odd])
+            assert [diagnostics(r) for r in got] == [
+                (15138592322753242235338875, 2202, False), (0, 1191, False)]
+
+    def test_concurrent_queries_without_memo(self):
+        sequences = [(5,) * 12, (3,) * 14]
+        serial = [diagnostics(RealizationCounter(use_memo=False).count(d)) for d in sequences]
+        assert serial == [(2977635137862, 18878, False), (19506631814670, 11080, False)]
+        got = count_concurrently(RealizationCounter(use_memo=False), sequences)
+        assert [diagnostics(r) for r in got] == serial
 
 
 class TestCountRealizations:

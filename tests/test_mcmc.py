@@ -321,3 +321,19 @@ class TestSwitchConnectedOracle:
     def test_too_large_through_the_counter(self):
         with pytest.raises(TooLarge):
             switch_connected(DegreeSequence([1] * 8), max_n=7)
+
+    def test_state_limit_is_checked_before_the_search(self, monkeypatch):
+        def no_search(seq):
+            raise AssertionError("the search started")
+
+        seq = DegreeSequence([2] * 9)  # 30,016 realizations
+        with monkeypatch.context() as patch:
+            patch.setattr(mcmc, "havel_hakimi_graph", no_search)
+            with pytest.raises(TooLarge, match="30016 realizations exceed SWITCH_MAX_STATES = 20000"):
+                switch_connected(seq)
+        seq = DegreeSequence([1, 1, 1, 1])  # 3 realizations
+        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 3)
+        assert switch_connected(seq)
+        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)
+        with pytest.raises(TooLarge, match="SWITCH_MAX_STATES"):
+            switch_connected(seq)
