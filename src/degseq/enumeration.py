@@ -30,6 +30,9 @@ from typing import Iterable, Iterator
 from .core import DegreeSequence, LabeledGraph, PerturbationKind
 from .errors import InvalidInput, NotGraphic, TooLarge
 
+# A query empties a counter's memo first when it holds more entries than this.
+MEMO_MAX_ENTRIES = 1 << 18
+
 
 def _env_limit(name: str, default: int) -> int:
     text = os.environ.get(name)
@@ -70,7 +73,8 @@ class RealizationCounter:
     residual-degree histograms (``key[v]`` vertices of residual v + 1,
     trailing zeros stripped) and is shared across calls, so related
     sequences (perturbation families, region sweeps) reuse each other's
-    subproblems.  Results are deterministic and independent of call order.
+    subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
+    Results are deterministic and independent of call order.
     The node count and budget are per query, so concurrent queries may
     duplicate work (memo writes are idempotent) but never corrupt a result
     or each other's ``nodes_explored``.
@@ -91,16 +95,21 @@ class RealizationCounter:
         degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
         n = len(degrees)
         if n > self.max_n:
-            raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}")
+            raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}; raise DEGSEQ_MAX_N")
         if any(d < 0 or d > n - 1 for d in degrees):
             return CountResult(count=0, nodes_explored=0, from_cache=False)
         # A list, not a generator: tuple() over-allocates a generator's result, and
         # each key freed after a memo hit then fills a tuple free list (~0.5 MB).
         key = tuple([degrees.count(r) for r in range(1, max(degrees, default=0) + 1)])
+        if len(self._memo) > MEMO_MAX_ENTRIES:
+            self._memo.clear()
         hit = self._memo.get(key) if self.use_memo else None
         if hit is not None:
             return CountResult(count=hit, nodes_explored=0, from_cache=True)
-        value, nodes = self._count(key)
+        try:
+            value, nodes = self._count(key)
+        except RecursionError:  # the memo holds finished subcounts only
+            raise TooLarge(f"n={n} recurses too deep for Python; lower DEGSEQ_MAX_N") from None
         return CountResult(count=value, nodes_explored=nodes, from_cache=False)
 
     def count_value(self, seq) -> int:
@@ -121,7 +130,8 @@ class RealizationCounter:
             nonlocal nodes
             nodes += 1
             if nodes > self.node_budget:
-                raise TooLarge(f"node budget {self.node_budget} exceeded")
+                raise TooLarge(
+                    f"node budget {self.node_budget} exceeded; raise DEGSEQ_NODE_BUDGET")
             d = len(key)
             if not d:
                 return 1
@@ -175,7 +185,8 @@ def count_realizations(
     """Exact number of labeled graphs realizing ``seq``.
 
     Sequences with an entry outside [0, n-1] count zero rather than raising;
-    a length above the configured limit raises TooLarge.
+    a length above the limit, a node budget overrun or too deep a recursion
+    raises TooLarge.
     """
     return (counter or default_counter()).count(seq)
 
@@ -199,7 +210,7 @@ def enumerate_realizations(
     degrees = seq.degrees
     n = len(degrees)
     if n > ceiling:
-        raise TooLarge(f"n={n} exceeds the enumeration limit {ceiling}")
+        raise TooLarge(f"n={n} exceeds the enumeration limit {ceiling}; raise DEGSEQ_MAX_N")
     if any(d > n - 1 for d in degrees) or sum(degrees) % 2:
         return
     adj = [0] * n

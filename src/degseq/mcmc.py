@@ -9,10 +9,11 @@ labeled realizations.
 
 One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
 sorted edge list, for :func:`sample`, :func:`switch_step` and the search in
-:func:`switch_connected`.  A step draws one r uniform on [0, 4m(m-1)) for m
-edges, ``DRAW_BLOCK`` at a time: r % 4 is the orientation and r // 4 is
-i * (m - 1) + j' with j = j' + (j' >= i).  This replaced four scalar draws
-per step, so a seed gives a different (still fixed) chain than before.
+:func:`switch_connected`; :func:`sample` replays its list edits on the edges'
+text.  A step draws one r uniform on [0, 4m(m-1)) for m edges, ``DRAW_BLOCK``
+at a time: r % 4 is the orientation and r // 4 is i * (m - 1) + j' with
+j = j' + (j' >= i).  This replaced four scalar draws per step, so a seed
+gives a different (still fixed) chain than before.
 
 The starting state is built greedily (Havel-Hakimi): repeatedly satisfy the
 vertex of largest residual degree from the next-largest residuals.
@@ -21,14 +22,14 @@ vertex of largest residual degree from the next-largest residuals.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .core import DegreeSequence, LabeledGraph, edges_to_text
+from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, edges_to_text
 from .enumeration import RealizationCounter, count_realizations
 from .errors import InvalidInput, NotGraphic, TooLarge
 
@@ -83,8 +84,8 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
 
 def _moves(rng: np.random.Generator, m: int, steps: int) -> Iterator[tuple[int, int, int]]:
     """``steps`` moves (i, j, orientation), uniform over ordered pairs of
-    distinct edge indices times the four orientations; needs m >= 2."""
-    while steps > 0:
+    distinct edge indices times the four orientations; none when m < 2."""
+    while steps > 0 and m >= 2:
         size = min(steps, DRAW_BLOCK)
         steps -= size
         pair, flip = np.divmod(rng.integers(4 * m * (m - 1), size=size), 4)
@@ -93,19 +94,22 @@ def _moves(rng: np.random.Generator, m: int, steps: int) -> Iterator[tuple[int, 
         yield from zip(i.tolist(), j.tolist(), flip.tolist())
 
 
-def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> bool:
+def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> tuple:
     """The switch move, in place: edges[i] = (a,b) and edges[j] = (c,d),
     reversed by bits 0 and 1 of ``flip``, become (a,c) and (b,d) unless an
     endpoint repeats or either is already an edge.  ``edges`` stays sorted.
-    Returns whether the state changed."""
+    Returns () if not, else the edits (hi, lo, p, q): del edges[hi], edges[lo]
+    (hi > lo), then the new edges inserted at p, then q (p < q)."""
     a, b = edges[i]
     c, d = edges[j]
+    if a == c or a == d or b == c or b == d:  # shared by every orientation
+        return ()
     if flip & 1:
         a, b = b, a
     if flip & 2:
         c, d = d, c
-    if a == c or a == d or b == c or b == d or adj[a] >> c & 1 or adj[b] >> d & 1:
-        return False
+    if adj[a] >> c & 1 or adj[b] >> d & 1:
+        return ()
     adj[a] ^= 1 << b | 1 << c
     adj[b] ^= 1 << a | 1 << d
     adj[c] ^= 1 << d | 1 << a
@@ -114,9 +118,15 @@ def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: 
         i, j = j, i
     del edges[i]
     del edges[j]
-    insort(edges, (a, c) if a < c else (c, a))
-    insort(edges, (b, d) if b < d else (d, b))
-    return True
+    e = (a, c) if a < c else (c, a)
+    f = (b, d) if b < d else (d, b)
+    if f < e:
+        e, f = f, e
+    p = bisect_left(edges, e)
+    edges.insert(p, e)
+    q = bisect_left(edges, f, p + 1)
+    edges.insert(q, f)
+    return i, j, p, q
 
 
 def switch_step(graph: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
@@ -138,31 +148,36 @@ class SampleResult:
 def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     """Run the chain from the greedy start and histogram the visited states.
 
-    States are keyed by the canonical (sorted) edge list of the labeled
-    graph.  Only the ``steps`` states after burn-in are recorded, one per
-    step, so the histogram total equals ``config.steps``; ``final`` is the
-    state after the last step.  Moves are drawn in blocks (see the module
-    docstring), and a key is built only when a step changes the state.
+    A state's key is its canonical edge text (``edges_to_text``, e.g.
+    ``"1-2,3-4"``), so every key is a realization of ``seq``.  Only the
+    ``steps`` states after burn-in are recorded, one per step, so the
+    histogram total equals ``config.steps``; ``final`` is the state after the
+    last step.  Moves are drawn in blocks (see the module docstring); a list
+    of edge labels follows the edge list, and a key is joined from it only
+    when a step changes the state.
     """
     start = havel_hakimi_graph(seq)
     edges, adj = list(start.edges()), list(start.adj)
-    histogram: Counter = Counter()
+    moves = _moves(make_rng(config.seed), len(edges), config.burn_in + config.steps)
     accepted = 0
-    key, run = tuple(edges), config.steps  # run: recorded steps in state key
-    if len(edges) >= 2:
-        moves = _moves(make_rng(config.seed), len(edges), config.burn_in + config.steps)
-        for i, j, flip in itertools.islice(moves, config.burn_in):
-            accepted += _switch(adj, edges, i, j, flip)
-        key, run = tuple(edges), 0
-        for i, j, flip in moves:
-            if _switch(adj, edges, i, j, flip):
-                accepted += 1
-                if run:
-                    histogram[key] += run
-                key, run = tuple(edges), 0
-            run += 1
-    if run:
-        histogram[key] += run
+    for i, j, flip in itertools.islice(moves, config.burn_in):
+        accepted += bool(_switch(adj, edges, i, j, flip))
+    labels = list(map(_EDGE_LABELS.__getitem__, edges))
+    histogram: Counter = Counter()
+    key, entered = ",".join(labels), 0  # the state is key since recorded step entered
+    for step, (i, j, flip) in enumerate(moves):
+        moved = _switch(adj, edges, i, j, flip)
+        if moved:
+            accepted += 1
+            if step > entered:
+                histogram[key] += step - entered
+            hi, lo, p, q = moved
+            del labels[hi], labels[lo]
+            labels.insert(p, _EDGE_LABELS[edges[p]])
+            labels.insert(q, _EDGE_LABELS[edges[q]])
+            key, entered = ",".join(labels), step
+    if config.steps > entered:
+        histogram[key] += config.steps - entered
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,
@@ -197,30 +212,29 @@ def switch_connected(seq: DegreeSequence, max_n: int | None = None) -> bool:
     start = havel_hakimi_graph(seq)
     seen = {start.adj}
     frontier = [(start.adj, start.edges())]
+    pairs = itertools.combinations(range(len(start.edges())), 2)
+    moves = [(i, j, flip) for i, j in pairs for flip in (0, 1)]  # the two re-pairings of i, j
     while frontier and len(seen) < total:
         adj, edges = frontier.pop()
         work_adj, work_edges = list(adj), list(edges)
-        for i, j in itertools.combinations(range(len(edges)), 2):
-            for flip in (0, 1):  # the two ways to re-pair edges i and j
-                if _switch(work_adj, work_edges, i, j, flip):
-                    key = tuple(work_adj)
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append((key, tuple(work_edges)))
-                    work_adj[:] = adj
-                    work_edges[:] = edges
+        for i, j, flip in moves:
+            if _switch(work_adj, work_edges, i, j, flip):
+                key = tuple(work_adj)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append((key, tuple(work_edges)))
+                work_adj[:] = adj
+                work_edges[:] = edges
     return len(seen) == total
 
 
-def tv_distance_to_uniform(
-    histogram: Counter, states: list[tuple], total: int
-) -> float:
-    """Total variation distance between the empirical visit distribution and
-    the uniform distribution on ``states``."""
-    if total <= 0 or not states:
-        raise InvalidInput("need a positive sample size and a non-empty state space")
-    uniform = 1.0 / len(states)
-    state_set = set(states)
-    dist = sum(abs(histogram.get(s, 0) / total - uniform) for s in state_set)
-    dist += sum(v / total for s, v in histogram.items() if s not in state_set)
-    return 0.5 * dist
+def tv_distance_to_uniform(histogram: Counter, states: int, total: int) -> float:
+    """Total variation distance between the visits of ``total`` recorded steps
+    and the uniform distribution on the ``states`` realizations (the exact
+    count).  Every key must be a realization, as ``sample``'s keys are, so
+    the unvisited ones weigh (states - len(histogram)) / states."""
+    if total <= 0 or states <= 0 or len(histogram) > states:
+        raise InvalidInput("need a positive sample size and a state count >= max(1, keys)")
+    uniform = 1.0 / states
+    dist = sum(abs(v / total - uniform) for v in histogram.values())
+    return 0.5 * (dist + (states - len(histogram)) / states)

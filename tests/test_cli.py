@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence, mcmc
+from degseq import DegreeSequence, cli, enumeration, mcmc
 from degseq.cli import build_parser, main
 from degseq.graphicality import PREDICATE_NAMES
 
@@ -198,6 +198,20 @@ class TestMcmcCommand:
         assert "tv_to_uniform" not in envelope["result"]
         assert sum(envelope["result"]["histogram"].values()) == 50
 
+    def test_exact_space_report_enumerates_nothing(self, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerate_realizations was called")
+
+        monkeypatch.setattr(cli, "enumerate_realizations", no_enumeration)
+        monkeypatch.setattr(enumeration, "enumerate_realizations", no_enumeration)
+        envelope = run_json(capsys, "mcmc", "2,2,2,1,1", "--steps", "3000", "--seed", "7")
+        result = envelope["result"]
+        assert result["state_space"] == 7 and result["switch_connected"] is True
+        hist = result["histogram"]
+        assert result["distinct_states"] == len(hist) <= 7 and sum(hist.values()) == 3000
+        want = 0.5 * (sum(abs(v / 3000 - 1 / 7) for v in hist.values()) + (7 - len(hist)) / 7)
+        assert result["tv_to_uniform"] == pytest.approx(want, abs=1e-12)
+
     def test_switch_search_over_its_limit_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)  # 1,1,1,1 has 3 states
         code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "1")
@@ -248,6 +262,22 @@ class TestLimitVariables:
         # commands that need no counting limit are unaffected
         done = run_fresh("-m", "degseq.cli", "check", "1,1", **{name: value})
         assert done.returncode == 0 and done.stdout.strip() == "graphic"
+
+    def test_recursion_depth_is_a_size_error(self):
+        # n = 80 passes the raised length limit but nests deeper than Python allows
+        code = ("from degseq import *\n"
+                "try:\n    count_realizations(staircase_sequence(40))\n"
+                "except TooLarge as exc:\n    print(exc)\n"
+                "print(count_realizations(bumped_staircase_sequence(7)).count)")
+        done = run_fresh("-c", code, DEGSEQ_MAX_N="400")
+        assert done.returncode == 0, done.stderr
+        message, after = done.stdout.splitlines()
+        assert "n=80" in message and "DEGSEQ_MAX_N" in message
+        assert after == "89"  # the counter stays exact after the refusal
+        done = run_fresh("-m", "degseq.cli", "staircase-family", "40", DEGSEQ_MAX_N="400")
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and "DEGSEQ_MAX_N" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_valid_value_is_honoured(self):
         done = run_fresh("-m", "degseq.cli", "count", ",".join(["1"] * 18), DEGSEQ_MAX_N="18")

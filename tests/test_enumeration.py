@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+from degseq import enumeration
 from degseq import (
     DegreeSequence,
     InvalidInput,
@@ -233,6 +234,36 @@ class TestCountRealizations:
                 degs.sort(reverse=True)
             seq = DegreeSequence(degs)
             assert memo.count(seq).count == plain.count(seq).count, degs
+
+
+class TestCounterLimits:
+    def test_messages_name_the_variable_that_raises_the_limit(self):
+        with pytest.raises(TooLarge, match="counting limit 3; raise DEGSEQ_MAX_N"):
+            RealizationCounter(max_n=3).count([1, 1, 1, 1])
+        with pytest.raises(TooLarge, match="node budget 3 exceeded; raise DEGSEQ_NODE_BUDGET"):
+            RealizationCounter(node_budget=3).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
+        with pytest.raises(TooLarge, match="enumeration limit 3; raise DEGSEQ_MAX_N"):
+            list(enumerate_realizations(DegreeSequence([1, 1, 1, 1]), max_n=3))
+
+    def test_default_memo_limit_is_far_above_a_benchmark_round(self):
+        assert enumeration.MEMO_MAX_ENTRIES >= 1 << 18
+
+    def test_memo_stays_bounded_and_counts_exact(self, monkeypatch):
+        limit = 25
+        monkeypatch.setattr(enumeration, "MEMO_MAX_ENTRIES", limit)
+        counter = RealizationCounter()
+        census = degree_census(7)
+        clears = 0
+        for _ in range(2):  # the second pass meets memo hits and clears alike
+            for seq in all_sorted_sequences(7):
+                before = len(counter._memo)
+                result = counter.count(seq)
+                assert result.count == census.get(seq, 0), seq
+                # a query over the limit starts empty and adds one entry per node
+                kept = before if before <= limit else 0
+                assert len(counter._memo) <= kept + result.nodes_explored
+                clears += len(counter._memo) < before
+        assert clears > 10
 
 
 class TestEnumerateRealizations:

@@ -13,6 +13,7 @@ from degseq import (
     LabeledGraph,
     NotGraphic,
     TooLarge,
+    edges_to_text,
     enumerate_realizations,
     havel_hakimi_graph,
     make_rng,
@@ -46,6 +47,27 @@ def textbook_switch(edge_set, i, j, flip):
     if len({a, b, c, d}) < 4 or new & set(edge_set):
         return None
     return (set(edge_set) - {ordered[i], ordered[j]}) | new
+
+
+def parse_edge_text(key):
+    """The edges of a histogram key such as ``"1-2,3-4"``, 0-based, in key order."""
+    if not key:
+        return ()
+    return tuple(tuple(int(v) - 1 for v in pair.split("-")) for pair in key.split(","))
+
+
+def edge_label(edge):
+    return f"{edge[0] + 1}-{edge[1] + 1}"
+
+
+def tv_over_state_list(histogram, states, total):
+    """Total variation to uniform over an explicit list of states: the formula
+    the count form replaced, which also charges keys outside ``states``."""
+    uniform = 1.0 / len(states)
+    state_set = set(states)
+    dist = sum(abs(histogram.get(s, 0) / total - uniform) for s in state_set)
+    dist += sum(v / total for s, v in histogram.items() if s not in state_set)
+    return 0.5 * dist
 
 
 def replay(seq, seed, burn_in, steps):
@@ -199,14 +221,14 @@ class TestStateSpace:
 
         states = [("a",), ("b",), ("c",)]
         hist = Counter({("a",): 10, ("b",): 10, ("c",): 10})
-        assert tv_distance_to_uniform(hist, states, 30) == pytest.approx(0.0)
+        assert tv_distance_to_uniform(hist, len(states), 30) == pytest.approx(0.0)
 
     def test_tv_distance_concentrated_histogram(self):
         from collections import Counter
 
         states = [("a",), ("b",)]
         hist = Counter({("a",): 30})
-        assert tv_distance_to_uniform(hist, states, 30) == pytest.approx(0.5)
+        assert tv_distance_to_uniform(hist, len(states), 30) == pytest.approx(0.5)
 
     def test_matching_frequencies_near_uniform_at_scale(self):
         seq = DegreeSequence([1, 1, 1, 1])
@@ -226,7 +248,7 @@ class TestStateSpace:
             for steps in (40, 40000):
                 result = sample(seq, ChainConfig(seed=11, steps=steps))
                 distances.append(
-                    tv_distance_to_uniform(result.histogram, states, steps)
+                    tv_distance_to_uniform(result.histogram, len(states), steps)
                 )
             assert distances[1] < distances[0], degs
             assert distances[1] < 0.05, degs
@@ -249,10 +271,18 @@ class TestEngineOracle:
                                 adj, work = list(g.adj), list(edges)
                                 changed = mcmc._switch(adj, work, i, j, flip)
                                 want = textbook_switch(set(edges), i, j, flip)
-                                assert changed == (want is not None), (degs, edges, i, j, flip)
+                                assert bool(changed) == (want is not None), (degs, edges, i, j, flip)
                                 want = sorted(want) if changed else list(edges)
                                 assert work == want
                                 assert tuple(adj) == LabeledGraph.from_edges(n, want).adj
+                                if changed:  # the reported edits keep labels in step
+                                    hi, lo, p, q = changed
+                                    assert hi > lo and p < q
+                                    labels = [edge_label(e) for e in edges]
+                                    del labels[hi], labels[lo]
+                                    labels.insert(p, edge_label(work[p]))
+                                    labels.insert(q, edge_label(work[q]))
+                                    assert labels == [edge_label(e) for e in want]
                                 moves += 1
         assert moves == 207960  # sum of 4m(m-1) over the 1043 states
 
@@ -279,15 +309,16 @@ class TestSampleInvariants:
         for steps in (0, 1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1):
             run = sample(seq, ChainConfig(seed=steps + burn_in, steps=steps, burn_in=burn_in))
             trajectory, moved = replay(seq, steps + burn_in, burn_in, steps)
+            visits = Counter({parse_edge_text(k): v for k, v in run.histogram.items()})
             assert sum(run.histogram.values()) == steps
-            assert run.histogram == Counter(trajectory[burn_in:])
-            for key in run.histogram:
+            assert visits == Counter(trajectory[burn_in:])
+            for key in visits:
                 assert key == tuple(sorted(set(key)))
                 assert LabeledGraph.from_edges(seq.n, key).degrees() == seq.degrees
             assert run.final.edges() == (trajectory[-1] if trajectory else start)
             assert run.metadata["accepted"] == moved
             if len(start) < 2:
-                assert moved == 0 and set(run.histogram) <= {start}
+                assert moved == 0 and set(visits) <= {start}
 
     def test_switch_step_is_a_one_step_sample(self):
         seq = DegreeSequence([2, 2, 2, 1, 1])
@@ -337,3 +368,48 @@ class TestSwitchConnectedOracle:
         monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)
         with pytest.raises(TooLarge, match="SWITCH_MAX_STATES"):
             switch_connected(seq)
+
+
+class TestTextKeysAndCountForm:
+    def test_count_form_equals_state_list_form_on_fixtures(self):
+        fixtures = [
+            (Counter({("a",): 10, ("b",): 10, ("c",): 10}), [("a",), ("b",), ("c",)], 30),
+            (Counter({("a",): 30}), [("a",), ("b",)], 30),
+        ]
+        for hist, states, total in fixtures:
+            want = tv_over_state_list(hist, states, total)
+            assert tv_distance_to_uniform(hist, len(states), total) == pytest.approx(want, abs=1e-12)
+
+    def test_keys_are_realizations_and_tv_forms_agree_up_to_6(self):
+        """Every graphic sorted sequence with n <= 6: each key parses back to
+        sorted distinct edges realizing it and prints as itself, and the count
+        form of TV equals the state-list form."""
+        runs = 0
+        for n in range(1, 7):
+            for degs in all_sorted_sequences(n):
+                seq = DegreeSequence(degs)
+                states = [g.edges() for g in enumerate_realizations(seq)]
+                if not states:
+                    continue
+                steps = 300
+                run = sample(seq, ChainConfig(seed=runs, steps=steps, burn_in=5))
+                visits = Counter()
+                for key, value in run.histogram.items():
+                    edges = parse_edge_text(key)
+                    assert edges == tuple(sorted(set(edges))), key
+                    assert LabeledGraph.from_edges(n, edges).degrees() == degs, key
+                    assert edges_to_text(edges) == key
+                    visits[edges] = value
+                assert set(visits) <= set(states)
+                want = tv_over_state_list(visits, states, steps)
+                got = tv_distance_to_uniform(run.histogram, len(states), steps)
+                assert got == pytest.approx(want, abs=1e-12), degs
+                runs += 1
+        assert runs == 151  # graphic sorted sequences with n <= 6, by the census
+
+    def test_count_form_rejects_inconsistent_input(self):
+        hist = Counter({"1-2": 3, "1-3": 1})
+        assert tv_distance_to_uniform(hist, 2, 4) == pytest.approx(0.25)
+        for states, total in ((1, 4), (0, 4), (2, 0), (-1, 4)):
+            with pytest.raises(InvalidInput):
+                tv_distance_to_uniform(hist, states, total)
