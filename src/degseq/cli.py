@@ -349,9 +349,10 @@ def cmd_mcmc(args) -> None:
     human = f"visited {len(run.histogram)} states in {config.steps} steps"
     if total is not None and 0 < total <= args.tv_max_states:
         result["state_space"] = total
-        result["tv_to_uniform"] = tv_distance_to_uniform(run.histogram, total, config.steps)
+        if config.steps:  # no recorded step, no distribution to compare
+            result["tv_to_uniform"] = tv_distance_to_uniform(run.histogram, total, config.steps)
+            human += f", TV to uniform {result['tv_to_uniform']:.4f}"
         result["switch_connected"] = switch_connected(seq)
-        human += f", TV to uniform {result['tv_to_uniform']:.4f}"
     _emit(
         args,
         "mcmc",

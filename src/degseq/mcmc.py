@@ -1,19 +1,27 @@
 """Switch Markov chain over the realizations of a graphic degree sequence.
 
-One step draws an ordered pair of distinct edges (a,b), (c,d), each in a
-random orientation, and replaces them with (a,c), (b,d) when all four
-endpoints are distinct and both replacements are non-edges; otherwise the
-chain stays put.  The proposal is symmetric, every step preserves the degree
+One step draws an unordered pair of distinct edges (a,b), (c,d) and one of
+its two re-pairings, (a,c), (b,d) or (a,d), (b,c), and makes it when all four
+endpoints are distinct and both new pairs are non-edges; otherwise the chain
+stays put.  The proposal is symmetric, every step preserves the degree
 sequence exactly, and the stationary distribution is uniform over the
 labeled realizations.
 
 One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
 sorted edge list, for :func:`sample`, :func:`switch_step` and the search in
 :func:`switch_connected`; :func:`sample` replays its list edits on the edges'
-text.  A step draws one r uniform on [0, 4m(m-1)) for m edges, ``DRAW_BLOCK``
-at a time: r % 4 is the orientation and r // 4 is i * (m - 1) + j' with
-j = j' + (j' >= i).  This replaced four scalar draws per step, so a seed
-gives a different (still fixed) chain than before.
+text.
+
+The moves come from a standard stream, the same on every platform and
+Python version.  Block b of seed s is the first ``8 * DRAW_BLOCK`` bytes of
+SHAKE128 over the ASCII text ``"s/b"`` (``hashlib.shake_128(b"%d/%d" % (s,
+b))``), read as little-endian unsigned 64-bit words; the stream is blocks
+0, 1, 2, ... in order, whatever the number of steps.  With m edges a step
+takes the next word w below ``2**64 - 2**64 % (m(m-1))`` (larger words are
+skipped, so every draw is exactly uniform), sets r = w % (m(m-1)) and
+i, j' = divmod(r, m - 1).  When j' >= i the step is ``_switch(i, j' + 1, 0)``,
+else ``_switch(i, j', 1)``: the order of the pair picks the re-pairing, so
+the m(m-1) values of r give each unordered pair with each re-pairing once.
 
 The starting state is built greedily (Havel-Hakimi): repeatedly satisfy the
 vertex of largest residual degree from the next-largest residuals.
@@ -21,29 +29,46 @@ vertex of largest residual degree from the next-largest residuals.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, edges_to_text
 from .enumeration import RealizationCounter, count_realizations
 from .errors import InvalidInput, NotGraphic, TooLarge
 
-RNG_ALGORITHM = "pcg64"
-# Steps drawn per generator call in ``sample``: bounds the draw buffers
-# (a few arrays of this length) whatever the number of steps.
+RNG_ALGORITHM = "shake128"
+# 64-bit words per block of the move stream; part of the stream's definition.
 DRAW_BLOCK = 4096
+_WORDS = 1 << 64
 # Most realizations ``switch_connected`` searches; it keeps every state it reaches.
 SWITCH_MAX_STATES = 20_000
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """The chain's generator; the algorithm name is part of the contract."""
-    return np.random.Generator(np.random.PCG64(seed))
+def _block(seed: int, index: int) -> array:
+    words = array("Q", hashlib.shake_128(b"%d/%d" % (seed, index)).digest(8 * DRAW_BLOCK))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def make_rng(seed: int) -> Iterator[int]:
+    """The chain's move stream for ``seed``: an endless iterator of 64-bit
+    words (layout in the module docstring; ``RNG_ALGORITHM`` names it)."""
+    _check_seed(seed)
+    return itertools.chain.from_iterable(map(functools.partial(_block, seed), itertools.count()))
+
+
+def _check_seed(seed: int) -> None:
+    """The seed domain: any integer >= 0."""
+    if not isinstance(seed, int) or seed < 0:
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +78,7 @@ class ChainConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.steps < 0 or self.burn_in < 0:
             raise InvalidInput("steps and burn_in must be >= 0")
 
@@ -80,18 +106,6 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
             adj[v] |= 1 << u
             adj[u] |= 1 << v
     return LabeledGraph(n, tuple(adj))
-
-
-def _moves(rng: np.random.Generator, m: int, steps: int) -> Iterator[tuple[int, int, int]]:
-    """``steps`` moves (i, j, orientation), uniform over ordered pairs of
-    distinct edge indices times the four orientations; none when m < 2."""
-    while steps > 0 and m >= 2:
-        size = min(steps, DRAW_BLOCK)
-        steps -= size
-        pair, flip = np.divmod(rng.integers(4 * m * (m - 1), size=size), 4)
-        i, j = np.divmod(pair, m - 1)
-        j += j >= i
-        yield from zip(i.tolist(), j.tolist(), flip.tolist())
 
 
 def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> tuple:
@@ -129,11 +143,49 @@ def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: 
     return i, j, p, q
 
 
-def switch_step(graph: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
-    """One chain step.  Returns the input graph unchanged on a lazy step or
-    when fewer than two edges exist (the chain is then trivially stationary)."""
+def _run(adj: list[int], edges: list[tuple[int, int]], words: Iterator[int],
+         burn_in: int, steps: int) -> tuple[Counter, int]:
+    """Walk ``burn_in + steps`` steps in place, drawing from ``words``.
+
+    Returns the histogram of the ``steps`` recorded states, keyed on edge
+    text, and the number of moves made.  A list of edge labels follows the
+    edge list, and a state's key is joined once, when it is left or at the
+    end, and only if some recorded step saw it.
+    """
+    labels = list(map(_EDGE_LABELS.__getitem__, edges))
+    histogram: Counter = Counter()
+    m = len(edges)
+    accepted, entered = 0, 0  # the state has been recorded since step entered
+    if m >= 2:
+        m1 = m - 1
+        moves = m * m1
+        limit = _WORDS - _WORDS % moves
+        for step, w in zip(range(-burn_in, steps), words):
+            while w >= limit:
+                w = next(words)
+            i, j = divmod(w % moves, m1)
+            moved = _switch(adj, edges, i, j + 1, 0) if j >= i else _switch(adj, edges, i, j, 1)
+            if moved:
+                accepted += 1
+                if step > entered:
+                    histogram[",".join(labels)] += step - entered
+                hi, lo, p, q = moved
+                del labels[hi], labels[lo]
+                labels.insert(p, _EDGE_LABELS[edges[p]])
+                labels.insert(q, _EDGE_LABELS[edges[q]])
+                entered = step if step > 0 else 0
+    if steps > entered:
+        histogram[",".join(labels)] += steps - entered
+    return histogram, accepted
+
+
+def switch_step(graph: LabeledGraph, rng: Iterator[int]) -> LabeledGraph:
+    """One chain step, drawing from ``rng``, a move stream from
+    :func:`make_rng`.  Returns the input graph unchanged on a lazy step or
+    when fewer than two edges exist (the chain is then trivially stationary,
+    and no word is drawn)."""
     edges, adj = list(graph.edges()), list(graph.adj)
-    if len(edges) < 2 or not _switch(adj, edges, *next(_moves(rng, len(edges), 1))):
+    if not _run(adj, edges, rng, 0, 1)[1]:
         return graph
     return LabeledGraph(graph.n, tuple(adj))
 
@@ -152,32 +204,12 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     ``"1-2,3-4"``), so every key is a realization of ``seq``.  Only the
     ``steps`` states after burn-in are recorded, one per step, so the
     histogram total equals ``config.steps``; ``final`` is the state after the
-    last step.  Moves are drawn in blocks (see the module docstring); a list
-    of edge labels follows the edge list, and a key is joined from it only
-    when a step changes the state.
+    last step.  Moves come from ``make_rng(config.seed)`` (see the module
+    docstring), decoded inline.
     """
     start = havel_hakimi_graph(seq)
     edges, adj = list(start.edges()), list(start.adj)
-    moves = _moves(make_rng(config.seed), len(edges), config.burn_in + config.steps)
-    accepted = 0
-    for i, j, flip in itertools.islice(moves, config.burn_in):
-        accepted += bool(_switch(adj, edges, i, j, flip))
-    labels = list(map(_EDGE_LABELS.__getitem__, edges))
-    histogram: Counter = Counter()
-    key, entered = ",".join(labels), 0  # the state is key since recorded step entered
-    for step, (i, j, flip) in enumerate(moves):
-        moved = _switch(adj, edges, i, j, flip)
-        if moved:
-            accepted += 1
-            if step > entered:
-                histogram[key] += step - entered
-            hi, lo, p, q = moved
-            del labels[hi], labels[lo]
-            labels.insert(p, _EDGE_LABELS[edges[p]])
-            labels.insert(q, _EDGE_LABELS[edges[q]])
-            key, entered = ",".join(labels), step
-    if config.steps > entered:
-        histogram[key] += config.steps - entered
+    histogram, accepted = _run(adj, edges, make_rng(config.seed), config.burn_in, config.steps)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,

@@ -187,7 +187,7 @@ class TestMcmcCommand:
         assert result["state_space"] == 3
         assert result["switch_connected"] is True
         assert result["tv_to_uniform"] < 0.2
-        assert result["metadata"]["rng"] == "pcg64"
+        assert result["metadata"]["rng"] == "shake128"
         assert sum(result["histogram"].values()) == 2000
 
     def test_large_instance_skips_exact_space(self, capsys):
@@ -211,6 +211,21 @@ class TestMcmcCommand:
         assert result["distinct_states"] == len(hist) <= 7 and sum(hist.values()) == 3000
         want = 0.5 * (sum(abs(v / 3000 - 1 / 7) for v in hist.values()) + (7 - len(hist)) / 7)
         assert result["tv_to_uniform"] == pytest.approx(want, abs=1e-12)
+
+    def test_zero_steps_report_the_state_space_without_tv(self, capsys):
+        envelope = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "0", "--seed", "3")
+        result = envelope["result"]
+        assert result["state_space"] == 3 and result["switch_connected"] is True
+        assert "tv_to_uniform" not in result
+        assert result["histogram"] == {} and result["distinct_states"] == 0
+        code, out, _ = run(capsys, "mcmc", "1,1,1,1", "--steps", "0", "--seed", "3")
+        assert code == 0 and "TV" not in out
+
+    def test_seed_domain(self, capsys):
+        code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "-1")
+        assert code == 1 and err.startswith("error: seed")
+        envelope = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", str(2**130))
+        assert envelope["result"]["metadata"]["seed"] == 2**130
 
     def test_switch_search_over_its_limit_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)  # 1,1,1,1 has 3 states
@@ -282,6 +297,24 @@ class TestLimitVariables:
     def test_valid_value_is_honoured(self):
         done = run_fresh("-m", "degseq.cli", "count", ",".join(["1"] * 18), DEGSEQ_MAX_N="18")
         assert done.returncode == 0 and done.stdout.strip() == "34459425"  # 17!!
+
+
+class TestImportCost:
+    def test_runs_without_numpy(self):
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+                "import degseq.cli\n"
+                "from degseq import ChainConfig, DegreeSequence, sample\n"
+                "run = sample(DegreeSequence([2, 2, 1, 1, 1, 1]), ChainConfig(seed=1, steps=50))\n"
+                "assert sum(run.histogram.values()) == 50\n"
+                "sys.exit(degseq.cli.main(['--json', 'mcmc', '2,2,2,1,1', '--steps', '20', '--seed', '1']))")
+        done = run_fresh("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["result"]["state_space"] == 7
+
+    def test_import_leaves_numpy_out(self):
+        done = run_fresh("-c", "import sys, degseq.cli; print('numpy' in sys.modules)")
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestParser:

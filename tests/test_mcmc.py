@@ -1,6 +1,7 @@
+import hashlib
+import itertools
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,23 +71,31 @@ def tv_over_state_list(histogram, states, total):
     return 0.5 * dist
 
 
+def stream_words(seed, block_words=4096):
+    """The documented move stream, decoded from hashlib alone: block b is
+    SHAKE128 over ``"seed/b"``, read as little-endian 64-bit words."""
+    for block in itertools.count():
+        data = hashlib.shake_128(f"{seed}/{block}".encode()).digest(8 * block_words)
+        for k in range(0, len(data), 8):
+            yield int.from_bytes(data[k:k + 8], "little")
+
+
 def replay(seq, seed, burn_in, steps):
     """The states of a ``sample`` run, step by step, re-derived from the
-    documented draw layout with the textbook switch.  Returns the states
-    after each step and the number of moves made."""
+    documented stream and draw layout with the textbook switch.  Returns the
+    states after each step and the number of moves made."""
     state = set(havel_hakimi_graph(seq).edges())
     m = len(state)
-    total = burn_in + steps
-    draws = []
-    rng = make_rng(seed)
-    while m >= 2 and len(draws) < total:
-        block = min(total - len(draws), mcmc.DRAW_BLOCK)
-        draws += rng.integers(4 * m * (m - 1), size=block).tolist()
+    words = stream_words(seed)
     trajectory, moved = [], 0
-    for r in draws or [None] * total:
-        if r is not None:
-            i, j = divmod(r // 4, m - 1)
-            new = textbook_switch(state, i, j + (j >= i), r % 4)
+    for _ in range(burn_in + steps):
+        if m >= 2:
+            n_moves = m * (m - 1)
+            w = next(words)
+            while w >= 2**64 - 2**64 % n_moves:
+                w = next(words)
+            i, j = divmod(w % n_moves, m - 1)
+            new = textbook_switch(state, i, j + 1, 0) if j >= i else textbook_switch(state, i, j, 1)
             if new is not None:
                 state, moved = new, moved + 1
         trajectory.append(tuple(sorted(state)))
@@ -196,7 +205,7 @@ class TestSample:
 
     def test_metadata_records_rng(self):
         result = sample(DegreeSequence([1, 1]), ChainConfig(seed=9, steps=5))
-        assert result.metadata["rng"] == "pcg64"
+        assert result.metadata["rng"] == "shake128"
         assert result.metadata["seed"] == 9
 
     def test_rejects_non_graphic(self):
@@ -206,6 +215,25 @@ class TestSample:
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
             ChainConfig(seed=0, steps=-1)
+
+    def test_seed_domain(self):
+        for seed in (-1, -(2**70), 1.0):
+            with pytest.raises(InvalidInput, match="seed"):
+                ChainConfig(seed=seed, steps=1)
+            with pytest.raises(InvalidInput, match="seed"):
+                make_rng(seed)
+        for seed in (0, 2**64, 2**130):  # no upper bound
+            run = sample(DegreeSequence([1, 1, 1, 1]), ChainConfig(seed=seed, steps=20))
+            assert sum(run.histogram.values()) == 20 and run.metadata["seed"] == seed
+
+    def test_zero_steps_record_nothing(self):
+        seq = DegreeSequence([1, 1, 1, 1])
+        for burn_in in (0, 9):
+            run = sample(seq, ChainConfig(seed=3, steps=0, burn_in=burn_in))
+            assert run.histogram == Counter() and run.metadata["steps"] == 0
+        assert switch_connected(seq)  # the state-space report needs no steps
+        with pytest.raises(InvalidInput):  # a TV over no recorded step is undefined
+            tv_distance_to_uniform(Counter(), 3, 0)
 
 
 class TestStateSpace:
@@ -287,15 +315,42 @@ class TestEngineOracle:
         assert moves == 207960  # sum of 4m(m-1) over the 1043 states
 
     def test_draws_cover_every_move_uniformly(self):
-        class Counting:  # draws 0, 1, 2, ... modulo the range
-            def integers(self, high, size):
-                return np.arange(size) % high
+        """On a perfect matching every move is made and gives its own graph,
+        so N = m(m-1) consecutive r must reach each (unordered pair,
+        re-pairing) exactly once; words at or above the rejection limit are
+        skipped."""
+        for m in (2, 3, 4, 5):
+            start = LabeledGraph.from_edges(2 * m, [(2 * k, 2 * k + 1) for k in range(m)])
+            edges = set(start.edges())
+            n_moves = m * (m - 1)
+            limit = 2**64 - 2**64 % n_moves
+            want = Counter()
+            for i, j in itertools.combinations(range(m), 2):
+                for flip in (0, 1):
+                    want[frozenset(textbook_switch(edges, i, j, flip))] += 1
+            assert len(want) == n_moves
+            for offset in (0, 7 * n_moves, limit - n_moves):
+                got = Counter()
+                for r in range(offset, offset + n_moves):
+                    words = iter([r])
+                    got[frozenset(switch_step(start, words).edges())] += 1
+                    assert next(words, None) is None  # one word per step
+                assert got == want, (m, offset)
+            if limit == 2**64:  # N divides 2^64: no word is skipped
+                continue
+            for r in range(n_moves):  # skipped words leave the draw unchanged
+                words = iter([2**64 - 1, limit, r, 0])
+                assert switch_step(start, words) == switch_step(start, iter([r]))
+                assert list(words) == [0]
 
-        # m = 3: 4 * 3 * 2 = 24 moves, each decoded once from 24 consecutive r
-        moves = list(mcmc._moves(Counting(), 3, 48))
-        assert Counter(moves) == Counter(
-            {(i, j, f): 2 for i in range(3) for j in range(3) if i != j for f in range(4)}
-        )
+    def test_stream_golden_vector(self):
+        """The first words of seed 0 and the first of its block 1: they fix
+        the hash, the key text, the byte order and the block length."""
+        words = list(itertools.islice(make_rng(0), 4098))
+        assert words[:3] == [6690533480752639996, 16526409147270037063, 4842030936405344767]
+        assert words[4096:] == [6907395727951219478, 17364674377003580700]
+        assert words == list(itertools.islice(stream_words(0), 4098))
+        assert mcmc.RNG_ALGORITHM == "shake128"
 
 
 class TestSampleInvariants:
