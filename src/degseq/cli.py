@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, mcmc
 from .core import (
     DegreeSequence,
     SimpleRegion,
@@ -347,7 +347,7 @@ def cmd_mcmc(args) -> None:
     except TooLarge:
         total = None  # sampling still fine; just skip the exact-space report
     human = f"visited {len(run.histogram)} states in {config.steps} steps"
-    if total is not None and 0 < total <= args.tv_max_states:
+    if total is not None and 0 < total <= mcmc.SWITCH_MAX_STATES:
         result["state_space"] = total
         if config.steps:  # no recorded step, no distribution to compare
             result["tv_to_uniform"] = tv_distance_to_uniform(run.histogram, total, config.steps)
@@ -472,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--tv-max-states", type=int, default=5000,
-                   help="report the state-space size, TV to uniform and switch "
-                        "connectivity when the exact count is at most this")
     p.set_defaults(func=cmd_mcmc)
 
     p = sub.add_parser("sweep", help="classify a grid of regions")

@@ -9,6 +9,7 @@ fixed even degree sum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -199,31 +200,31 @@ def iter_region(region: Region) -> Iterator[DegreeSequence]:
 
 
 class PerturbationKind(Enum):
-    """The five single-step degree perturbations."""
+    """The five single-step degree perturbations and their delta table.
 
-    MINUS_MINUS = "--"  # subtract 1 at two distinct positions
-    PLUS_PLUS = "++"    # add 1 at two distinct positions
-    PLUS_MINUS = "+-"   # add 1 at i, subtract 1 at j
-    MINUS_TWO = "-2"    # subtract 2 at one position
-    PLUS_TWO = "+2"     # add 2 at one position
+    ``deltas`` are the amounts added at positions i and j (i != j) for the
+    pairwise kinds, or at position i alone for the doubled kinds.
+    """
+
+    MINUS_MINUS = "--", (-1, -1)
+    PLUS_PLUS = "++", (1, 1)
+    PLUS_MINUS = "+-", (1, -1)
+    MINUS_TWO = "-2", (-2,)
+    PLUS_TWO = "+2", (2,)
+
+    def __new__(cls, value: str, deltas: tuple[int, ...]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.deltas = deltas
+        return kind
 
     @property
     def pairwise(self) -> bool:
-        return self in (
-            PerturbationKind.MINUS_MINUS,
-            PerturbationKind.PLUS_PLUS,
-            PerturbationKind.PLUS_MINUS,
-        )
+        return len(self.deltas) == 2
 
     @property
     def sigma_delta(self) -> int:
-        return {
-            PerturbationKind.MINUS_MINUS: -2,
-            PerturbationKind.PLUS_PLUS: 2,
-            PerturbationKind.PLUS_MINUS: 0,
-            PerturbationKind.MINUS_TWO: -2,
-            PerturbationKind.PLUS_TWO: 2,
-        }[self]
+        return sum(self.deltas)
 
 
 @dataclass(frozen=True)
@@ -271,25 +272,31 @@ def apply_perturbation(
     if pert.i > n or (pert.j is not None and pert.j > n):
         raise InvalidInput(f"positions out of range for length {n}")
     values = list(seq.degrees)
-    kind = pert.kind
-    if kind is PerturbationKind.MINUS_MINUS:
-        values[pert.i - 1] -= 1
-        values[pert.j - 1] -= 1
-    elif kind is PerturbationKind.PLUS_PLUS:
-        values[pert.i - 1] += 1
-        values[pert.j - 1] += 1
-    elif kind is PerturbationKind.PLUS_MINUS:
-        values[pert.i - 1] += 1
-        values[pert.j - 1] -= 1
-    elif kind is PerturbationKind.MINUS_TWO:
-        values[pert.i - 1] -= 2
-    else:
-        values[pert.i - 1] += 2
+    for pos, delta in zip((pert.i, pert.j), pert.kind.deltas):
+        values[pos - 1] += delta
     if min(values) < 0:
         raise NegativeDegree(f"{pert.kind.value} at {pert.i},{pert.j} drops below zero")
     if not permissive and max(values) > n - 1:
         raise ExceedsMax(f"{pert.kind.value} at {pert.i},{pert.j} exceeds n - 1 = {n - 1}")
     return DegreeSequence(values)
+
+
+def _family_vectors(
+    degrees: tuple[int, ...], kind: PerturbationKind
+) -> Iterator[tuple[int, ...]]:
+    """Each distinct positional vector of ``kind``'s family of ``degrees``, once.
+
+    The deltas go at i alone (doubled kinds), at i < j when they are equal
+    and at i != j when they differ, so no two positions give the same vector.
+    Entries may fall outside [0, n-1].
+    """
+    deltas = kind.deltas
+    pick = itertools.combinations if len(set(deltas)) == 1 else itertools.permutations
+    for positions in pick(range(len(degrees)), len(deltas)):
+        vec = list(degrees)
+        for pos, delta in zip(positions, deltas):
+            vec[pos] += delta
+        yield tuple(vec)
 
 
 @dataclass(frozen=True)

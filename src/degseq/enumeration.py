@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import DegreeSequence, LabeledGraph, PerturbationKind
+from .core import (
+    DegreeSequence,
+    LabeledGraph,
+    Perturbation,
+    PerturbationKind,
+    _family_vectors,
+    apply_perturbation,
+)
 from .errors import InvalidInput, NotGraphic, TooLarge
 
 # A query empties a counter's memo first when it holds more entries than this.
@@ -194,7 +201,6 @@ def count_realizations(
 def enumerate_realizations(
     seq: DegreeSequence,
     limit: int | None = None,
-    max_n: int | None = None,
 ) -> Iterator[LabeledGraph]:
     """Yield every labeled realization of ``seq`` exactly once.
 
@@ -206,7 +212,7 @@ def enumerate_realizations(
     """
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be >= 0, got {limit}")
-    ceiling = _default_limits()[0] if max_n is None else max_n
+    ceiling = _default_limits()[0]
     degrees = seq.degrees
     n = len(degrees)
     if n > ceiling:
@@ -272,31 +278,6 @@ class PerturbationFamilyCount:
     distinct_vectors: int
 
 
-def _family_vectors(
-    degrees: tuple[int, ...], kind: PerturbationKind
-) -> set[tuple[int, ...]]:
-    n = len(degrees)
-    out: set[tuple[int, ...]] = set()
-    if kind.pairwise:
-        di = 1 if kind in (PerturbationKind.PLUS_PLUS, PerturbationKind.PLUS_MINUS) else -1
-        dj = 1 if kind is PerturbationKind.PLUS_PLUS else -1
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                vec = list(degrees)
-                vec[i] += di
-                vec[j] += dj
-                out.add(tuple(vec))
-    else:
-        step = 2 if kind is PerturbationKind.PLUS_TWO else -2
-        for i in range(n):
-            vec = list(degrees)
-            vec[i] += step
-            out.add(tuple(vec))
-    return out
-
-
 def family_count(
     seq: DegreeSequence,
     kind: PerturbationKind,
@@ -304,7 +285,7 @@ def family_count(
 ) -> PerturbationFamilyCount:
     """Count all labeled graphs whose degree vector lies in one family of ``seq``."""
     counter = counter or default_counter()
-    vectors = _family_vectors(seq.degrees, kind)
+    vectors = list(_family_vectors(seq.degrees, kind))
     # Out-of-range vectors count zero unqueried (no TooLarge for them either).
     total = sum(counter.count(v).count for v in vectors if 0 <= min(v) <= max(v) < seq.n)
     return PerturbationFamilyCount(
@@ -317,23 +298,16 @@ def p_measure(
 ) -> Fraction:
     """The local stability measure of a graphic sequence.
 
-    p(D) = sum over positions 1 <= i < j <= n of |G(D - e_i - e_j)| / |G(D)|.
-    The sum is positional: pairs producing equal vectors still contribute
-    separately.  Pairs with a zero entry give a negative child, which counts
-    zero and is skipped.
+    p(D) = sum over positions 1 <= i < j <= n of |G(D - e_i - e_j)| / |G(D)|,
+    which is the total of the -- family over |G(D)|: the vectors
+    D - e_i - e_j are distinct for distinct pairs, so the positional sum
+    and the family total agree.  Vectors with a negative entry count zero.
     """
     counter = counter or default_counter()
     base = counter.count(seq).count
     if base == 0:
         raise NotGraphic(f"{seq} has no realization")
-    degrees = seq.degrees
-    total = 0
-    for i, j in itertools.combinations([i for i, d in enumerate(degrees) if d], 2):
-        vec = list(degrees)
-        vec[i] -= 1
-        vec[j] -= 1
-        total += counter.count(vec).count
-    return Fraction(total, base)
+    return Fraction(family_count(seq, PerturbationKind.MINUS_MINUS, counter).total, base)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +406,9 @@ def bumped_staircase_sequence(m: int) -> DegreeSequence:
     Unlike the staircase itself this sequence has many realizations, and the
     count grows exponentially in m.
     """
-    base = list(staircase_sequence(m).degrees)
-    base[m - 1] += 1
-    base[2 * m - 1] += 1
-    return DegreeSequence(base)
+    return apply_perturbation(
+        staircase_sequence(m), Perturbation(PerturbationKind.PLUS_PLUS, m, 2 * m), permissive=True
+    )
 
 
 def staircase_realization(m: int) -> LabeledGraph:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, edges_to_text
-from .enumeration import RealizationCounter, count_realizations
+from .enumeration import count_realizations
 from .errors import InvalidInput, NotGraphic, TooLarge
 
 RNG_ALGORITHM = "shake128"
@@ -226,17 +226,16 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
 # State-space structure at desk scale
 # ---------------------------------------------------------------------------
 
-def switch_connected(seq: DegreeSequence, max_n: int | None = None) -> bool:
+def switch_connected(seq: DegreeSequence) -> bool:
     """Whether the switch graph on all realizations of ``seq`` is connected.
 
     A graph search from the Havel-Hakimi realization along every valid
     switch (both pairings of each pair of edges), until it has reached as
     many states as the exact realization count.  Raises NotGraphic when
-    there are none, and TooLarge when n exceeds ``max_n`` (default: the
-    counter's limit) or the count exceeds ``SWITCH_MAX_STATES``.
+    there are none, and TooLarge when the counter refuses ``seq`` or the
+    count exceeds ``SWITCH_MAX_STATES``.
     """
-    counter = None if max_n is None else RealizationCounter(max_n=max_n)
-    total = count_realizations(seq, counter).count
+    total = count_realizations(seq).count
     if total == 0:
         raise NotGraphic(f"{seq} has no realization")
     if total > SWITCH_MAX_STATES:

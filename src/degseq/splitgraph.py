@@ -303,26 +303,16 @@ def nonstability_witness(
     m = n_prime - n
     counter = counter or default_counter()
 
-    chosen = None
-    unique_verified: bool | None = None
-    if n <= counter.max_n:
-        for cand in _witness_candidates(region):
-            if counter.count(cand.sequence).count == 1:
-                chosen = cand
-                unique_verified = True
-                break
-        if chosen is None:
-            raise ConstructionError(
-                f"no uniquely realizable split witness in {region}"
-            )
-    else:
-        for cand in _witness_candidates(region):
-            chosen = cand
+    countable = n <= counter.max_n
+    for chosen in _witness_candidates(region):
+        if not countable or counter.count(chosen.sequence).count == 1:
             break
-        if chosen is None:
-            raise ConstructionError(
-                f"no collision-free split witness construction for {region}"
-            )
+    else:
+        raise ConstructionError(
+            f"no uniquely realizable split witness in {region}" if countable
+            else f"no collision-free split witness construction for {region}"
+        )
+    unique_verified = True if countable else None
 
     composed = tyshkevich_compose(chosen.graph, staircase_realization(m))
     base = composed.degree_sequence()

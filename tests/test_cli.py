@@ -227,10 +227,14 @@ class TestMcmcCommand:
         envelope = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", str(2**130))
         assert envelope["result"]["metadata"]["seed"] == 2**130
 
-    def test_switch_search_over_its_limit_exits_3(self, capsys, monkeypatch):
+    def test_state_space_report_only_within_the_switch_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)  # 1,1,1,1 has 3 states
-        code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "1")
-        assert code == 3 and "SWITCH_MAX_STATES = 2" in err
+        result = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "1")["result"]
+        assert sum(result["histogram"].values()) == 10
+        assert not {"state_space", "tv_to_uniform", "switch_connected"} & set(result)
+        with pytest.raises(SystemExit) as exc:
+            main(["mcmc", "1,1,1,1", "--steps", "10", "--seed", "1", "--tv-max-states", "9"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

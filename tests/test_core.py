@@ -141,6 +141,12 @@ class TestPerturbation:
             apply_perturbation(d, p)
         assert apply_perturbation(d, p, permissive=True).degrees == (2, 2)
 
+    def test_delta_table(self):
+        assert {k.value: k.deltas for k in PerturbationKind} == {
+            "--": (-1, -1), "++": (1, 1), "+-": (1, -1), "-2": (-2,), "+2": (2,),
+        }
+        assert PerturbationKind("+-") is PerturbationKind.PLUS_MINUS
+
     def test_position_validation(self):
         with pytest.raises(InvalidInput):
             Perturbation(PerturbationKind.MINUS_MINUS, 1, 1)

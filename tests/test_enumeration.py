@@ -242,8 +242,8 @@ class TestCounterLimits:
             RealizationCounter(max_n=3).count([1, 1, 1, 1])
         with pytest.raises(TooLarge, match="node budget 3 exceeded; raise DEGSEQ_NODE_BUDGET"):
             RealizationCounter(node_budget=3).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
-        with pytest.raises(TooLarge, match="enumeration limit 3; raise DEGSEQ_MAX_N"):
-            list(enumerate_realizations(DegreeSequence([1, 1, 1, 1]), max_n=3))
+        with pytest.raises(TooLarge, match="enumeration limit 16; raise DEGSEQ_MAX_N"):
+            list(enumerate_realizations(DegreeSequence([1] * 18)))
 
     def test_default_memo_limit_is_far_above_a_benchmark_round(self):
         assert enumeration.MEMO_MAX_ENTRIES >= 1 << 18
@@ -357,6 +357,15 @@ class TestFamilyCount:
     def test_double_step_down_impossible(self):
         assert family_count(DegreeSequence([2, 2, 2]), PerturbationKind.MINUS_TWO).total == 0
 
+    def test_distinct_vectors_per_kind(self, counter):
+        for n in range(1, 7):
+            expected = {"--": n * (n - 1) // 2, "++": n * (n - 1) // 2,
+                        "+-": n * (n - 1), "-2": n, "+2": n}
+            for seq in all_sorted_sequences(n):
+                for kind in PerturbationKind:
+                    got = family_count(DegreeSequence(seq), kind, counter).distinct_vectors
+                    assert got == expected[kind.value], (seq, kind)
+
     def test_all_families_match_union_oracle_small(self):
         for n in range(2, 6):
             for seq in all_sorted_sequences(n):
@@ -382,20 +391,22 @@ class TestPMeasure:
             p_measure(DegreeSequence([3, 3, 1, 1]))
 
     def test_positional_sum_against_census(self, counter):
-        census = degree_census(5)
-        for seq in all_sorted_sequences(5):
-            base = census.get(seq, 0)
-            if base == 0:
-                continue
-            expected = Fraction(0)
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    child = list(seq)
-                    child[i] -= 1
-                    child[j] -= 1
-                    if min(child) >= 0:
-                        expected += Fraction(census.get(tuple(sorted(child, reverse=True)), 0), base)
-            assert p_measure(DegreeSequence(seq), counter) == expected, seq
+        for n in range(1, 7):
+            census = degree_census(n)
+            for seq in all_sorted_sequences(n):
+                base = census.get(seq, 0)
+                if base == 0:
+                    continue
+                expected = Fraction(0)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        child = list(seq)
+                        child[i] -= 1
+                        child[j] -= 1
+                        if min(child) >= 0:
+                            child = tuple(sorted(child, reverse=True))
+                            expected += Fraction(census.get(child, 0), base)
+                assert p_measure(DegreeSequence(seq), counter) == expected, seq
 
 
 class TestFamilyBounds:

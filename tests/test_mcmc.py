@@ -405,8 +405,8 @@ class TestSwitchConnectedOracle:
         assert not switch_connected(seq)  # 7 realizations, 8 claimed
 
     def test_too_large_through_the_counter(self):
-        with pytest.raises(TooLarge):
-            switch_connected(DegreeSequence([1] * 8), max_n=7)
+        with pytest.raises(TooLarge, match="raise DEGSEQ_MAX_N"):
+            switch_connected(DegreeSequence([1] * 18))
 
     def test_state_limit_is_checked_before_the_search(self, monkeypatch):
         def no_search(seq):

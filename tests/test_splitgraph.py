@@ -3,11 +3,13 @@ import random
 import pytest
 
 from degseq import (
+    ConstructionError,
     DegreeSequence,
     InvalidInput,
     LabeledGraph,
     NotGraphic,
     NotSplit,
+    RealizationCounter,
     SplitGraph,
     VerySimpleRegion,
     count_realizations,
@@ -24,6 +26,7 @@ from degseq import (
     very_simple_region_fully_graphic,
     verify_multiplicativity,
 )
+from degseq import splitgraph
 from conftest import all_sorted_sequences, has_split_partition
 
 
@@ -212,6 +215,19 @@ class TestNonstabilityWitness:
         assert witness.base_count == 1
         assert witness.base.n == 6 + 2 * witness.m
         assert witness.composed_graph.degree_sequence() == witness.base
+
+    def test_uncountable_region_takes_the_first_candidate_unverified(self):
+        region = VerySimpleRegion(6, 5, 1)
+        witness = nonstability_witness(6, 8, 5, 1, counter=RealizationCounter(max_n=5))
+        assert witness.unique_verified is None
+        assert witness.witness.ell == split_witness(region).ell
+
+    def test_no_candidate_raises_per_branch(self, monkeypatch):
+        monkeypatch.setattr(splitgraph, "_witness_candidates", lambda region: iter(()))
+        with pytest.raises(ConstructionError, match="no uniquely realizable split witness"):
+            nonstability_witness(6, 8, 5, 1)
+        with pytest.raises(ConstructionError, match="no collision-free split witness"):
+            nonstability_witness(6, 8, 5, 1, counter=RealizationCounter(max_n=5))
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
