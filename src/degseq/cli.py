@@ -6,7 +6,7 @@ Every successful invocation prints either a human-readable summary or, with
     {"command": ..., "inputs": ..., "result": ..., "version": ...}
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
-for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET).
+for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS).
 """
 
 from __future__ import annotations
@@ -119,13 +119,15 @@ def cmd_leg(args) -> None:
 
 def cmd_region(args) -> None:
     if args.params:
-        parsed = parse_region(args.params)
-        n, c1, c2 = parsed.n, parsed.c1, parsed.c2
-        sigma = parsed.sigma if isinstance(parsed, SimpleRegion) else None
+        region = parse_region(args.params)
     elif None in (args.n, args.c1, args.c2):
         raise ValueError("give either a region string or --n, --c1 and --c2")
+    elif args.sigma is None:
+        region = VerySimpleRegion(args.n, args.c1, args.c2)
     else:
-        n, c1, c2, sigma = args.n, args.c1, args.c2, args.sigma
+        region = SimpleRegion(args.n, args.sigma, args.c1, args.c2)
+    n, c1, c2 = region.n, region.c1, region.c2
+    sigma = region.sigma if isinstance(region, SimpleRegion) else None
     inputs = {"n": n, "sigma": sigma, "c1": c1, "c2": c2}
     if args.predicate:
         epsilon = Fraction(args.epsilon) if args.epsilon else None
@@ -142,11 +144,10 @@ def cmd_region(args) -> None:
               f"{args.predicate}: {'holds' if holds else 'fails'}")
         return
     if sigma is not None:
-        region = SimpleRegion(n, sigma, c1, c2)
         fg = region_fully_graphic(region)
         result = {"fully_graphic": fg, "leg": str(leg(region))}
     else:
-        fg = very_simple_region_fully_graphic(VerySimpleRegion(n, c1, c2))
+        fg = very_simple_region_fully_graphic(region)
         result = {"fully_graphic": fg}
     _emit(args, "region", inputs, result,
           "fully graphic" if fg else "not fully graphic")

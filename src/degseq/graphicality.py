@@ -15,8 +15,8 @@ prefix sums are built once and a pointer to the crossover (the number of
 entries >= k) only moves left as k grows, so a test costs O(n) in all.  A
 fixed-sum region decision costs O(1): it evaluates the inequality in closed
 form on the block form (c1, alpha), (a, 1), (c2, beta) of the primitive
-member, at its block ends only.  A very simple region costs O(1) per
-admissible sum.
+member, at its block ends only.  A very simple region decision, phi_FG
+and phi_JMS_star_k cost O(1): each reads one minimum, see ``_min_slack``.
 """
 
 from __future__ import annotations
@@ -159,14 +159,33 @@ def region_fully_graphic(region: SimpleRegion) -> bool:
     return _leg_graphic(region.n, region.sigma, region.c1, region.c2)
 
 
+def _min_slack(n: int, c1: int, c2: int) -> int:
+    """min over 1 <= k <= n of s(k) = k(k-1) + c2(n-k) - c1*k; 0 if n < 1.
+
+    As s(k+1) - s(k) = 2k - c1 - c2, the minimum is at v = (c1 + c2 + 1) // 2
+    clamped into [1, n].  A region n > c1 >= c2 >= 0 is fully graphic iff
+    the minimum is >= -1.  For a member D, LHS_k - RHS_k <= -s(k) if k > c2
+    (entries are <= c1 up to k and >= c2 after it), and <= 0 if k <= c2
+    (then RHS_k = k(n-1) >= c1*k).  So a failure at k with s(k) = -1 is
+    tight: D = c1^k c2^(n-k), whose sum k(k-1) + 2c2(n-k) + 1 is odd, is
+    no member.  Conversely, s(k) <= -2 forces c2 < k <= c1 < n, since
+    s(k) >= k(n-1-c1) for k <= c2 and s(k) >= k(k-1-c1) for k > c1; then
+    c1^k c2^(n-k), with one c2 raised to c2 + 1 if its sum is odd (adding
+    at most 1 to RHS_k), is a member that fails at k.
+    """
+    if n < 1:
+        return 0
+    k = min(max((c1 + c2 + 1) // 2, 1), n)
+    return k * (k - 1) + c2 * (n - k) - c1 * k
+
+
 def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     """Whether every member, over all admissible even sums, is graphic.
 
-    A region with no admissible even sum is empty and counts as fully
-    graphic (vacuously).  O(1) per admissible sum.
+    Exactly when phi_FG holds (see ``_min_slack``), in O(1).  A region with
+    no admissible even sum is empty and counts as fully graphic (vacuously).
     """
-    n, c1, c2 = region.n, region.c1, region.c2
-    return all(_leg_graphic(n, sigma, c1, c2) for sigma in region.sigma_values())
+    return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
 def _label(fully_graphic: bool) -> str:
@@ -212,8 +231,7 @@ def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
                 if c1 == c2 and n * c1 % 2:  # the only case without an even sum
                     label = "EMPTY"
                 else:
-                    label = _label(very_simple_region_fully_graphic(
-                        VerySimpleRegion(n, c1, c2)))
+                    label = _label(_min_slack(n, c1, c2) >= -1)
                 rows.append({"n": n, "c1": c1, "c2": c2, "classification": label})
     return rows
 
@@ -309,9 +327,7 @@ class RegionPredicate:
         if self.name == "phi_JMS":
             return (c1 - c2 + 1) ** 2 <= 4 * c2 * (n - c1 - 1)
         if self.name == "phi_JMS_star_k":
-            return all(
-                c1 * k <= k * (k - 1) + c2 * (n - k) for k in range(1, n + 1)
-            )
+            return _min_slack(n, c1, c2) >= 0
         if self.name == "phi_JMS_star_sigma":
             return jms_star_sigma_margin(n, sigma, c1, c2) <= 0
         if self.name == "phi_GS":
@@ -322,10 +338,8 @@ class RegionPredicate:
                 and 3 <= c1
                 and Fraction(c1 * c1) <= (1 - self.epsilon) * sigma
             )
-        # phi_FG: necessary condition for a fully graphic very simple region.
-        return all(
-            c1 * k <= k * (k - 1) + c2 * (n - k) + 1 for k in range(1, n + 1)
-        )
+        # phi_FG: exact characterization of a fully graphic very simple region.
+        return _min_slack(n, c1, c2) >= -1
 
 
 def evaluate_predicate(

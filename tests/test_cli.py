@@ -114,6 +114,16 @@ class TestRegionCommands:
         assert envelope["result"]["holds"] is True
         assert envelope["result"]["exception_bound"] == pytest.approx(9 / 32)
 
+    def test_predicate_on_invalid_region_exits_1(self, capsys):
+        for argv in (["--n", "5", "--c1", "5", "--c2", "1", "--predicate", "phi_FG"],
+                     ["--n", "5", "--c1", "9", "--c2", "-3", "--predicate", "phi_JMS"],
+                     ["--n", "5", "--c1", "4", "--c2", "1", "--sigma", "7",
+                      "--predicate", "phi_JMS_star_sigma"],
+                     ["--n", "5", "--c1", "4", "--c2", "1", "--sigma", "22",
+                      "--predicate", "phi_GS"]):
+            code, out, err = run(capsys, "region", *argv)
+            assert (code, out) == (1, "") and err.startswith("error: "), argv
+
     def test_sweep_rows_ordered(self, capsys):
         envelope = run_json(capsys, "sweep", "--n-min", "2", "--n-max", "3")
         rows = envelope["result"]["rows"]

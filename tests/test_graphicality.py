@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from degseq import (
     sweep,
     very_simple_region_fully_graphic,
 )
-from degseq.graphicality import SWEEP_MAX_ROWS
+from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic
 from conftest import all_sorted_sequences, brute_force_count
 
 
@@ -38,6 +40,30 @@ def all_simple_regions(n_max):
                 start = n * c2 + (n * c2) % 2
                 for sigma in range(start, n * c1 + 1, 2):
                     yield SimpleRegion(n, sigma, c1, c2)
+
+
+def per_sum_fully_graphic(n, c1, c2):
+    """Oracle: the very simple region is fully graphic iff the primitive
+    member of every admissible even sum is graphic."""
+    start = n * c2 + (n * c2) % 2
+    return all(_leg_graphic(n, sigma, c1, c2) for sigma in range(start, n * c1 + 1, 2))
+
+
+def per_k_holds(n, c1, c2, slack):
+    """Oracle: c1*k <= k(k-1) + c2(n-k) + slack at every 1 <= k <= n."""
+    return all(c1 * k <= k * (k - 1) + c2 * (n - k) + slack for k in range(1, n + 1))
+
+
+@st.composite
+def near_boundary_regions(draw):
+    """A very simple region with c2 within 3 of the least c2 meeting the
+    Zverovich-Zverovich bound n >= (c1 + c2 + 1)^2 / 4c2, that is
+    2n - (c1 + 1) - 2 sqrt(n(n - c1 - 1)), where the verdict flips."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c1 = rng.randrange(n)
+    c2 = 2 * n - (c1 + 1) - 2 * math.isqrt(n * (n - c1 - 1)) + rng.randint(-3, 3)
+    return n, c1, min(max(c2, 0), c1)
 
 
 def textbook_eg(degs, ks):
@@ -228,6 +254,30 @@ class TestBlockFormDecisions:
                     )
                     assert very_simple_region_fully_graphic(region) == expected, region
 
+    @settings(max_examples=60, deadline=None)
+    @given(near_boundary_regions())
+    def test_closed_form_matches_per_sum_loop_near_the_boundary(self, params):
+        expected = per_sum_fully_graphic(*params)
+        assert very_simple_region_fully_graphic(VerySimpleRegion(*params)) == expected
+        assert RegionPredicate("phi_FG").evaluate(*params) == expected
+
+    def test_huge_n_answers_at_once(self):
+        # n = m^2 + slack with c1 = 2m - 2, c2 = 1 puts the minimum slack
+        # (at k = m) at exactly `slack`; the per-k and per-sum loops would
+        # never finish here.
+        fg, k_form = RegionPredicate("phi_FG"), RegionPredicate("phi_JMS_star_k")
+        m = 10**6
+        cases = [(10**12, 3, 2, True, True), (10**12, 1, 0, True, False),
+                 (10**12, 10**12 - 1, 0, False, False)]
+        cases += [(m * m + slack, 2 * m - 2, 1, slack >= -1, slack >= 0)
+                  for slack in (0, -1, -2)]
+        start = time.perf_counter()
+        for n, c1, c2, fully_graphic, star_k in cases:
+            assert very_simple_region_fully_graphic(VerySimpleRegion(n, c1, c2)) == fully_graphic
+            assert fg.evaluate(n, c1, c2) == fully_graphic, (n, c1, c2)
+            assert k_form.evaluate(n, c1, c2) == star_k, (n, c1, c2)
+        assert time.perf_counter() - start < 1
+
 
 class TestSweep:
     @staticmethod
@@ -370,6 +420,12 @@ class TestPredicates:
                 n, c1, c2, sigma=sigma
             )
 
+    def test_k_forms_match_per_k_loops(self):
+        k_form, fg = RegionPredicate("phi_JMS_star_k"), RegionPredicate("phi_FG")
+        for n, c1, c2 in itertools.product(range(-2, 25), range(-3, 30), range(-3, 30)):
+            assert k_form.evaluate(n, c1, c2) == per_k_holds(n, c1, c2, 0), (n, c1, c2)
+            assert fg.evaluate(n, c1, c2) == per_k_holds(n, c1, c2, 1), (n, c1, c2)
+
     def test_forall_k_form_implies_fg_form(self):
         k_form = RegionPredicate("phi_JMS_star_k")
         fg_form = RegionPredicate("phi_FG")
@@ -382,12 +438,15 @@ class TestPredicates:
 
 class TestTheoremScaleProperties:
     def test_fully_graphic_implies_fg_predicate(self):
+        # and conversely: phi_FG is the exact characterization
         fg = RegionPredicate("phi_FG")
-        for n in range(1, 13):
+        for n in range(1, 41):
             for c1 in range(n):
                 for c2 in range(c1 + 1):
-                    if very_simple_region_fully_graphic(VerySimpleRegion(n, c1, c2)):
-                        assert fg.evaluate(n, c1, c2), (n, c1, c2)
+                    expected = per_sum_fully_graphic(n, c1, c2)
+                    region = VerySimpleRegion(n, c1, c2)
+                    assert very_simple_region_fully_graphic(region) == expected, region
+                    assert fg.evaluate(n, c1, c2) == expected, region
 
     def test_phi_eps_regions_above_exception_bound_fully_graphic(self):
         # 1 - eps = 1/9 only bites from n = 27 on (the sum forces n >= 9*c1),
