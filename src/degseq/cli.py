@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .core import (
     DegreeSequence,
     SimpleRegion,
     VerySimpleRegion,
+    _EDGE_LABELS,
     edges_to_text,
     parse_region,
 )
@@ -29,12 +31,12 @@ from .enumeration import (
     count_realizations,
     count_staircase_family,
     bumped_staircase_sequence,
-    enumerate_realizations,
     p_measure,
+    realization_edge_lists,
     staircase_sequence,
     verify_family_bounds,
 )
-from .errors import DegseqError, TooLarge
+from .errors import ConstructionError, DegseqError, TooLarge
 from .graphicality import (
     PREDICATE_NAMES,
     RegionPredicate,
@@ -171,7 +173,18 @@ def cmd_count(args) -> None:
 
 def cmd_enumerate(args) -> None:
     seq = _sequence(args.degrees)
-    graphs = [edges_to_text(g.edges()) for g in enumerate_realizations(seq, limit=args.limit)]
+    edge_lists = realization_edge_lists(seq, args.limit)
+    # The checks LabeledGraph makes: an edge (u, v) has text only if 0 <= u < v < n,
+    # and an increasing list repeats no edge.
+    labels = {(u, v): _EDGE_LABELS[u, v] for u in range(seq.n) for v in range(u + 1, seq.n)}
+    graphs = []
+    for edges in edge_lists:
+        if not all(map(operator.lt, edges, edges[1:])):
+            raise ConstructionError(f"an edge list for {seq} is not strictly increasing")
+        try:
+            graphs.append(",".join(map(labels.__getitem__, edges)))
+        except KeyError as exc:
+            raise ConstructionError(f"edge {exc} is out of range for {seq}") from None
     human = "\n".join(graphs) if graphs else "(no realizations)"
     _emit(
         args,

@@ -19,6 +19,7 @@ has exponentially many.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -198,17 +199,18 @@ def count_realizations(
     return (counter or default_counter()).count(seq)
 
 
-def enumerate_realizations(
+def realization_edge_lists(
     seq: DegreeSequence,
     limit: int | None = None,
-) -> Iterator[LabeledGraph]:
-    """Yield every labeled realization of ``seq`` exactly once.
+) -> Iterator[list[tuple[int, int]]]:
+    """Yield the sorted edge list of every labeled realization of ``seq`` once.
 
-    Vertices are eliminated in order of maximum residual degree; each level
-    branches over the eliminated vertex's possible neighbourhoods, which
-    partitions the realization set, so no graph is produced twice.  At most
-    ``limit`` graphs are yielded (none for 0); a negative limit raises
-    InvalidInput.
+    Vertices are eliminated in order of maximum residual degree (the first
+    label among ties); each level branches over the eliminated vertex's
+    possible neighbourhoods, which partitions the realization set, so no
+    graph is produced twice.  At most ``limit`` lists are yielded (none for
+    0).  A negative limit raises InvalidInput and a length above
+    DEGSEQ_MAX_N raises TooLarge, both at the call.
     """
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be >= 0, got {limit}")
@@ -218,42 +220,45 @@ def enumerate_realizations(
     if n > ceiling:
         raise TooLarge(f"n={n} exceeds the enumeration limit {ceiling}; raise DEGSEQ_MAX_N")
     if any(d > n - 1 for d in degrees) or sum(degrees) % 2:
-        return
-    adj = [0] * n
+        return iter(())
     residual = list(degrees)
     active = [v for v in range(n) if residual[v] > 0]
+    edges: list[tuple[int, int]] = []
 
-    def backtrack() -> Iterator[LabeledGraph]:
+    def backtrack() -> Iterator[list[tuple[int, int]]]:
         live = [v for v in active if residual[v] > 0]
         if not live:
-            yield LabeledGraph(n, tuple(adj))
+            yield sorted(edges)
             return
-        pivot = max(live, key=lambda v: residual[v])
+        pivot = max(live, key=residual.__getitem__)
         need = residual[pivot]
         others = [v for v in live if v != pivot]
         if need > len(others):
             return
         residual[pivot] = 0
         for nbrs in itertools.combinations(others, need):
-            ok = True
-            for v in nbrs:
-                if residual[v] == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
             for v in nbrs:
                 residual[v] -= 1
-                adj[pivot] |= 1 << v
-                adj[v] |= 1 << pivot
+                edges.append((pivot, v) if pivot < v else (v, pivot))
             yield from backtrack()
             for v in nbrs:
                 residual[v] += 1
-                adj[pivot] &= ~(1 << v)
-                adj[v] &= ~(1 << pivot)
+            del edges[-need:]
         residual[pivot] = need
 
-    yield from itertools.islice(backtrack(), limit)
+    return itertools.islice(backtrack(), limit)
+
+
+def enumerate_realizations(
+    seq: DegreeSequence,
+    limit: int | None = None,
+) -> Iterator[LabeledGraph]:
+    """Yield every labeled realization of ``seq`` exactly once, validated.
+
+    The lists of :func:`realization_edge_lists`, in its order and under its
+    limits (checked at the call), each built by ``LabeledGraph.from_edges``.
+    """
+    return (LabeledGraph.from_edges(seq.n, e) for e in realization_edge_lists(seq, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,11 @@ def family_count(
     """Count all labeled graphs whose degree vector lies in one family of ``seq``."""
     counter = counter or default_counter()
     vectors = list(_family_vectors(seq.degrees, kind))
-    # Out-of-range vectors count zero unqueried (no TooLarge for them either).
-    total = sum(counter.count(v).count for v in vectors if 0 <= min(v) <= max(v) < seq.n)
+    # Out-of-range vectors count zero unqueried (no TooLarge for them either);
+    # the count depends only on the multiset, so each is counted once.
+    groups = collections.Counter(
+        tuple(sorted(v)) for v in vectors if 0 <= min(v) <= max(v) < seq.n)
+    total = sum(size * counter.count(key).count for key, size in groups.items())
     return PerturbationFamilyCount(
         family=kind, total=total, distinct_vectors=len(vectors)
     )

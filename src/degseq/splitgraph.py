@@ -21,16 +21,15 @@ from typing import Iterator
 from .core import (
     DegreeSequence,
     LabeledGraph,
-    Perturbation,
-    PerturbationKind,
     VerySimpleRegion,
-    apply_perturbation,
     membership,
 )
 from .enumeration import (
     RealizationCounter,
+    bumped_staircase_sequence,
     default_counter,
     staircase_realization,
+    staircase_sequence,
 )
 from .errors import (
     ConstructionError,
@@ -271,10 +270,14 @@ class NonstabilityWitness:
     perturbed: DegreeSequence
     m: int
     witness: SplitWitness
-    composed_graph: LabeledGraph
     unique_verified: bool | None
     base_count: int | None = None
     perturbed_count: int | None = None
+
+    @property
+    def composed_graph(self) -> LabeledGraph:
+        """The realization of ``base``, built anew on each access (O(n'^2) edges)."""
+        return tyshkevich_compose(self.witness.graph, staircase_realization(self.m))
 
 
 def nonstability_witness(
@@ -314,21 +317,13 @@ def nonstability_witness(
         )
     unique_verified = True if countable else None
 
-    composed = tyshkevich_compose(chosen.graph, staircase_realization(m))
-    base = composed.degree_sequence()
-
-    # Bump the composed images of the staircase's two special positions:
-    # the entries of value m + ell (a clique-side staircase vertex) and
-    # 1 + ell (its lowest vertex), where ell clique vertices raise every
-    # staircase degree by ell.
-    ell = chosen.ell
-    degs = base.degrees
-    i = degs.index(m + ell)
-    j = degs.index(1 + ell)
-    if i == j:
-        j = degs.index(1 + ell, i + 1)
-    pert = Perturbation(PerturbationKind.PLUS_PLUS, i + 1, j + 1)
-    perturbed = apply_perturbation(base, pert, permissive=True)
+    # The degrees of (witness) o (staircase m) without the graph: the clique
+    # gains the 2m staircase vertices and each staircase vertex the ell clique
+    # ones.  The bump is the staircase's own, at its positions m and 2m.
+    split = chosen.graph
+    own = [d + 2 * m if v in split.clique else d for v, d in enumerate(split.graph.degrees())]
+    base = DegreeSequence(own + [d + chosen.ell for d in staircase_sequence(m)])
+    perturbed = DegreeSequence(own + [d + chosen.ell for d in bumped_staircase_sequence(m)])
 
     base_count = perturbed_count = None
     if verify:
@@ -339,7 +334,6 @@ def nonstability_witness(
         perturbed=perturbed,
         m=m,
         witness=chosen,
-        composed_graph=composed,
         unique_verified=unique_verified,
         base_count=base_count,
         perturbed_count=perturbed_count,

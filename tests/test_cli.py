@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,34 @@ class TestBasicCommands:
         assert envelope["result"] == {"realizations": [], "yielded": 0}
         code, _, err = run(capsys, "--json", "enumerate", "1,1", "--limit", "-1")
         assert code == 1 and "limit" in err
+
+    @pytest.mark.parametrize("argv, envelope", [
+        (["2,2,2,1,1", "--limit", "4"],
+         '{"command": "enumerate", "inputs": {"degrees": "2,2,2,1,1", "limit": 4}, '
+         '"result": {"realizations": ["1-2,1-3,2-3,4-5", "1-2,1-3,2-4,3-5", '
+         '"1-2,1-3,2-5,3-4", "1-2,1-4,2-3,3-5"], "yielded": 4}, "version": "0.1.0"}'),
+        (["3,3,2,2,1,1", "--limit", "5"],
+         '{"command": "enumerate", "inputs": {"degrees": "3,3,2,2,1,1", "limit": 5}, '
+         '"result": {"realizations": ["1-2,1-3,1-4,2-3,2-4,5-6", "1-2,1-3,1-4,2-3,2-5,4-6", '
+         '"1-2,1-3,1-4,2-3,2-6,4-5", "1-2,1-3,1-4,2-4,2-5,3-6", "1-2,1-3,1-4,2-4,2-6,3-5"], '
+         '"yielded": 5}, "version": "0.1.0"}'),
+    ])
+    def test_enumerate_golden_envelopes(self, capsys, argv, envelope):
+        code, out, _ = run(capsys, "--json", "enumerate", *argv)
+        assert code == 0 and out == envelope + "\n"
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (2, 4)],  # a vertex outside 0..3
+        [(1, 0), (2, 3)],  # u > v
+        [(0, 0), (2, 3)],  # a self-loop
+        [(-1, 1), (2, 3)],  # a negative label
+        [(0, 1), (0, 1)],  # an edge twice
+        [(2, 3), (0, 1)],  # out of order
+    ])
+    def test_enumerate_prints_no_unchecked_edge_list(self, capsys, monkeypatch, edges):
+        monkeypatch.setattr(cli, "realization_edge_lists", lambda seq, limit: iter([edges]))
+        code, out, err = run(capsys, "--json", "enumerate", "1,1,1,1")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_pmeasure(self, capsys):
         envelope = run_json(capsys, "pmeasure", "1,1,1,1")
@@ -182,6 +211,15 @@ class TestWitnessCommands:
         assert envelope["result"]["base_count"] == 1
         assert envelope["result"]["m"] == 2
 
+    def test_nonstab_witness_builds_no_graph_for_its_degrees(self, capsys):
+        # The composition it describes has 2004 vertices and 1,002,000 edges.
+        start = time.perf_counter()
+        envelope = run_json(
+            capsys, "nonstab-witness", "--n", "4", "--n-prime", "1004", "--c1", "3", "--c2", "0")
+        assert time.perf_counter() - start < 1
+        assert envelope["result"]["m"] == 1000
+        assert len(envelope["result"]["base"].split(",")) == 2004
+
     def test_staircase_family(self, capsys):
         envelope = run_json(capsys, "staircase-family", "4")
         assert envelope["result"]["count"] == 1
@@ -210,9 +248,10 @@ class TestMcmcCommand:
 
     def test_exact_space_report_enumerates_nothing(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):
-            raise AssertionError("enumerate_realizations was called")
+            raise AssertionError("an enumerator was called")
 
-        monkeypatch.setattr(cli, "enumerate_realizations", no_enumeration)
+        monkeypatch.setattr(cli, "realization_edge_lists", no_enumeration)
+        monkeypatch.setattr(enumeration, "realization_edge_lists", no_enumeration)
         monkeypatch.setattr(enumeration, "enumerate_realizations", no_enumeration)
         envelope = run_json(capsys, "mcmc", "2,2,2,1,1", "--steps", "3000", "--seed", "7")
         result = envelope["result"]

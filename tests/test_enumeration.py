@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -9,6 +10,7 @@ from functools import lru_cache
 import pytest
 
 from degseq import enumeration
+from degseq.cli import main
 from degseq import (
     DegreeSequence,
     InvalidInput,
@@ -20,6 +22,7 @@ from degseq import (
     bumped_staircase_sequence,
     count_realizations,
     count_staircase_family,
+    edges_to_text,
     enumerate_realizations,
     family_count,
     is_graphic,
@@ -90,6 +93,54 @@ class TestSparseOracle:
             census = degree_census(n)
             for seq in all_sorted_sequences(n):
                 assert oracle_count(seq) == census.get(seq, 0), seq
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the enumeration order, from the backtracker on bitsets
+# ---------------------------------------------------------------------------
+
+def oracle_enumerate(seq, limit=None):
+    """The library's backtracker before it yielded edge lists, kept verbatim
+    (less its argument checks) as the reference for the enumeration order."""
+    degrees = seq.degrees
+    n = len(degrees)
+    if any(d > n - 1 for d in degrees) or sum(degrees) % 2:
+        return
+    adj = [0] * n
+    residual = list(degrees)
+    active = [v for v in range(n) if residual[v] > 0]
+
+    def backtrack():
+        live = [v for v in active if residual[v] > 0]
+        if not live:
+            yield LabeledGraph(n, tuple(adj))
+            return
+        pivot = max(live, key=lambda v: residual[v])
+        need = residual[pivot]
+        others = [v for v in live if v != pivot]
+        if need > len(others):
+            return
+        residual[pivot] = 0
+        for nbrs in itertools.combinations(others, need):
+            ok = True
+            for v in nbrs:
+                if residual[v] == 0:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for v in nbrs:
+                residual[v] -= 1
+                adj[pivot] |= 1 << v
+                adj[v] |= 1 << pivot
+            yield from backtrack()
+            for v in nbrs:
+                residual[v] += 1
+                adj[pivot] &= ~(1 << v)
+                adj[v] &= ~(1 << pivot)
+        residual[pivot] = need
+
+    yield from itertools.islice(backtrack(), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +368,33 @@ class TestEnumerateRealizations:
         with pytest.raises(TooLarge):
             list(enumerate_realizations(DegreeSequence([0] * 18)))
 
+    def test_argument_errors_raise_at_the_call(self):
+        for enumerate_ in (enumerate_realizations, enumeration.realization_edge_lists):
+            with pytest.raises(TooLarge, match="enumeration limit 16"):
+                enumerate_(DegreeSequence([1] * 18))
+            with pytest.raises(InvalidInput, match="limit must be >= 0"):
+                enumerate_(DegreeSequence([1, 1]), limit=-1)
 
-def family_union_census(degrees, kind):
-    """Oracle: count graphs whose positional degree vector lies in the family."""
+    def test_library_and_cli_follow_the_oracle_order(self, capsys):
+        for n in range(1, 8):
+            for seq in all_sorted_sequences(n):
+                d = DegreeSequence(seq)
+                graphs = list(oracle_enumerate(d))
+                texts = [edges_to_text(g.edges()) for g in graphs]
+                total = len(graphs)
+                for limit in {0, 1, 2, total - 1, total, None} - {-1}:
+                    assert list(enumerate_realizations(d, limit)) == graphs[:limit], (seq, limit)
+                    argv = ["--json", "enumerate", str(d)]
+                    argv += [] if limit is None else ["--limit", str(limit)]
+                    assert main(argv) == 0
+                    result = json.loads(capsys.readouterr().out)["result"]
+                    assert result["realizations"] == texts[:limit], (seq, limit)
+
+
+def family_vectors(degrees, kind):
+    """Oracle: the family's distinct positional vectors, from every i != j
+    (pairwise kinds) or every i (doubled kinds), deduplicated by a set."""
     n = len(degrees)
-    census = degree_census(n)
     vectors = set()
     if kind.pairwise:
         di = 1 if kind in (PerturbationKind.PLUS_PLUS, PerturbationKind.PLUS_MINUS) else -1
@@ -339,7 +412,25 @@ def family_union_census(degrees, kind):
             v = list(degrees)
             v[i] += step
             vectors.add(tuple(v))
-    return sum(census.get(v, 0) for v in vectors)
+    return vectors
+
+
+def family_union_census(degrees, kind):
+    """Oracle: count graphs whose positional degree vector lies in the family."""
+    census = degree_census(len(degrees))
+    return sum(census.get(v, 0) for v in family_vectors(degrees, kind))
+
+
+class RecordingCounter(RealizationCounter):
+    """A counter that records the multiset of every sequence it is asked for."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.queries = []
+
+    def count(self, seq):
+        self.queries.append(tuple(sorted(seq, reverse=True)))
+        return super().count(seq)
 
 
 class TestFamilyCount:
@@ -367,13 +458,23 @@ class TestFamilyCount:
                     assert got == expected[kind.value], (seq, kind)
 
     def test_all_families_match_union_oracle_small(self):
-        for n in range(2, 6):
+        # The ungrouped positional sum.  Each distinct in-range multiset is
+        # queried once and none out of range, so a family with no vector in
+        # range totals 0 even on a counter that refuses every length.
+        for n in range(1, 8):
             for seq in all_sorted_sequences(n):
                 d = DegreeSequence(seq)
                 for kind in PerturbationKind:
-                    assert (
-                        family_count(d, kind).total == family_union_census(seq, kind)
-                    ), (seq, kind)
+                    counter = RecordingCounter()
+                    got = family_count(d, kind, counter)
+                    assert got.total == family_union_census(seq, kind), (seq, kind)
+                    vectors = family_vectors(seq, kind)
+                    assert got.distinct_vectors == len(vectors), (seq, kind)
+                    in_range = {tuple(sorted(v, reverse=True)) for v in vectors
+                                if 0 <= min(v) and max(v) < n}
+                    assert sorted(counter.queries) == sorted(in_range), (seq, kind)
+                    if not in_range:
+                        assert family_count(d, kind, RealizationCounter(max_n=0)).total == 0
 
 
 class TestPMeasure:

@@ -9,9 +9,12 @@ from degseq import (
     LabeledGraph,
     NotGraphic,
     NotSplit,
+    Perturbation,
+    PerturbationKind,
     RealizationCounter,
     SplitGraph,
     VerySimpleRegion,
+    apply_perturbation,
     count_realizations,
     enumerate_realizations,
     havel_hakimi_graph,
@@ -215,6 +218,25 @@ class TestNonstabilityWitness:
         assert witness.base_count == 1
         assert witness.base.n == 6 + 2 * witness.m
         assert witness.composed_graph.degree_sequence() == witness.base
+
+    def test_base_is_the_degree_sequence_of_the_composition(self):
+        # The ranges of the counting benchmark's nonstab-witness ops: n 4..8,
+        # c2 = 0 or c1 = n - 1 with c2 <= n - 3, and n' up to (14 + n) // 2.
+        # ``perturbed`` is checked against ++ at the first entries of value
+        # m + ell and 1 + ell of ``base``, the images of the staircase's bump.
+        for n in range(4, 9):
+            regions = {(c1, 0) for c1 in range(2, n)} | {(n - 1, c2) for c2 in range(n - 2)}
+            for c1, c2 in sorted(regions):
+                for n_prime in range(n + 1, (14 + n) // 2 + 1):
+                    witness = nonstability_witness(n, n_prime, c1, c2)
+                    case = (n, n_prime, c1, c2)
+                    assert witness.composed_graph.degree_sequence() == witness.base, case
+                    degs, ell, m = witness.base.degrees, witness.witness.ell, witness.m
+                    i = degs.index(m + ell)
+                    j = degs.index(1 + ell, i + 1 if m == 1 else 0)
+                    bump = Perturbation(PerturbationKind.PLUS_PLUS, i + 1, j + 1)
+                    assert witness.perturbed == apply_perturbation(
+                        witness.base, bump, permissive=True), case
 
     def test_uncountable_region_takes_the_first_candidate_unverified(self):
         region = VerySimpleRegion(6, 5, 1)
