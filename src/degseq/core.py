@@ -345,10 +345,6 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        bits = self.adj[u]
-        return tuple(v for v in range(self.n) if bits >> v & 1)
-
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 

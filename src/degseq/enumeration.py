@@ -37,6 +37,7 @@ from .core import (
     apply_perturbation,
 )
 from .errors import InvalidInput, NotGraphic, TooLarge
+from .graphicality import is_graphic
 
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
@@ -119,9 +120,6 @@ class RealizationCounter:
         except RecursionError:  # the memo holds finished subcounts only
             raise TooLarge(f"n={n} recurses too deep for Python; lower DEGSEQ_MAX_N") from None
         return CountResult(count=value, nodes_explored=nodes, from_cache=False)
-
-    def count_value(self, seq) -> int:
-        return self.count(seq).count
 
     def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
@@ -210,7 +208,8 @@ def realization_edge_lists(
     possible neighbourhoods, which partitions the realization set, so no
     graph is produced twice.  At most ``limit`` lists are yielded (none for
     0).  A negative limit raises InvalidInput and a length above
-    DEGSEQ_MAX_N raises TooLarge, both at the call.
+    DEGSEQ_MAX_N raises TooLarge, both at the call.  Only a graphic root has
+    a leaf, so a non-graphic ``seq`` yields nothing without a search.
     """
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be >= 0, got {limit}")
@@ -219,7 +218,7 @@ def realization_edge_lists(
     n = len(degrees)
     if n > ceiling:
         raise TooLarge(f"n={n} exceeds the enumeration limit {ceiling}; raise DEGSEQ_MAX_N")
-    if any(d > n - 1 for d in degrees) or sum(degrees) % 2:
+    if not is_graphic(seq).graphic:
         return iter(())
     residual = list(degrees)
     active = [v for v in range(n) if residual[v] > 0]
@@ -327,7 +326,10 @@ class BoundCheck:
     name: str
     lhs: int
     rhs: int
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 @dataclass
@@ -376,12 +378,9 @@ def verify_family_bounds(
     gp2 = totals[PerturbationKind.PLUS_TWO]
     gm2 = totals[PerturbationKind.MINUS_TWO]
     checks = (
-        BoundCheck("pair_bound", max(gpp, gmm), n * n * (gpm + base),
-                   max(gpp, gmm) <= n * n * (gpm + base)),
-        BoundCheck("double_bound", max(gp2, gm2), n * n * gpm,
-                   max(gp2, gm2) <= n * n * gpm),
-        BoundCheck("mixed_bound", gpm, (n ** 4 + n ** 2) * min(gpp, gmm),
-                   gpm <= (n ** 4 + n ** 2) * min(gpp, gmm)),
+        BoundCheck("pair_bound", max(gpp, gmm), n * n * (gpm + base)),
+        BoundCheck("double_bound", max(gp2, gm2), n * n * gpm),
+        BoundCheck("mixed_bound", gpm, (n ** 4 + n ** 2) * min(gpp, gmm)),
     )
     return FamilyBoundsReport(
         n=n,
@@ -422,31 +421,15 @@ def bumped_staircase_sequence(m: int) -> DegreeSequence:
 def staircase_realization(m: int) -> LabeledGraph:
     """The unique realization of the staircase sequence, degree-sorted labels.
 
-    Structure: vertices split into a clique half and an independent half,
-    with cross edges forming a half graph (vertex i of the independent half
-    joined to the m+1-i highest-degree clique vertices).
+    A half graph: a clique on 0..m-1 (clique vertex i has degree 2m-1-i) and
+    vertex m+t of the independent half joined to clique vertices 0..m-t-1
+    (degree m-t).
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    n = 2 * m
-    # Build with natural labels 1..2m first: clique on [m+1, 2m], cross edges
-    # (i, j) for 1 <= i <= m < j <= 2m with i + j <= 2m + 1.
-    edges = [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]
-    edges += [
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(m + 1, n + 1)
-        if i + j <= 2 * m + 1
-    ]
-    deg = {v: 0 for v in range(1, n + 1)}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    order = sorted(range(1, n + 1), key=lambda v: (-deg[v], v))
-    position = {label: idx for idx, label in enumerate(order)}
-    return LabeledGraph.from_edges(
-        n, [(position[u], position[v]) for u, v in edges]
-    )
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges += [(i, m + t) for t in range(m) for i in range(m - t)]
+    return LabeledGraph.from_edges(2 * m, edges)
 
 
 def count_staircase_family(

@@ -159,8 +159,13 @@ def region_fully_graphic(region: SimpleRegion) -> bool:
     return _leg_graphic(region.n, region.sigma, region.c1, region.c2)
 
 
+def _slack(n: int, c1: int, c2: int, k: int) -> int:
+    """s(k) = k(k-1) + c2(n-k) - c1*k, the region's slack at k (see ``_min_slack``)."""
+    return k * (k - 1) + c2 * (n - k) - c1 * k
+
+
 def _min_slack(n: int, c1: int, c2: int) -> int:
-    """min over 1 <= k <= n of s(k) = k(k-1) + c2(n-k) - c1*k; 0 if n < 1.
+    """min over 1 <= k <= n of s(k) (see ``_slack``); 0 if n < 1.
 
     As s(k+1) - s(k) = 2k - c1 - c2, the minimum is at v = (c1 + c2 + 1) // 2
     clamped into [1, n].  A region n > c1 >= c2 >= 0 is fully graphic iff
@@ -175,8 +180,7 @@ def _min_slack(n: int, c1: int, c2: int) -> int:
     """
     if n < 1:
         return 0
-    k = min(max((c1 + c2 + 1) // 2, 1), n)
-    return k * (k - 1) + c2 * (n - k) - c1 * k
+    return _slack(n, c1, c2, min(max((c1 + c2 + 1) // 2, 1), n))
 
 
 def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:

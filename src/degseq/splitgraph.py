@@ -37,7 +37,7 @@ from .errors import (
     NotGraphic,
     NotSplit,
 )
-from .graphicality import is_graphic, very_simple_region_fully_graphic
+from .graphicality import _slack, is_graphic, very_simple_region_fully_graphic
 
 
 @dataclass
@@ -149,14 +149,14 @@ class SplitWitness:
 def _witness_candidates(region: VerySimpleRegion) -> Iterator[SplitWitness]:
     """Explicit split members of a region, by increasing clique size.
 
-    A clique size ell qualifies when c2 <= ell <= c1 and
-    ell * c1 > ell * (ell - 1) + (n - ell) * c2; a qualifying ell exists
-    whenever the region is not fully graphic.  Candidates whose round-robin
-    cross edges would collide (breaking simplicity) are skipped.
+    A clique size ell qualifies when c2 <= ell <= c1 and the slack s(ell)
+    of ``graphicality._slack`` is negative; a qualifying ell exists whenever
+    the region is not fully graphic.  Candidates whose round-robin cross
+    edges would collide (breaking simplicity) are skipped.
     """
     n, c1, c2 = region.n, region.c1, region.c2
     for ell in range(max(c2, 1), c1 + 1):
-        if ell * c1 <= ell * (ell - 1) + (n - ell) * c2:
+        if _slack(n, c1, c2, ell) >= 0:
             continue
         w = n - ell
         sigma = w * c2
@@ -223,6 +223,13 @@ def tyshkevich_compose(split: SplitGraph, other: LabeledGraph) -> LabeledGraph:
     return LabeledGraph.from_edges(g.n + other.n, edges)
 
 
+def _composed_degrees(split: SplitGraph, other: DegreeSequence) -> DegreeSequence:
+    """Degrees of ``split`` o H for any H of degrees ``other``: clique +|H|, H +|clique|."""
+    gain, ell = other.n, len(split.clique)
+    own = [d + gain if v in split.clique else d for v, d in enumerate(split.graph.degrees())]
+    return DegreeSequence(own + [d + ell for d in other.degrees])
+
+
 @dataclass
 class MultiplicativityReport:
     """Exact counts checking |G(d(K))| = |G(d(G))| * |G(d(H))|."""
@@ -241,13 +248,13 @@ def verify_multiplicativity(
     other: LabeledGraph,
     counter: RealizationCounter | None = None,
 ) -> MultiplicativityReport:
-    """Count the composition and both factors and compare exactly."""
+    """Count the composition (no graph built) and both factors; compare exactly."""
     counter = counter or default_counter()
-    composed = tyshkevich_compose(split, other)
+    other_degrees = other.degree_sequence()
     return MultiplicativityReport(
-        composed_count=counter.count(composed.degree_sequence()).count,
+        composed_count=counter.count(_composed_degrees(split, other_degrees)).count,
         split_count=counter.count(split.graph.degree_sequence()).count,
-        other_count=counter.count(other.degree_sequence()).count,
+        other_count=counter.count(other_degrees).count,
     )
 
 
@@ -255,22 +262,41 @@ def verify_multiplicativity(
 # Non-stability witness
 # ---------------------------------------------------------------------------
 
+def _threshold(degs: tuple[int, ...]) -> bool:
+    """Whether non-increasing ``degs`` has exactly one labeled realization, in O(n).
+
+    That holds iff it is threshold (Chvatal-Hammer): peeling off an isolated
+    last vertex (entry == dominators peeled) or a dominating first one
+    (entry - dominators == vertices left - 1) empties it.
+    """
+    lo, hi, dominators = 0, len(degs), 0
+    while lo < hi:
+        if degs[hi - 1] == dominators:
+            hi -= 1
+        elif degs[lo] - dominators == hi - lo - 1:
+            lo += 1
+            dominators += 1
+        else:
+            return False
+    return True
+
+
 @dataclass
 class NonstabilityWitness:
     """A uniquely-realizable sequence whose one double-step bump explodes.
 
-    ``base`` is the degree sequence of (split witness) o (staircase m); it
-    has exactly one realization when ``unique_verified``.  ``perturbed``
-    adds 1 to the images of the staircase's two bump positions, and its
-    realization count grows exponentially in m, defeating any polynomial
-    stability bound along the family.
+    ``base`` is the degree sequence of (split witness) o (staircase m), a
+    threshold sequence with exactly one realization (``unique_verified`` is
+    always True).  ``perturbed`` adds 1 to the images of the staircase's two
+    bump positions; its count grows exponentially in m, defeating any
+    polynomial stability bound along the family.  Counts only with ``verify``.
     """
 
     base: DegreeSequence
     perturbed: DegreeSequence
     m: int
     witness: SplitWitness
-    unique_verified: bool | None
+    unique_verified: bool
     base_count: int | None = None
     perturbed_count: int | None = None
 
@@ -292,11 +318,9 @@ def nonstability_witness(
     """Build the witness pair for the region (n, c1, c2) stretched to n_prime.
 
     Returns None when the region is fully graphic.  Requires n_prime > n;
-    the staircase index is m = n_prime - n.  Among the region's split
-    witness candidates the first with a verified unique realization is used
-    (the composition then has exactly one realization as well).  When the
-    region is too large to count, the first candidate is used unverified and
-    ``unique_verified`` is None.
+    the staircase index is m = n_prime - n.  The first threshold split
+    witness candidate is used (ConstructionError if none is), so ``base`` is
+    threshold too; this is arithmetic at any n, and only ``verify`` counts.
     """
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:
@@ -304,29 +328,19 @@ def nonstability_witness(
     if very_simple_region_fully_graphic(region):
         return None
     m = n_prime - n
-    counter = counter or default_counter()
-
-    countable = n <= counter.max_n
     for chosen in _witness_candidates(region):
-        if not countable or counter.count(chosen.sequence).count == 1:
+        if _threshold(chosen.sequence.degrees):
             break
     else:
-        raise ConstructionError(
-            f"no uniquely realizable split witness in {region}" if countable
-            else f"no collision-free split witness construction for {region}"
-        )
-    unique_verified = True if countable else None
+        raise ConstructionError(f"no uniquely realizable split witness in {region}")
 
-    # The degrees of (witness) o (staircase m) without the graph: the clique
-    # gains the 2m staircase vertices and each staircase vertex the ell clique
-    # ones.  The bump is the staircase's own, at its positions m and 2m.
-    split = chosen.graph
-    own = [d + 2 * m if v in split.clique else d for v, d in enumerate(split.graph.degrees())]
-    base = DegreeSequence(own + [d + chosen.ell for d in staircase_sequence(m)])
-    perturbed = DegreeSequence(own + [d + chosen.ell for d in bumped_staircase_sequence(m)])
+    # The bump is the staircase's own, at its positions m and 2m.
+    base = _composed_degrees(chosen.graph, staircase_sequence(m))
+    perturbed = _composed_degrees(chosen.graph, bumped_staircase_sequence(m))
 
     base_count = perturbed_count = None
     if verify:
+        counter = counter or default_counter()
         base_count = counter.count(base).count
         perturbed_count = counter.count(perturbed).count
     return NonstabilityWitness(
@@ -334,7 +348,7 @@ def nonstability_witness(
         perturbed=perturbed,
         m=m,
         witness=chosen,
-        unique_verified=unique_verified,
+        unique_verified=True,
         base_count=base_count,
         perturbed_count=perturbed_count,
     )

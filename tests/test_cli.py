@@ -66,6 +66,13 @@ class TestBasicCommands:
         envelope = run_json(capsys, "enumerate", "2,2,2")
         assert envelope["result"]["realizations"] == ["1-2,1-3,2-3"]
 
+    def test_enumerate_non_graphic_without_a_search(self, capsys):
+        start = time.perf_counter()
+        envelope = run_json(
+            capsys, "enumerate", "13,13,12,11,11,11,10,10,8,5,4,4,3,3,3,1", "--limit", "1")
+        assert time.perf_counter() - start < 1
+        assert envelope["result"] == {"realizations": [], "yielded": 0}
+
     def test_enumerate_limit(self, capsys):
         envelope = run_json(capsys, "enumerate", "1,1", "--limit", "0")
         assert envelope["result"] == {"realizations": [], "yielded": 0}
@@ -219,6 +226,15 @@ class TestWitnessCommands:
         assert time.perf_counter() - start < 1
         assert envelope["result"]["m"] == 1000
         assert len(envelope["result"]["base"].split(",")) == 2004
+
+    def test_nonstab_witness_above_the_counting_limit(self, capsys):
+        # n = 20 exceeds DEGSEQ_MAX_N; uniqueness is decided without counting.
+        envelope = run_json(
+            capsys, "nonstab-witness", "--n", "20", "--n-prime", "22", "--c1", "19", "--c2", "3")
+        result = envelope["result"]
+        assert (result["ell"], result["m"], result["unique_verified"]) == (19, 2, True)
+        assert result["base"] == ",".join(map(str, [23] * 3 + [22] * 17 + [21, 21, 20, 3]))
+        assert "base_count" not in result
 
     def test_staircase_family(self, capsys):
         envelope = run_json(capsys, "staircase-family", "4")

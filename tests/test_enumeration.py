@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -357,6 +358,15 @@ class TestEnumerateRealizations:
     def test_negative_limit_rejected(self):
         with pytest.raises(InvalidInput):
             list(enumerate_realizations(DegreeSequence([1, 1]), limit=-1))
+
+    def test_non_graphic_input_yields_nothing_without_a_search(self):
+        # Even sum, every entry <= n - 1, yet not graphic (k = 8 fails): a
+        # search of its tree ran for about 20 s before printing nothing.
+        seq = DegreeSequence([13, 13, 12, 11, 11, 11, 10, 10, 8, 5, 4, 4, 3, 3, 3, 1])
+        start = time.perf_counter()
+        assert list(enumerate_realizations(seq, limit=1)) == []
+        assert list(enumeration.realization_edge_lists(seq)) == []
+        assert time.perf_counter() - start < 1
 
     def test_yielded_graphs_pass_full_validation(self):
         for n in range(1, 6):

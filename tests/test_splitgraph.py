@@ -30,7 +30,7 @@ from degseq import (
     verify_multiplicativity,
 )
 from degseq import splitgraph
-from conftest import all_sorted_sequences, has_split_partition
+from conftest import all_sorted_sequences, degree_census, has_split_partition
 
 
 class TestSplitSequence:
@@ -171,6 +171,8 @@ class TestTyshkevichCompose:
             ]
             h = LabeledGraph.from_edges(n_h, h_edges)
             composed = tyshkevich_compose(split, h)
+            assert splitgraph._composed_degrees(split, h.degree_sequence()) == \
+                composed.degree_sequence()
             for v in range(n_split):
                 gain = n_h if v in split.clique else 0
                 assert composed.degree(v) == g.degree(v) + gain
@@ -199,6 +201,19 @@ class TestMultiplicativity:
         report = verify_multiplicativity(w.graph, edge, counter)
         assert report.holds
         assert report.split_count == count_realizations(w.sequence, counter).count
+
+
+class TestThreshold:
+    def test_matches_the_census_small(self):
+        for n in range(1, 8):
+            census = degree_census(n)
+            for seq in all_sorted_sequences(n):
+                assert splitgraph._threshold(seq) == (census.get(seq, 0) == 1), seq
+
+    def test_matches_the_counter(self, counter):
+        for n in (8, 9):
+            for seq in all_sorted_sequences(n):
+                assert splitgraph._threshold(seq) == (counter.count(seq).count == 1), seq
 
 
 class TestNonstabilityWitness:
@@ -230,6 +245,8 @@ class TestNonstabilityWitness:
                 for n_prime in range(n + 1, (14 + n) // 2 + 1):
                     witness = nonstability_witness(n, n_prime, c1, c2)
                     case = (n, n_prime, c1, c2)
+                    assert witness.unique_verified is True, case
+                    assert splitgraph._threshold(witness.base.degrees), case
                     assert witness.composed_graph.degree_sequence() == witness.base, case
                     degs, ell, m = witness.base.degrees, witness.witness.ell, witness.m
                     i = degs.index(m + ell)
@@ -238,18 +255,34 @@ class TestNonstabilityWitness:
                     assert witness.perturbed == apply_perturbation(
                         witness.base, bump, permissive=True), case
 
-    def test_uncountable_region_takes_the_first_candidate_unverified(self):
-        region = VerySimpleRegion(6, 5, 1)
-        witness = nonstability_witness(6, 8, 5, 1, counter=RealizationCounter(max_n=5))
-        assert witness.unique_verified is None
-        assert witness.witness.ell == split_witness(region).ell
+    def test_uncountable_region_gets_a_threshold_witness(self):
+        # n = 20 is above the counting limit.  The first candidate (ell = 6,
+        # 12^6 3^14) has many realizations; the first threshold one is ell = 19.
+        region = VerySimpleRegion(20, 19, 3)
+        first = next(splitgraph._witness_candidates(region))
+        assert first.ell == 6 and not splitgraph._threshold(first.sequence.degrees)
+        witness = nonstability_witness(20, 22, 19, 3)
+        assert witness.witness.ell == 19
+        assert witness.unique_verified is True
+        assert splitgraph._threshold(witness.base.degrees)
+        assert witness.base_count is witness.perturbed_count is None
 
-    def test_no_candidate_raises_per_branch(self, monkeypatch):
+    def test_counts_nothing_unless_verified(self):
+        class Refusing(RealizationCounter):
+            def count(self, seq):
+                raise AssertionError(f"counted {seq}")
+
+        witness = nonstability_witness(6, 8, 5, 1, counter=Refusing())
+        assert witness.unique_verified is True and witness.witness.ell == 5
+
+    def test_no_candidate_raises(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(splitgraph, "_threshold", lambda degs: False)
+            with pytest.raises(ConstructionError, match="no uniquely realizable split witness"):
+                nonstability_witness(6, 8, 5, 1)
         monkeypatch.setattr(splitgraph, "_witness_candidates", lambda region: iter(()))
         with pytest.raises(ConstructionError, match="no uniquely realizable split witness"):
-            nonstability_witness(6, 8, 5, 1)
-        with pytest.raises(ConstructionError, match="no collision-free split witness"):
-            nonstability_witness(6, 8, 5, 1, counter=RealizationCounter(max_n=5))
+            nonstability_witness(20, 22, 19, 3)
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
