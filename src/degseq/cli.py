@@ -6,7 +6,8 @@ Every successful invocation prints either a human-readable summary or, with
     {"command": ..., "inputs": ..., "result": ..., "version": ...}
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
-for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS).
+for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS,
+ENUMERATE_MAX_GRAPHS).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from . import __version__, mcmc
+from . import __version__
 from .core import (
     DegreeSequence,
     SimpleRegion,
@@ -64,6 +65,10 @@ from .splitgraph import (
     tyshkevich_compose,
     verify_multiplicativity,
 )
+
+# Most graphs ``enumerate`` lists.  Without --limit, or above it, the exact
+# count is taken first, and more realizations than this raise TooLarge.
+ENUMERATE_MAX_GRAPHS = 100_000
 
 
 def _emit(args, command: str, inputs: dict, result, human: str) -> None:
@@ -174,6 +179,11 @@ def cmd_count(args) -> None:
 def cmd_enumerate(args) -> None:
     seq = _sequence(args.degrees)
     edge_lists = realization_edge_lists(seq, args.limit)
+    if args.limit is None or args.limit > ENUMERATE_MAX_GRAPHS:
+        total = count_realizations(seq).count
+        if total > ENUMERATE_MAX_GRAPHS:
+            raise TooLarge(f"{seq} has {total} realizations, more than ENUMERATE_MAX_GRAPHS"
+                           f" = {ENUMERATE_MAX_GRAPHS}; pass --limit {ENUMERATE_MAX_GRAPHS} or less")
     # The checks LabeledGraph makes: an edge (u, v) has text only if 0 <= u < v < n,
     # and an increasing list repeats no edge.
     labels = {(u, v): _EDGE_LABELS[u, v] for u in range(seq.n) for v in range(u + 1, seq.n)}
@@ -359,9 +369,9 @@ def cmd_mcmc(args) -> None:
     try:
         total = count_realizations(seq).count
     except TooLarge:
-        total = None  # sampling still fine; just skip the exact-space report
+        total = 0  # sampling still fine; just skip the exact-space report
     human = f"visited {len(run.histogram)} states in {config.steps} steps"
-    if total is not None and 0 < total <= mcmc.SWITCH_MAX_STATES:
+    if total:
         result["state_space"] = total
         if config.steps:  # no recorded step, no distribution to compare
             result["tv_to_uniform"] = tv_distance_to_uniform(run.histogram, total, config.steps)

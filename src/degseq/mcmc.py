@@ -8,9 +8,9 @@ sequence exactly, and the stationary distribution is uniform over the
 labeled realizations.
 
 One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
-sorted edge list, for :func:`sample`, :func:`switch_step` and the search in
-:func:`switch_connected`; :func:`sample` replays its list edits on the edges'
-text.
+sorted edge list, for :func:`sample` and :func:`switch_step`; :func:`sample`
+replays its list edits on the edges' text.  These moves are the 2-switches,
+which join all realizations (see :func:`switch_connected`).
 
 The moves come from a standard stream, the same on every platform and
 Python version.  Block b of seed s is the first ``8 * DRAW_BLOCK`` bytes of
@@ -40,15 +40,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, edges_to_text
-from .enumeration import count_realizations
-from .errors import InvalidInput, NotGraphic, TooLarge
+from .errors import InvalidInput, NotGraphic
+from .graphicality import is_graphic
 
 RNG_ALGORITHM = "shake128"
 # 64-bit words per block of the move stream; part of the stream's definition.
 DRAW_BLOCK = 4096
 _WORDS = 1 << 64
-# Most realizations ``switch_connected`` searches; it keeps every state it reaches.
-SWITCH_MAX_STATES = 20_000
 
 
 def _block(seed: int, index: int) -> array:
@@ -109,8 +107,8 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
 
 
 def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> tuple:
-    """The switch move, in place: edges[i] = (a,b) and edges[j] = (c,d),
-    reversed by bits 0 and 1 of ``flip``, become (a,c) and (b,d) unless an
+    """The switch move, in place: edges[i] = (a,b), read as (b,a) when
+    ``flip`` is 1, and edges[j] = (c,d) become (a,c) and (b,d) unless an
     endpoint repeats or either is already an edge.  ``edges`` stays sorted.
     Returns () if not, else the edits (hi, lo, p, q): del edges[hi], edges[lo]
     (hi > lo), then the new edges inserted at p, then q (p < q)."""
@@ -118,10 +116,8 @@ def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: 
     c, d = edges[j]
     if a == c or a == d or b == c or b == d:  # shared by every orientation
         return ()
-    if flip & 1:
+    if flip:
         a, b = b, a
-    if flip & 2:
-        c, d = d, c
     if adj[a] >> c & 1 or adj[b] >> d & 1:
         return ()
     adj[a] ^= 1 << b | 1 << c
@@ -222,41 +218,23 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     return SampleResult(final=final, histogram=histogram, metadata=metadata)
 
 
-# ---------------------------------------------------------------------------
-# State-space structure at desk scale
-# ---------------------------------------------------------------------------
-
 def switch_connected(seq: DegreeSequence) -> bool:
-    """Whether the switch graph on all realizations of ``seq`` is connected.
+    """Whether the switch graph on the realizations of ``seq`` is connected:
+    always, once there is one.  Raises NotGraphic when there is none, as
+    decided by Erdos-Gallai (:func:`is_graphic`); otherwise returns True.
 
-    A graph search from the Havel-Hakimi realization along every valid
-    switch (both pairings of each pair of edges), until it has reached as
-    many states as the exact realization count.  Raises NotGraphic when
-    there are none, and TooLarge when the counter refuses ``seq`` or the
-    count exceeds ``SWITCH_MAX_STATES``.
+    A 2-switch replaces edges ab, cd with non-edges ac, bd on four
+    distinct vertices.  Any two realizations of one degree sequence are
+    joined by 2-switches (Havel 1955, Hakimi 1962; in switch-graph form,
+    Taylor 1981, "Constrained switchings in graphs").  The chain's moves
+    are exactly the 2-switches: an unordered pair of edges with one of its
+    two re-pairings, made when the four endpoints are distinct and both new
+    pairs are non-edges, and each is drawn with positive probability.  So
+    no search is needed, and none is made.
     """
-    total = count_realizations(seq).count
-    if total == 0:
+    if not is_graphic(seq).graphic:
         raise NotGraphic(f"{seq} has no realization")
-    if total > SWITCH_MAX_STATES:
-        raise TooLarge(f"{total} realizations exceed SWITCH_MAX_STATES = {SWITCH_MAX_STATES}")
-    start = havel_hakimi_graph(seq)
-    seen = {start.adj}
-    frontier = [(start.adj, start.edges())]
-    pairs = itertools.combinations(range(len(start.edges())), 2)
-    moves = [(i, j, flip) for i, j in pairs for flip in (0, 1)]  # the two re-pairings of i, j
-    while frontier and len(seen) < total:
-        adj, edges = frontier.pop()
-        work_adj, work_edges = list(adj), list(edges)
-        for i, j, flip in moves:
-            if _switch(work_adj, work_edges, i, j, flip):
-                key = tuple(work_adj)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((key, tuple(work_edges)))
-                work_adj[:] = adj
-                work_edges[:] = edges
-    return len(seen) == total
+    return True
 
 
 def tv_distance_to_uniform(histogram: Counter, states: int, total: int) -> float:

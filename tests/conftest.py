@@ -4,6 +4,9 @@ The oracles here deliberately avoid the package's algorithms so they can
 arbitrate them: the census walks every edge subset of the complete graph
 (Gray code, one edge toggled per step) and tallies positional degree
 vectors, and the split oracle tries all 2^n clique/independent partitions.
+``switch_component`` is the one helper that runs package code: it searches
+the realizations that the chain's own move engine reaches, for comparison
+with the exact count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from functools import lru_cache
 
 import pytest
 
-from degseq import LabeledGraph, RealizationCounter
+from degseq import LabeledGraph, RealizationCounter, havel_hakimi_graph
+from degseq import mcmc
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +62,29 @@ def brute_force_count(degrees) -> int:
 def all_sorted_sequences(n: int):
     """Every non-increasing length-n sequence with entries in [0, n-1]."""
     return itertools.combinations_with_replacement(range(n - 1, -1, -1), n)
+
+
+def switch_component(seq) -> int:
+    """How many realizations of ``seq`` the chain's engine ``mcmc._switch``
+    reaches from the Havel-Hakimi start, along both re-pairings of every
+    pair of edges; a connected switch graph gives the exact count."""
+    start = havel_hakimi_graph(seq)
+    seen = {start.adj}
+    frontier = [(start.adj, start.edges())]
+    pairs = itertools.combinations(range(len(start.edges())), 2)
+    moves = [(i, j, flip) for i, j in pairs for flip in (0, 1)]
+    while frontier:
+        adj, edges = frontier.pop()
+        work_adj, work_edges = list(adj), list(edges)
+        for i, j, flip in moves:
+            if mcmc._switch(work_adj, work_edges, i, j, flip):
+                key = tuple(work_adj)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append((key, tuple(work_edges)))
+                work_adj[:] = adj
+                work_edges[:] = edges
+    return len(seen)
 
 
 def has_split_partition(graph: LabeledGraph) -> bool:

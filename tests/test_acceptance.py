@@ -41,7 +41,7 @@ from degseq import (
 )
 from degseq.mcmc import havel_hakimi_graph
 from degseq.splitgraph import is_split_sequence, split_partition
-from conftest import all_sorted_sequences, degree_census, has_split_partition
+from conftest import all_sorted_sequences, degree_census, has_split_partition, switch_component
 
 
 def _criterion(number: int, label: str, failures: list) -> None:
@@ -294,9 +294,10 @@ def test_criterion_13_switch_chain(counter):
     for n in range(1, 8):
         for seq in all_sorted_sequences(n):
             d = DegreeSequence(seq)
-            if counter.count(d).count == 0:
+            total = counter.count(d).count
+            if total == 0:
                 continue
-            if not switch_connected(d):
+            if switch_component(d) != total or not switch_connected(d):
                 failures.append(seq)
     start = time.monotonic()
     seq = DegreeSequence([2, 2, 2, 1, 1])  # 7 realizations

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence, cli, enumeration, mcmc
+from degseq import DegreeSequence, cli, enumeration
 from degseq.cli import build_parser, main
 from degseq.graphicality import PREDICATE_NAMES
 
@@ -72,6 +72,28 @@ class TestBasicCommands:
             capsys, "enumerate", "13,13,12,11,11,11,10,10,8,5,4,4,3,3,3,1", "--limit", "1")
         assert time.perf_counter() - start < 1
         assert envelope["result"] == {"realizations": [], "yielded": 0}
+
+    def test_enumerate_without_a_limit_is_capped_by_the_count(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "enumerate", ",".join(["3"] * 16))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert "50262958713792825 realizations" in err and "ENUMERATE_MAX_GRAPHS" in err
+        over = str(cli.ENUMERATE_MAX_GRAPHS + 1)
+        code, _, err = run(capsys, "--json", "enumerate", ",".join(["3"] * 16), "--limit", over)
+        assert code == 3 and "50262958713792825" in err
+        result = run_json(capsys, "enumerate", ",".join(["2"] * 9))["result"]
+        assert result["yielded"] == len(set(result["realizations"])) == 30016
+
+    def test_enumerate_within_the_cap_counts_nothing(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(cli, "count_realizations", no_count)
+        result = run_json(capsys, "enumerate", ",".join(["3"] * 16), "--limit", "5")["result"]
+        assert result["yielded"] == 5
+        at_cap = str(cli.ENUMERATE_MAX_GRAPHS)
+        assert run_json(capsys, "enumerate", "1,1,1,1", "--limit", at_cap)["result"]["yielded"] == 3
 
     def test_enumerate_limit(self, capsys):
         envelope = run_json(capsys, "enumerate", "1,1", "--limit", "0")
@@ -292,11 +314,14 @@ class TestMcmcCommand:
         envelope = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", str(2**130))
         assert envelope["result"]["metadata"]["seed"] == 2**130
 
-    def test_state_space_report_only_within_the_switch_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)  # 1,1,1,1 has 3 states
-        result = run_json(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "1")["result"]
-        assert sum(result["histogram"].values()) == 10
-        assert not {"state_space", "tv_to_uniform", "switch_connected"} & set(result)
+    def test_state_space_report_whenever_the_counter_answers(self, capsys):
+        result = run_json(
+            capsys, "mcmc", "2,2,2,2,2,2,2,2,2", "--steps", "1000", "--seed", "1")["result"]
+        assert result["state_space"] == 30016 and result["switch_connected"] is True
+        hist = result["histogram"]
+        want = 0.5 * (sum(abs(v / 1000 - 1 / 30016) for v in hist.values())
+                      + (30016 - len(hist)) / 30016)
+        assert result["tv_to_uniform"] == pytest.approx(want, abs=1e-12)
         with pytest.raises(SystemExit) as exc:
             main(["mcmc", "1,1,1,1", "--steps", "10", "--seed", "1", "--tv-max-states", "9"])
         assert exc.value.code == 2

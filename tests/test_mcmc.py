@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 
 from degseq import (
     ChainConfig,
-    CountResult,
     DegreeSequence,
     InvalidInput,
     LabeledGraph,
     NotGraphic,
-    TooLarge,
     edges_to_text,
     enumerate_realizations,
     havel_hakimi_graph,
@@ -23,8 +22,8 @@ from degseq import (
     switch_step,
     tv_distance_to_uniform,
 )
-from degseq import mcmc
-from conftest import all_sorted_sequences
+from degseq import enumeration, mcmc
+from conftest import all_sorted_sequences, switch_component
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ class TestStateSpace:
 
 class TestEngineOracle:
     def test_move_matches_textbook_switch(self):
-        """Every state, every i != j and every orientation, for n <= 6."""
+        """Every state, every i != j and both re-pairings, for n <= 6."""
         moves = 0
         for n in range(1, 7):
             for degs in all_sorted_sequences(n):
@@ -295,7 +294,7 @@ class TestEngineOracle:
                         for j in range(m):
                             if i == j:
                                 continue
-                            for flip in range(4):
+                            for flip in (0, 1):
                                 adj, work = list(g.adj), list(edges)
                                 changed = mcmc._switch(adj, work, i, j, flip)
                                 want = textbook_switch(set(edges), i, j, flip)
@@ -312,7 +311,7 @@ class TestEngineOracle:
                                     labels.insert(q, edge_label(work[q]))
                                     assert labels == [edge_label(e) for e in want]
                                 moves += 1
-        assert moves == 207960  # sum of 4m(m-1) over the 1043 states
+        assert moves == 103980  # sum of 2m(m-1) over the 1043 states
 
     def test_draws_cover_every_move_uniformly(self):
         """On a perfect matching every move is made and gives its own graph,
@@ -385,44 +384,40 @@ class TestSampleInvariants:
 
 class TestSwitchConnectedOracle:
     def test_matches_enumeration_search(self, counter):
+        """Every sorted sequence with n <= 6: the engine's component, the
+        textbook component and the count agree, and the theorem answers True."""
         for n in range(1, 7):
             for degs in all_sorted_sequences(n):
                 seq = DegreeSequence(degs)
                 component, states = switch_component_oracle(seq)
+                assert counter.count(seq).count == states, degs
                 if states == 0:
                     with pytest.raises(NotGraphic):
                         switch_connected(seq)
                     continue
-                assert switch_connected(seq) == (component == states), degs
+                assert switch_component(seq) == component == states, degs
+                assert switch_connected(seq) is True, degs
 
-    def test_reached_states_are_compared_with_the_count(self, monkeypatch):
-        seq = DegreeSequence([2, 2, 2, 1, 1])
-        assert switch_connected(seq)
-        monkeypatch.setattr(
-            mcmc, "count_realizations",
-            lambda s, counter=None: CountResult(count=8, nodes_explored=0, from_cache=False),
-        )
-        assert not switch_connected(seq)  # 7 realizations, 8 claimed
+    def test_answers_without_a_search_or_a_count(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched or counted")
 
-    def test_too_large_through_the_counter(self):
-        with pytest.raises(TooLarge, match="raise DEGSEQ_MAX_N"):
-            switch_connected(DegreeSequence([1] * 18))
+        monkeypatch.setattr(mcmc, "havel_hakimi_graph", refuse)
+        monkeypatch.setattr(enumeration, "count_realizations", refuse)
+        monkeypatch.setattr(enumeration.RealizationCounter, "count", refuse)
+        assert switch_connected(DegreeSequence([2] * 9)) is True  # 30,016 realizations
+        start = time.perf_counter()
+        assert switch_connected(DegreeSequence([1] * 1000)) is True
+        assert time.perf_counter() - start < 0.01
 
-    def test_state_limit_is_checked_before_the_search(self, monkeypatch):
-        def no_search(seq):
-            raise AssertionError("the search started")
+    def test_not_graphic_by_erdos_gallai(self):
+        for degs in ((1,), (3, 3, 1, 1), (4, 1, 1), (2, 2, 2, 1), (5,) * 4):
+            with pytest.raises(NotGraphic):
+                switch_connected(DegreeSequence(degs))
 
-        seq = DegreeSequence([2] * 9)  # 30,016 realizations
-        with monkeypatch.context() as patch:
-            patch.setattr(mcmc, "havel_hakimi_graph", no_search)
-            with pytest.raises(TooLarge, match="30016 realizations exceed SWITCH_MAX_STATES = 20000"):
-                switch_connected(seq)
-        seq = DegreeSequence([1, 1, 1, 1])  # 3 realizations
-        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 3)
-        assert switch_connected(seq)
-        monkeypatch.setattr(mcmc, "SWITCH_MAX_STATES", 2)
-        with pytest.raises(TooLarge, match="SWITCH_MAX_STATES"):
-            switch_connected(seq)
+    def test_no_search_limit(self):
+        assert not hasattr(mcmc, "SWITCH_MAX_STATES")
+        assert switch_connected(DegreeSequence([1] * 18)) is True  # beyond DEGSEQ_MAX_N
 
 
 class TestTextKeysAndCountForm:
