@@ -282,6 +282,7 @@ def cmd_split_witness(args) -> None:
         _emit(args, "split-witness", inputs, {"found": False},
               "no witness (region fully graphic)")
         return
+    split = witness.graph
     result = {
         "found": True,
         "sequence": str(witness.sequence),
@@ -289,9 +290,9 @@ def cmd_split_witness(args) -> None:
         "cross_edges": witness.cross_edges,
         "c": witness.c,
         "alpha": witness.alpha,
-        "clique": sorted(v + 1 for v in witness.graph.clique),
-        "independent": sorted(v + 1 for v in witness.graph.independent),
-        "edges": edges_to_text(witness.graph.graph.edges()),
+        "clique": sorted(v + 1 for v in split.clique),
+        "independent": sorted(v + 1 for v in split.independent),
+        "edges": edges_to_text(split.graph.edges()),
     }
     _emit(args, "split-witness", inputs, result,
           f"{witness.sequence} (clique size {witness.ell})")

@@ -7,23 +7,19 @@ index such that d_m >= m - 1, the sequence is split iff
     sum_{i<=m} d_i  =  m(m-1) + sum_{i>m} d_i.
 
 Every very simple region that is not fully graphic contains a split
-sequence; the witness built here is explicit, together with its clique plus
-round-robin-cross-edges realization.  Tyshkevich composition glues a split
-graph onto an arbitrary graph so that realization counts multiply, which is
-the engine behind the non-stability witness family.
+sequence; the witness built here is explicit degree arithmetic, and its
+realization is a clique plus cross edges laid out so that none repeats.
+Tyshkevich composition glues a split graph onto an arbitrary graph so that
+realization counts multiply, which is the engine behind the non-stability
+witness family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection
 
-from .core import (
-    DegreeSequence,
-    LabeledGraph,
-    VerySimpleRegion,
-    membership,
-)
+from .core import DegreeSequence, LabeledGraph, VerySimpleRegion
 from .enumeration import (
     RealizationCounter,
     bumped_staircase_sequence,
@@ -31,12 +27,7 @@ from .enumeration import (
     staircase_realization,
     staircase_sequence,
 )
-from .errors import (
-    ConstructionError,
-    InvalidInput,
-    NotGraphic,
-    NotSplit,
-)
+from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit
 from .graphicality import _slack, is_graphic, very_simple_region_fully_graphic
 
 
@@ -68,14 +59,21 @@ class SplitGraph:
             self.clique & self.independent
         ):
             raise InvalidInput("clique and independent set must partition the vertices")
-        for u in self.clique:
-            for v in self.clique:
-                if u < v and not self.graph.has_edge(u, v):
-                    raise InvalidInput(f"clique part misses edge ({u}, {v})")
-        for u in self.independent:
-            for v in self.independent:
-                if u < v and self.graph.has_edge(u, v):
-                    raise InvalidInput(f"independent part contains edge ({u}, {v})")
+        # One mask test per row; by symmetry the lowest bit at the first
+        # failing row names the first failing pair.
+        adj = self.graph.adj
+        clique_mask = sum(1 << v for v in self.clique)
+        independent_mask = clique_mask ^ ((1 << n) - 1)
+        for u in sorted(self.clique):
+            missing = clique_mask & ~(adj[u] | 1 << u)
+            if missing:
+                v = (missing & -missing).bit_length() - 1
+                raise InvalidInput(f"clique part misses edge ({u}, {v})")
+        for u in sorted(self.independent):
+            extra = adj[u] & independent_mask
+            if extra:
+                v = (extra & -extra).bit_length() - 1
+                raise InvalidInput(f"independent part contains edge ({u}, {v})")
 
     def __eq__(self, other):
         if not isinstance(other, SplitGraph):
@@ -131,76 +129,67 @@ def split_partition(graph: LabeledGraph) -> SplitGraph:
 
 @dataclass
 class SplitWitness:
-    """A split member of a region, with its explicit realization.
+    """A split member of a region, with its realization.
 
     ``ell`` is the clique size; ``cross_edges`` the number of clique-to-
-    independent edges sigma = (n - ell) * c2, distributed round-robin so
-    ``alpha`` clique vertices carry ``c + 1`` of them and the rest ``c``.
+    independent edges sigma = (n - ell) * c2.  Cross edge i, 0 <= i < sigma,
+    joins clique vertex i % ell to independent vertex ell + i // c2, so
+    ``alpha`` clique vertices carry ``c + 1`` of them and the rest ``c``
+    (sigma = c * ell + alpha).
     """
 
     sequence: DegreeSequence
-    graph: SplitGraph
     ell: int
     cross_edges: int
     c: int
     alpha: int
 
+    @property
+    def graph(self) -> SplitGraph:
+        """The realization, built anew on each access (O(n^2) bits).
 
-def _witness_candidates(region: VerySimpleRegion) -> Iterator[SplitWitness]:
-    """Explicit split members of a region, by increasing clique size.
-
-    A clique size ell qualifies when c2 <= ell <= c1 and the slack s(ell)
-    of ``graphicality._slack`` is negative; a qualifying ell exists whenever
-    the region is not fully graphic.  Candidates whose round-robin cross
-    edges would collide (breaking simplicity) are skipped.
-    """
-    n, c1, c2 = region.n, region.c1, region.c2
-    for ell in range(max(c2, 1), c1 + 1):
-        if _slack(n, c1, c2, ell) >= 0:
-            continue
-        w = n - ell
-        sigma = w * c2
-        c, alpha = divmod(sigma, ell)
-        pairs = [(i % ell, i % w) for i in range(sigma)]
-        if len(set(pairs)) != sigma:
-            continue  # duplicate cross edge; construction needs distinct pairs
-        values = (ell + c,) * alpha + (ell + c - 1,) * (ell - alpha) + (c2,) * w
-        seq = DegreeSequence(values)
-        # The qualifying inequality forces ell + c <= c1; keep the guard as a
-        # tripwire for membership, which the construction promises.
-        if seq.degrees[0] > c1 or seq.sigma % 2 or not membership(seq, region):
-            raise ConstructionError(
-                f"witness {seq} for ell={ell} falls outside {region}"
-            )
+        No cross edge repeats: the c2 <= ell consecutive i of one
+        independent vertex are distinct mod ell.
+        """
+        n, ell, sigma = self.sequence.n, self.ell, self.cross_edges
+        c2 = sigma // (n - ell)
         edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
-        edges += [(u, ell + k) for u, k in pairs]
-        graph = LabeledGraph.from_edges(n, edges)
-        if graph.degrees() != seq.degrees:
-            raise ConstructionError(f"realization degrees diverge for ell={ell}")
-        split = SplitGraph(
-            graph=graph,
+        edges += [(i % ell, ell + i // c2) for i in range(sigma)]
+        return SplitGraph(
+            graph=LabeledGraph.from_edges(n, edges),
             clique=frozenset(range(ell)),
             independent=frozenset(range(ell, n)),
         )
-        yield SplitWitness(
-            sequence=seq, graph=split, ell=ell, cross_edges=sigma, c=c, alpha=alpha
-        )
+
+
+def _split_member(n: int, c2: int, ell: int) -> SplitWitness:
+    """(ell + c)^alpha (ell + c - 1)^(ell - alpha) c2^(n - ell), by arithmetic."""
+    sigma = (n - ell) * c2
+    c, alpha = divmod(sigma, ell)
+    values = (ell + c,) * alpha + (ell + c - 1,) * (ell - alpha) + (c2,) * (n - ell)
+    return SplitWitness(
+        sequence=DegreeSequence(values), ell=ell, cross_edges=sigma, c=c, alpha=alpha
+    )
 
 
 def split_witness(region: VerySimpleRegion) -> SplitWitness | None:
     """A split degree sequence inside a non-fully-graphic region.
 
     Returns None when the region is fully graphic (no witness is promised
-    then).  Otherwise returns the candidate with the smallest collision-free
-    clique size, which is deterministic.
+    then).  Otherwise the clique size is the smallest ell in [max(c2, 1), c1]
+    with s(ell) < 0 (``graphicality._slack``); one exists, as the region
+    has s(k) <= -2 for some c2 < k <= c1 (see ``_min_slack``).  With
+    w = n - ell >= 1 (ell <= c1 < n), s(ell) < 0 reads
+    c2*w < ell(c1 - ell + 1), so c = sigma // ell <= c1 - ell and no entry
+    exceeds c1.  The clique entries are >= ell + c - 1 >= c2: for c >= 1 as
+    ell >= c2, and c = 0 forces ell > c2 (c2 = 0, or c2 <= c2*w < ell).  The
+    sum ell(ell - 1) + 2*sigma is even, so the sequence is a member.
     """
     if very_simple_region_fully_graphic(region):
         return None
-    for witness in _witness_candidates(region):
-        return witness
-    raise ConstructionError(
-        f"no collision-free split witness construction for {region}"
-    )
+    n, c1, c2 = region.n, region.c1, region.c2
+    ell = next(k for k in range(max(c2, 1), c1 + 1) if _slack(n, c1, c2, k) < 0)
+    return _split_member(n, c2, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +212,13 @@ def tyshkevich_compose(split: SplitGraph, other: LabeledGraph) -> LabeledGraph:
     return LabeledGraph.from_edges(g.n + other.n, edges)
 
 
-def _composed_degrees(split: SplitGraph, other: DegreeSequence) -> DegreeSequence:
-    """Degrees of ``split`` o H for any H of degrees ``other``: clique +|H|, H +|clique|."""
-    gain, ell = other.n, len(split.clique)
-    own = [d + gain if v in split.clique else d for v, d in enumerate(split.graph.degrees())]
+def _composed_degrees(
+    degrees: tuple[int, ...], clique: Collection[int], other: DegreeSequence
+) -> DegreeSequence:
+    """Degrees of G o H, for G of positional ``degrees`` with clique positions
+    ``clique`` and any H of degrees ``other``: clique +|H|, H +|clique|."""
+    gain, ell = other.n, len(clique)
+    own = [d + gain if v in clique else d for v, d in enumerate(degrees)]
     return DegreeSequence(own + [d + ell for d in other.degrees])
 
 
@@ -251,8 +243,9 @@ def verify_multiplicativity(
     """Count the composition (no graph built) and both factors; compare exactly."""
     counter = counter or default_counter()
     other_degrees = other.degree_sequence()
+    composed = _composed_degrees(split.graph.degrees(), split.clique, other_degrees)
     return MultiplicativityReport(
-        composed_count=counter.count(_composed_degrees(split, other_degrees)).count,
+        composed_count=counter.count(composed).count,
         split_count=counter.count(split.graph.degree_sequence()).count,
         other_count=counter.count(other_degrees).count,
     )
@@ -261,25 +254,6 @@ def verify_multiplicativity(
 # ---------------------------------------------------------------------------
 # Non-stability witness
 # ---------------------------------------------------------------------------
-
-def _threshold(degs: tuple[int, ...]) -> bool:
-    """Whether non-increasing ``degs`` has exactly one labeled realization, in O(n).
-
-    That holds iff it is threshold (Chvatal-Hammer): peeling off an isolated
-    last vertex (entry == dominators peeled) or a dominating first one
-    (entry - dominators == vertices left - 1) empties it.
-    """
-    lo, hi, dominators = 0, len(degs), 0
-    while lo < hi:
-        if degs[hi - 1] == dominators:
-            hi -= 1
-        elif degs[lo] - dominators == hi - lo - 1:
-            lo += 1
-            dominators += 1
-        else:
-            return False
-    return True
-
 
 @dataclass
 class NonstabilityWitness:
@@ -318,9 +292,24 @@ def nonstability_witness(
     """Build the witness pair for the region (n, c1, c2) stretched to n_prime.
 
     Returns None when the region is fully graphic.  Requires n_prime > n;
-    the staircase index is m = n_prime - n.  The first threshold split
-    witness candidate is used (ConstructionError if none is), so ``base`` is
-    threshold too; this is arithmetic at any n, and only ``verify`` counts.
+    the staircase index is m = n_prime - n.  The split part is the
+    ``split_witness`` candidate of the smallest clique size ell with
+    s(ell) < 0 that is threshold, which is exactly one labeled realization
+    (Chvatal-Hammer 1977); then ``base`` is threshold too.  The pick is
+    O(1) arithmetic at any n, and only ``verify`` counts.
+
+    A candidate (ell + c)^alpha (ell + c - 1)^(ell - alpha) c2^w, w = n - ell,
+    is threshold iff c2 = 0, w = 1 or ell = c2: K_ell plus isolated
+    vertices, K_ell plus one vertex on c2 of its vertices, or K_ell joined
+    to w isolated vertices.  Otherwise the w >= 2 independent vertices of
+    degree c2 >= 1 would share one neighbourhood N (threshold
+    neighbourhoods are nested), so each clique vertex would carry w or 0
+    cross edges; as they carry c or c + 1, all carry w and ell = |N| = c2.
+    The last disjunct never qualifies: s(c2) = c2(n - 1 - c1) >= 0.  So
+    ell = 1 when c2 = 0 (s(1) = -c1 < 0), else ell = n - 1 when c1 = n - 1
+    (the region not being fully graphic forces c2 < n - 1, so
+    s(n - 1) = c2 - (n - 1) < 0), else no candidate is threshold and
+    ConstructionError is raised.
     """
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:
@@ -328,15 +317,18 @@ def nonstability_witness(
     if very_simple_region_fully_graphic(region):
         return None
     m = n_prime - n
-    for chosen in _witness_candidates(region):
-        if _threshold(chosen.sequence.degrees):
-            break
+    if c2 == 0:
+        ell = 1
+    elif c1 == n - 1:
+        ell = n - 1
     else:
         raise ConstructionError(f"no uniquely realizable split witness in {region}")
+    chosen = _split_member(n, c2, ell)
 
     # The bump is the staircase's own, at its positions m and 2m.
-    base = _composed_degrees(chosen.graph, staircase_sequence(m))
-    perturbed = _composed_degrees(chosen.graph, bumped_staircase_sequence(m))
+    degrees, clique = chosen.sequence.degrees, range(ell)
+    base = _composed_degrees(degrees, clique, staircase_sequence(m))
+    perturbed = _composed_degrees(degrees, clique, bumped_staircase_sequence(m))
 
     base_count = perturbed_count = None
     if verify:

@@ -4,6 +4,7 @@ The oracles here deliberately avoid the package's algorithms so they can
 arbitrate them: the census walks every edge subset of the complete graph
 (Gray code, one edge toggled per step) and tallies positional degree
 vectors, and the split oracle tries all 2^n clique/independent partitions.
+``_threshold`` is the textbook peeling test for threshold sequences.
 ``switch_component`` is the one helper that runs package code: it searches
 the realizations that the chain's own move engine reaches, for comparison
 with the exact count.
@@ -114,6 +115,25 @@ def has_split_partition(graph: LabeledGraph) -> bool:
         if ok:
             return True
     return False
+
+
+def _threshold(degs) -> bool:
+    """Whether non-increasing ``degs`` has exactly one labeled realization, in O(n).
+
+    That holds iff it is threshold (Chvatal-Hammer): peeling off an isolated
+    last vertex (entry == dominators peeled) or a dominating first one
+    (entry - dominators == vertices left - 1) empties it.
+    """
+    lo, hi, dominators = 0, len(degs), 0
+    while lo < hi:
+        if degs[hi - 1] == dominators:
+            hi -= 1
+        elif degs[lo] - dominators == hi - lo - 1:
+            lo += 1
+            dominators += 1
+        else:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,23 @@ class TestWitnessCommands:
         assert envelope["result"]["sequence"] == "3,3,1,1,1,1"
         assert envelope["result"]["clique"] == [1, 2]
 
+    def test_split_witness_where_a_round_robin_layout_collides(self, capsys):
+        for n, c1, c2 in ((66, 54, 23), (78, 76, 61)):
+            result = run_json(capsys, "split-witness", "--n", str(n), "--c1", str(c1),
+                              "--c2", str(c2))["result"]
+            degrees = [0] * n
+            for edge in result["edges"].split(","):
+                for v in edge.split("-"):
+                    degrees[int(v) - 1] += 1
+            assert ",".join(map(str, sorted(degrees, reverse=True))) == result["sequence"]
+
+    def test_split_witness_in_bounded_time(self, capsys):
+        start = time.perf_counter()
+        result = run_json(capsys, "split-witness", "--n", "2000", "--c1", "1999",
+                          "--c2", "3")["result"]
+        assert time.perf_counter() - start < 1
+        assert (result["ell"], result["clique"]) == (4, [1, 2, 3, 4])
+
     def test_split_witness_absent(self, capsys):
         envelope = run_json(capsys, "split-witness", "--n", "10", "--c1", "3", "--c2", "2")
         assert envelope["result"] == {"found": False}
@@ -257,6 +274,14 @@ class TestWitnessCommands:
         assert (result["ell"], result["m"], result["unique_verified"]) == (19, 2, True)
         assert result["base"] == ",".join(map(str, [23] * 3 + [22] * 17 + [21, 21, 20, 3]))
         assert "base_count" not in result
+
+    def test_nonstab_witness_in_bounded_time(self, capsys):
+        for n in (200, 2000):
+            start = time.perf_counter()
+            result = run_json(capsys, "nonstab-witness", "--n", str(n), "--n-prime",
+                              str(n + 2), "--c1", str(n - 1), "--c2", "3")["result"]
+            assert time.perf_counter() - start < 1
+            assert (result["ell"], result["unique_verified"]) == (n - 1, True)
 
     def test_staircase_family(self, capsys):
         envelope = run_json(capsys, "staircase-family", "4")

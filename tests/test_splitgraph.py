@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -30,7 +32,37 @@ from degseq import (
     verify_multiplicativity,
 )
 from degseq import splitgraph
-from conftest import all_sorted_sequences, degree_census, has_split_partition
+from degseq.graphicality import _slack
+from conftest import _threshold, all_sorted_sequences, degree_census, has_split_partition
+
+
+def non_fully_graphic_regions(n_max):
+    for n in range(1, n_max + 1):
+        for c1 in range(n):
+            for c2 in range(c1 + 1):
+                region = VerySimpleRegion(n, c1, c2)
+                if not very_simple_region_fully_graphic(region):
+                    yield region
+
+
+def qualifying_candidates(region):
+    """(ell, degrees) of every clique size s(ell) < 0 admits, by increasing ell."""
+    n, c1, c2 = region.n, region.c1, region.c2
+    for ell in range(max(c2, 1), c1 + 1):
+        if _slack(n, c1, c2, ell) < 0:
+            c, alpha = divmod((n - ell) * c2, ell)
+            yield ell, (ell + c,) * alpha + (ell + c - 1,) * (ell - alpha) + (c2,) * (n - ell)
+
+
+def pairwise_split_error(g, clique, independent):
+    """The message SplitGraph gives for a partition, from has_edge pair by pair."""
+    for u, v in itertools.combinations(sorted(clique), 2):
+        if not g.has_edge(u, v):
+            return f"clique part misses edge ({u}, {v})"
+    for u, v in itertools.combinations(sorted(independent), 2):
+        if g.has_edge(u, v):
+            return f"independent part contains edge ({u}, {v})"
+    return None
 
 
 class TestSplitSequence:
@@ -86,6 +118,23 @@ class TestSplitPartition:
         with pytest.raises(InvalidInput):
             SplitGraph(graph=g, clique=frozenset({0}), independent=frozenset({0, 1, 2}))
 
+    def test_validation_matches_pairwise_oracle(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for edge_bits in range(1 << len(pairs)):
+                edges = [p for k, p in enumerate(pairs) if edge_bits >> k & 1]
+                g = LabeledGraph.from_edges(n, edges)
+                for clique_bits in range(1 << n):
+                    clique = frozenset(v for v in range(n) if clique_bits >> v & 1)
+                    independent = frozenset(range(n)) - clique
+                    want = pairwise_split_error(g, clique, independent)
+                    if want is None:
+                        SplitGraph(graph=g, clique=clique, independent=independent)
+                        continue
+                    with pytest.raises(InvalidInput) as err:
+                        SplitGraph(graph=g, clique=clique, independent=independent)
+                    assert str(err.value) == want, (edges, sorted(clique))
+
 
 class TestSplitWitness:
     def test_known_witness(self):
@@ -100,12 +149,13 @@ class TestSplitWitness:
     def test_constant_band_has_no_witness(self):
         assert split_witness(VerySimpleRegion(6, 3, 3)) is None
 
-    def test_collision_skipped_deterministically(self):
-        # for this region the smallest qualifying clique size (3) repeats a
-        # round-robin cross pair, so the builder moves on to 4
+    def test_smallest_qualifying_clique_size(self):
+        # s(3) < 0 is the first qualifying size; cross edges (i % 3, 3 + i // 2)
         w = split_witness(VerySimpleRegion(6, 5, 2))
-        assert w.ell == 4
-        assert str(w.sequence) == "4,4,4,4,2,2"
+        assert (w.ell, w.cross_edges, w.c, w.alpha) == (3, 6, 2, 0)
+        assert str(w.sequence) == "4,4,4,2,2,2"
+        assert w.graph.graph.edges() == (
+            (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5))
 
     def test_witness_contract_small(self):
         for n in range(2, 9):
@@ -121,6 +171,38 @@ class TestSplitWitness:
                     assert is_graphic(w.sequence).graphic
                     assert is_split_sequence(w.sequence).is_split
                     assert w.graph.graph.degrees() == w.sequence.degrees
+
+    def test_every_non_fully_graphic_region_has_a_split_member(self):
+        # Includes (66, 54, 23) and (78, 76, 61), where a round-robin layout
+        # (i % ell, i % w) repeats a cross edge at every qualifying ell.
+        checked = 0
+        for region in non_fully_graphic_regions(80):
+            w = split_witness(region)
+            ell, degrees = next(qualifying_candidates(region))
+            assert (w.ell, w.sequence.degrees) == (ell, degrees), region
+            assert membership(w.sequence, region), region
+            assert is_split_sequence(w.sequence).is_split, region
+            checked += 1
+        assert checked == 32_033
+
+    def test_realization_matches_a_pairwise_check(self):
+        for region in non_fully_graphic_regions(24):
+            w = split_witness(region)
+            split = w.graph
+            g, ell = split.graph, w.ell
+            assert split.clique == frozenset(range(ell)), region
+            assert split.independent == frozenset(range(ell, region.n)), region
+            assert all(g.has_edge(u, v) for u, v in itertools.combinations(range(ell), 2))
+            assert not any(g.has_edge(u, v)
+                           for u, v in itertools.combinations(range(ell, region.n), 2))
+            assert g.degrees() == w.sequence.degrees, region
+
+    def test_large_region_in_bounded_time(self):
+        start = time.perf_counter()
+        w = split_witness(VerySimpleRegion(2000, 1999, 3))
+        g = w.graph.graph
+        assert time.perf_counter() - start < 1
+        assert w.ell == 4 and g.degrees() == w.sequence.degrees
 
 
 class TestTyshkevichCompose:
@@ -171,8 +253,8 @@ class TestTyshkevichCompose:
             ]
             h = LabeledGraph.from_edges(n_h, h_edges)
             composed = tyshkevich_compose(split, h)
-            assert splitgraph._composed_degrees(split, h.degree_sequence()) == \
-                composed.degree_sequence()
+            assert splitgraph._composed_degrees(
+                g.degrees(), split.clique, h.degree_sequence()) == composed.degree_sequence()
             for v in range(n_split):
                 gain = n_h if v in split.clique else 0
                 assert composed.degree(v) == g.degree(v) + gain
@@ -208,12 +290,12 @@ class TestThreshold:
         for n in range(1, 8):
             census = degree_census(n)
             for seq in all_sorted_sequences(n):
-                assert splitgraph._threshold(seq) == (census.get(seq, 0) == 1), seq
+                assert _threshold(seq) == (census.get(seq, 0) == 1), seq
 
     def test_matches_the_counter(self, counter):
         for n in (8, 9):
             for seq in all_sorted_sequences(n):
-                assert splitgraph._threshold(seq) == (counter.count(seq).count == 1), seq
+                assert _threshold(seq) == (counter.count(seq).count == 1), seq
 
 
 class TestNonstabilityWitness:
@@ -246,7 +328,7 @@ class TestNonstabilityWitness:
                     witness = nonstability_witness(n, n_prime, c1, c2)
                     case = (n, n_prime, c1, c2)
                     assert witness.unique_verified is True, case
-                    assert splitgraph._threshold(witness.base.degrees), case
+                    assert _threshold(witness.base.degrees), case
                     assert witness.composed_graph.degree_sequence() == witness.base, case
                     degs, ell, m = witness.base.degrees, witness.witness.ell, witness.m
                     i = degs.index(m + ell)
@@ -256,15 +338,14 @@ class TestNonstabilityWitness:
                         witness.base, bump, permissive=True), case
 
     def test_uncountable_region_gets_a_threshold_witness(self):
-        # n = 20 is above the counting limit.  The first candidate (ell = 6,
-        # 12^6 3^14) has many realizations; the first threshold one is ell = 19.
-        region = VerySimpleRegion(20, 19, 3)
-        first = next(splitgraph._witness_candidates(region))
-        assert first.ell == 6 and not splitgraph._threshold(first.sequence.degrees)
+        # n = 20 is above the counting limit.  The first candidate (ell = 4,
+        # 8^4 3^16) has many realizations; the first threshold one is ell = 19.
+        first = split_witness(VerySimpleRegion(20, 19, 3))
+        assert first.ell == 4 and not _threshold(first.sequence.degrees)
         witness = nonstability_witness(20, 22, 19, 3)
         assert witness.witness.ell == 19
         assert witness.unique_verified is True
-        assert splitgraph._threshold(witness.base.degrees)
+        assert _threshold(witness.base.degrees)
         assert witness.base_count is witness.perturbed_count is None
 
     def test_counts_nothing_unless_verified(self):
@@ -275,14 +356,44 @@ class TestNonstabilityWitness:
         witness = nonstability_witness(6, 8, 5, 1, counter=Refusing())
         assert witness.unique_verified is True and witness.witness.ell == 5
 
-    def test_no_candidate_raises(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(splitgraph, "_threshold", lambda degs: False)
-            with pytest.raises(ConstructionError, match="no uniquely realizable split witness"):
-                nonstability_witness(6, 8, 5, 1)
-        monkeypatch.setattr(splitgraph, "_witness_candidates", lambda region: iter(()))
+    def test_no_candidate_raises(self):
+        # c2 >= 1 and c1 < n - 1: candidates 3^2 1^4, 3^3 1^3 and 4^2 3^2 1^2
+        region = VerySimpleRegion(6, 4, 1)
+        assert not very_simple_region_fully_graphic(region)
+        assert [ell for ell, degs in qualifying_candidates(region)] == [2, 3, 4]
+        assert not any(_threshold(degs) for _, degs in qualifying_candidates(region))
         with pytest.raises(ConstructionError, match="no uniquely realizable split witness"):
-            nonstability_witness(20, 22, 19, 3)
+            nonstability_witness(6, 8, 4, 1)
+
+    def test_pick_matches_the_threshold_oracle(self):
+        # A qualifying candidate is threshold iff c2 = 0 or w = 1; the witness
+        # takes the first one, or raises ConstructionError when there is none.
+        candidates = raised = 0
+        for region in non_fully_graphic_regions(40):
+            n, c1, c2 = region.n, region.c1, region.c2
+            want = None
+            for ell, degs in qualifying_candidates(region):
+                candidates += 1
+                assert _threshold(degs) == (c2 == 0 or ell == n - 1), (region, ell)
+                if want is None and _threshold(degs):
+                    want = ell, degs
+            if want is None:
+                raised += 1
+                with pytest.raises(ConstructionError):
+                    nonstability_witness(n, n + 1, c1, c2)
+                continue
+            chosen = nonstability_witness(n, n + 1, c1, c2).witness
+            assert (chosen.ell, chosen.sequence.degrees) == want, region
+        assert (candidates, raised) == (65_659, 2_935)
+
+    def test_large_regions_in_bounded_time(self):
+        for n in (200, 2000):
+            start = time.perf_counter()
+            witness = nonstability_witness(n, n + 2, n - 1, 3)
+            assert time.perf_counter() - start < 1
+            assert witness.witness.ell == n - 1 and witness.base.n == n + 4
+            # 3 clique vertices with one cross edge each gain 2m = 4; c2 = 3 gains nothing
+            assert witness.base.degrees[:3] == (n + 3,) * 3 and witness.base.degrees[-1] == 3
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
