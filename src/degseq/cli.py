@@ -137,7 +137,10 @@ def cmd_region(args) -> None:
     sigma = region.sigma if isinstance(region, SimpleRegion) else None
     inputs = {"n": n, "sigma": sigma, "c1": c1, "c2": c2}
     if args.predicate:
-        epsilon = Fraction(args.epsilon) if args.epsilon else None
+        try:
+            epsilon = Fraction(args.epsilon) if args.epsilon else None
+        except ZeroDivisionError:
+            raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
         pred = RegionPredicate(args.predicate, epsilon=epsilon)
         holds = pred.evaluate(n, c1, c2, sigma=sigma)
         result = {"predicate": args.predicate, "holds": holds}

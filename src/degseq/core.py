@@ -9,7 +9,6 @@ fixed even degree sum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -279,24 +278,6 @@ def apply_perturbation(
     if not permissive and max(values) > n - 1:
         raise ExceedsMax(f"{pert.kind.value} at {pert.i},{pert.j} exceeds n - 1 = {n - 1}")
     return DegreeSequence(values)
-
-
-def _family_vectors(
-    degrees: tuple[int, ...], kind: PerturbationKind
-) -> Iterator[tuple[int, ...]]:
-    """Each distinct positional vector of ``kind``'s family of ``degrees``, once.
-
-    The deltas go at i alone (doubled kinds), at i < j when they are equal
-    and at i != j when they differ, so no two positions give the same vector.
-    Entries may fall outside [0, n-1].
-    """
-    deltas = kind.deltas
-    pick = itertools.combinations if len(set(deltas)) == 1 else itertools.permutations
-    for positions in pick(range(len(degrees)), len(deltas)):
-        vec = list(degrees)
-        for pos, delta in zip(positions, deltas):
-            vec[pos] += delta
-        yield tuple(vec)
 
 
 @dataclass(frozen=True)

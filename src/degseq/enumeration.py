@@ -33,7 +33,6 @@ from .core import (
     LabeledGraph,
     Perturbation,
     PerturbationKind,
-    _family_vectors,
     apply_perturbation,
 )
 from .errors import InvalidInput, NotGraphic, TooLarge
@@ -287,16 +286,36 @@ def family_count(
     kind: PerturbationKind,
     counter: RealizationCounter | None = None,
 ) -> PerturbationFamilyCount:
-    """Count all labeled graphs whose degree vector lies in one family of ``seq``."""
+    """Count all labeled graphs whose degree vector lies in one family of ``seq``.
+
+    A pick gives each delta slot a degree value.  With h[a] entries equal to
+    a and k slots on a, it stands for the product of comb(h[a], k) vectors,
+    or perm(h[a], k) when the deltas differ (``+-``: its slots are ordered).
+    Its representative moves the first positions of its values; picks are
+    grouped by the representative's multiset (every ``+-`` pick (a, a + 1)
+    gives the multiset of ``seq``) and each in-range one is counted once.
+    Out-of-range multisets count zero unqueried, so raise no TooLarge.
+    """
     counter = counter or default_counter()
-    vectors = list(_family_vectors(seq.degrees, kind))
-    # Out-of-range vectors count zero unqueried (no TooLarge for them either);
-    # the count depends only on the multiset, so each is counted once.
-    groups = collections.Counter(
-        tuple(sorted(v)) for v in vectors if 0 <= min(v) <= max(v) < seq.n)
+    degrees, deltas, n = seq.degrees, kind.deltas, seq.n
+    hist = collections.Counter(degrees)
+    if len(set(deltas)) == 1:
+        picks, ways = itertools.combinations_with_replacement(hist, len(deltas)), math.comb
+    else:
+        picks, ways = itertools.product(hist, repeat=len(deltas)), math.perm
+    groups: collections.Counter[tuple[int, ...]] = collections.Counter()
+    for pick in picks:
+        size = math.prod(ways(hist[a], pick.count(a)) for a in set(pick))
+        if not size:
+            continue
+        vec = list(degrees)
+        for slot, (a, delta) in enumerate(zip(pick, deltas)):
+            vec[degrees.index(a) + pick[:slot].count(a)] += delta
+        if 0 <= min(vec) and max(vec) < n:
+            groups[tuple(sorted(vec))] += size
     total = sum(size * counter.count(key).count for key, size in groups.items())
     return PerturbationFamilyCount(
-        family=kind, total=total, distinct_vectors=len(vectors)
+        family=kind, total=total, distinct_vectors=ways(n, len(deltas))
     )
 
 

@@ -27,8 +27,17 @@ from .enumeration import (
     staircase_realization,
     staircase_sequence,
 )
-from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit
+from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit, TooLarge
 from .graphicality import _slack, is_graphic, very_simple_region_fully_graphic
+
+# Most vertices plus edges a witness builder lays out: a longer witness
+# sequence, or a larger realization, raises TooLarge before any is allocated.
+WITNESS_MAX_SIZE = 200_000
+
+
+def _check_witness_size(what: str, size: int) -> None:
+    if size > WITNESS_MAX_SIZE:
+        raise TooLarge(f"{what} = {size} exceeds WITNESS_MAX_SIZE = {WITNESS_MAX_SIZE}")
 
 
 @dataclass
@@ -149,9 +158,11 @@ class SplitWitness:
         """The realization, built anew on each access (O(n^2) bits).
 
         No cross edge repeats: the c2 <= ell consecutive i of one
-        independent vertex are distinct mod ell.
+        independent vertex are distinct mod ell.  Raises TooLarge when
+        n + ell(ell - 1)/2 + cross_edges exceeds ``WITNESS_MAX_SIZE``.
         """
         n, ell, sigma = self.sequence.n, self.ell, self.cross_edges
+        _check_witness_size("vertices plus edges", n + ell * (ell - 1) // 2 + sigma)
         c2 = sigma // (n - ell)
         edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
         edges += [(i % ell, ell + i // c2) for i in range(sigma)]
@@ -184,7 +195,9 @@ def split_witness(region: VerySimpleRegion) -> SplitWitness | None:
     exceeds c1.  The clique entries are >= ell + c - 1 >= c2: for c >= 1 as
     ell >= c2, and c = 0 forces ell > c2 (c2 = 0, or c2 <= c2*w < ell).  The
     sum ell(ell - 1) + 2*sigma is even, so the sequence is a member.
+    An n above ``WITNESS_MAX_SIZE`` raises TooLarge.
     """
+    _check_witness_size("n", region.n)
     if very_simple_region_fully_graphic(region):
         return None
     n, c1, c2 = region.n, region.c1, region.c2
@@ -276,7 +289,11 @@ class NonstabilityWitness:
 
     @property
     def composed_graph(self) -> LabeledGraph:
-        """The realization of ``base``, built anew on each access (O(n'^2) edges)."""
+        """The realization of ``base``, built anew on each access (O(n'^2) edges).
+
+        Raises TooLarge when its vertices plus edges exceed ``WITNESS_MAX_SIZE``.
+        """
+        _check_witness_size("vertices plus edges", self.base.n + self.base.sigma // 2)
         return tyshkevich_compose(self.witness.graph, staircase_realization(self.m))
 
 
@@ -309,11 +326,13 @@ def nonstability_witness(
     ell = 1 when c2 = 0 (s(1) = -c1 < 0), else ell = n - 1 when c1 = n - 1
     (the region not being fully graphic forces c2 < n - 1, so
     s(n - 1) = c2 - (n - 1) < 0), else no candidate is threshold and
-    ConstructionError is raised.
+    ConstructionError is raised.  A ``base`` longer than ``WITNESS_MAX_SIZE``
+    (it has n + 2m = 2 n_prime - n entries) raises TooLarge.
     """
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:
         raise InvalidInput(f"n_prime must exceed n, got {n_prime} <= {n}")
+    _check_witness_size("2 n_prime - n", 2 * n_prime - n)
     if very_simple_region_fully_graphic(region):
         return None
     m = n_prime - n

@@ -172,6 +172,13 @@ class TestRegionCommands:
         assert envelope["result"]["holds"] is True
         assert envelope["result"]["exception_bound"] == pytest.approx(9 / 32)
 
+    def test_region_epsilon_usage_errors(self, capsys):
+        for epsilon in ("abc", "1/0"):
+            code, out, err = run(capsys, "region", "--n", "8", "--c1", "4", "--c2", "2",
+                                 "--sigma", "20", "--predicate", "phi_eps",
+                                 "--epsilon", epsilon)
+            assert code == 2 and out == "" and err.startswith("error: "), epsilon
+
     def test_predicate_on_invalid_region_exits_1(self, capsys):
         for argv in (["--n", "5", "--c1", "5", "--c2", "1", "--predicate", "phi_FG"],
                      ["--n", "5", "--c1", "9", "--c2", "-3", "--predicate", "phi_JMS"],
@@ -238,6 +245,16 @@ class TestWitnessCommands:
                           "--c2", "3")["result"]
         assert time.perf_counter() - start < 1
         assert (result["ell"], result["clique"]) == (4, [1, 2, 3, 4])
+
+    def test_witnesses_over_the_size_cap_exit_3(self, capsys):
+        for argv in (["split-witness", "--n", "1000", "--c1", "999", "--c2", "500"],
+                     ["split-witness", "--n", "1000000", "--c1", "5", "--c2", "0"],
+                     ["nonstab-witness", "--n", "4", "--n-prime", "1000004",
+                      "--c1", "3", "--c2", "0"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "--json", *argv)
+            assert time.perf_counter() - start < 1
+            assert code == 3 and out == "" and "WITNESS_MAX_SIZE" in err, argv
 
     def test_split_witness_absent(self, capsys):
         envelope = run_json(capsys, "split-witness", "--n", "10", "--c1", "3", "--c2", "2")

@@ -486,6 +486,31 @@ class TestFamilyCount:
                     if not in_range:
                         assert family_count(d, kind, RealizationCounter(max_n=0)).total == 0
 
+    def test_heavy_ties_match_positional_oracle(self):
+        # A few value picks stand for many positional vectors here.  Every
+        # +- pick (a, a + 1) gives the base multiset, queried once for all.
+        # Staircases stop at n = 12: the oracle takes ~30 s on n = 14.
+        cases = [staircase_sequence(m).degrees for m in (4, 5, 6)]
+        for n in range(8, 15):
+            cases += [(n // 2,) * n, (n - 2,) * 3 + (2,) * (n - 3),
+                      (5,) * (n // 2) + (4,) * (n - n // 2)]
+        for seq in cases:
+            n = len(seq)
+            for kind in PerturbationKind:
+                counter = RecordingCounter()
+                got = family_count(DegreeSequence(seq), kind, counter)
+                vectors = family_vectors(seq, kind)
+                in_range = [v for v in vectors if 0 <= min(v) and max(v) < n]
+                assert got.total == sum(map(oracle_count, in_range)), (seq, kind)
+                assert got.distinct_vectors == len(vectors), (seq, kind)
+                multisets = {tuple(sorted(v, reverse=True)) for v in in_range}
+                assert sorted(counter.queries) == sorted(multisets), (seq, kind)
+                if kind is PerturbationKind.PLUS_MINUS:
+                    merged = sum(sorted(v, reverse=True) == list(seq) for v in vectors)
+                    adjacent = sum(seq.count(a) * seq.count(a + 1) for a in set(seq))
+                    assert merged == adjacent, seq
+                    assert (seq in multisets) == (adjacent > 0), seq
+
 
 class TestPMeasure:
     def test_matchings(self):

@@ -15,6 +15,7 @@ from degseq import (
     PerturbationKind,
     RealizationCounter,
     SplitGraph,
+    TooLarge,
     VerySimpleRegion,
     apply_perturbation,
     count_realizations,
@@ -203,6 +204,20 @@ class TestSplitWitness:
         g = w.graph.graph
         assert time.perf_counter() - start < 1
         assert w.ell == 4 and g.degrees() == w.sequence.degrees
+
+    def test_witness_size_cap(self):
+        cap = splitgraph.WITNESS_MAX_SIZE
+        assert split_witness(VerySimpleRegion(cap, 5, 0)).sequence.n == cap
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+            split_witness(VerySimpleRegion(cap + 1, 5, 0))
+        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+            split_witness(VerySimpleRegion(5 * cap, 5, 0))
+        # ell = 501: 125,250 clique plus 249,500 cross edges, no graph built.
+        w = split_witness(VerySimpleRegion(1000, 999, 500))
+        with pytest.raises(TooLarge, match="375750"):
+            w.graph
+        assert time.perf_counter() - start < 1
 
 
 class TestTyshkevichCompose:
@@ -394,6 +409,20 @@ class TestNonstabilityWitness:
             assert witness.witness.ell == n - 1 and witness.base.n == n + 4
             # 3 clique vertices with one cross edge each gain 2m = 4; c2 = 3 gains nothing
             assert witness.base.degrees[:3] == (n + 3,) * 3 and witness.base.degrees[-1] == 3
+
+    def test_witness_size_cap(self):
+        # base has 2 n_prime - n entries; composed_graph checks its edges too.
+        cap = splitgraph.WITNESS_MAX_SIZE
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+            nonstability_witness(4, (cap + 4) // 2 + 1, 3, 0)
+        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+            nonstability_witness(4, 1_000_004, 3, 0)
+        witness = nonstability_witness(4, 1004, 3, 0)
+        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+            witness.composed_graph
+        assert time.perf_counter() - start < 1
+        assert nonstability_witness(4, 204, 3, 0).composed_graph.n == 404
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
