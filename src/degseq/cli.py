@@ -5,6 +5,10 @@ Every successful invocation prints either a human-readable summary or, with
 
     {"command": ..., "inputs": ..., "result": ..., "version": ...}
 
+Each ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
+writes output.  ``inputs`` echoes the parsed arguments, each degree sequence in
+canonical text; ``region`` echoes the region it decided instead.
+
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
 for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS,
 ENUMERATE_MAX_GRAPHS).
@@ -71,60 +75,24 @@ from .splitgraph import (
 ENUMERATE_MAX_GRAPHS = 100_000
 
 
-def _emit(args, command: str, inputs: dict, result, human: str) -> None:
-    if args.json:
-        envelope = {
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "version": __version__,
-        }
-        print(json.dumps(envelope, sort_keys=True))
-    else:
-        print(human)
-
-
-def _sequence(text: str) -> DegreeSequence:
-    return DegreeSequence.parse(text)
-
-
-def _report_dict(report) -> dict:
-    return {
-        "graphic": report.graphic,
-        "failing_k": report.failing_k,
-        "checked_ks": report.checked_ks,
-        "odd_sum": report.odd_sum,
-    }
-
-
-def cmd_check(args) -> None:
-    seq = _sequence(args.degrees)
+def cmd_check(args) -> tuple[dict, str]:
+    seq = args.degrees
     report = is_graphic_tv(seq) if args.tv else is_graphic(seq)
-    result = _report_dict(report)
-    result["sequence"] = str(seq)
-    result["stability_bound"] = satisfies_stability_bound(seq)
+    result = {**vars(report), "sequence": str(seq),
+              "stability_bound": satisfies_stability_bound(seq)}
     if report.graphic:
-        human = "graphic"
-    elif report.odd_sum:
-        human = "not graphic (odd degree sum)"
-    else:
-        human = f"not graphic (inequality fails at k={report.failing_k})"
-    _emit(args, "check", {"degrees": str(seq), "tv": args.tv}, result, human)
+        return result, "graphic"
+    if report.odd_sum:
+        return result, "not graphic (odd degree sum)"
+    return result, f"not graphic (inequality fails at k={report.failing_k})"
 
 
-def cmd_leg(args) -> None:
-    region = SimpleRegion(args.n, args.sigma, args.c1, args.c2)
-    seq = leg(region)
-    _emit(
-        args,
-        "leg",
-        {"n": args.n, "sigma": args.sigma, "c1": args.c1, "c2": args.c2},
-        {"sequence": str(seq)},
-        str(seq),
-    )
+def cmd_leg(args) -> tuple[dict, str]:
+    seq = leg(SimpleRegion(args.n, args.sigma, args.c1, args.c2))
+    return {"sequence": str(seq)}, str(seq)
 
 
-def cmd_region(args) -> None:
+def cmd_region(args) -> tuple[dict, str]:
     if args.params:
         region = parse_region(args.params)
     elif None in (args.n, args.c1, args.c2):
@@ -135,7 +103,6 @@ def cmd_region(args) -> None:
         region = SimpleRegion(args.n, args.sigma, args.c1, args.c2)
     n, c1, c2 = region.n, region.c1, region.c2
     sigma = region.sigma if isinstance(region, SimpleRegion) else None
-    inputs = {"n": n, "sigma": sigma, "c1": c1, "c2": c2}
     if args.predicate:
         try:
             epsilon = Fraction(args.epsilon) if args.epsilon else None
@@ -149,38 +116,30 @@ def cmd_region(args) -> None:
             result["exception_bound"] = pred.exception_bound
         if args.predicate == "phi_JMS_star_sigma":
             result["margin"] = jms_star_sigma_margin(n, sigma, c1, c2)
-        inputs["predicate"] = args.predicate
-        _emit(args, "region", inputs, result,
-              f"{args.predicate}: {'holds' if holds else 'fails'}")
-        return
-    if sigma is not None:
-        fg = region_fully_graphic(region)
-        result = {"fully_graphic": fg, "leg": str(leg(region))}
+        human = f"{args.predicate}: {'holds' if holds else 'fails'}"
     else:
-        fg = very_simple_region_fully_graphic(region)
-        result = {"fully_graphic": fg}
-    _emit(args, "region", inputs, result,
-          "fully graphic" if fg else "not fully graphic")
+        if sigma is None:
+            fg = very_simple_region_fully_graphic(region)
+            result = {"fully_graphic": fg}
+        else:
+            fg = region_fully_graphic(region)
+            result = {"fully_graphic": fg, "leg": str(leg(region))}
+        human = "fully graphic" if fg else "not fully graphic"
+    # The echo is the region decided, not the text or flags that named it.
+    vars(args).update(n=n, sigma=sigma, c1=c1, c2=c2)
+    del args.params, args.epsilon
+    if not args.predicate:
+        del args.predicate
+    return result, human
 
 
-def cmd_count(args) -> None:
-    seq = _sequence(args.degrees)
-    res = count_realizations(seq)
-    _emit(
-        args,
-        "count",
-        {"degrees": str(seq)},
-        {
-            "count": res.count,
-            "nodes_explored": res.nodes_explored,
-            "from_cache": res.from_cache,
-        },
-        str(res.count),
-    )
+def cmd_count(args) -> tuple[dict, str]:
+    res = count_realizations(args.degrees)
+    return vars(res), str(res.count)
 
 
-def cmd_enumerate(args) -> None:
-    seq = _sequence(args.degrees)
+def cmd_enumerate(args) -> tuple[dict, str]:
+    seq = args.degrees
     edge_lists = realization_edge_lists(seq, args.limit)
     if args.limit is None or args.limit > ENUMERATE_MAX_GRAPHS:
         total = count_realizations(seq).count
@@ -198,50 +157,37 @@ def cmd_enumerate(args) -> None:
             graphs.append(",".join(map(labels.__getitem__, edges)))
         except KeyError as exc:
             raise ConstructionError(f"edge {exc} is out of range for {seq}") from None
-    human = "\n".join(graphs) if graphs else "(no realizations)"
-    _emit(
-        args,
-        "enumerate",
-        {"degrees": str(seq), "limit": args.limit},
-        {"realizations": graphs, "yielded": len(graphs)},
-        human,
-    )
+    result = {"realizations": graphs, "yielded": len(graphs)}
+    return result, "\n".join(graphs) if graphs else "(no realizations)"
 
 
-def cmd_pmeasure(args) -> None:
-    seq = _sequence(args.degrees)
-    value = p_measure(seq)
+def cmd_pmeasure(args) -> tuple[dict, str]:
+    value = p_measure(args.degrees)
     result = {
         "p": f"{value.numerator}/{value.denominator}",
         "p_float": float(value),
-        "base_count": count_realizations(seq).count,
+        "base_count": count_realizations(args.degrees).count,
     }
-    _emit(args, "pmeasure", {"degrees": str(seq)}, result, str(value))
+    return result, str(value)
 
 
-def cmd_family_bounds(args) -> None:
-    seq = _sequence(args.degrees)
-    report = verify_family_bounds(seq)
+def cmd_family_bounds(args) -> tuple[dict, str]:
+    report = verify_family_bounds(args.degrees)
     result = {
         "base_count": report.base_count,
         "families": {k.value: v for k, v in report.family_totals.items()},
-        "checks": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-            for c in report.checks
-        ],
+        "checks": [{**vars(c), "holds": c.holds} for c in report.checks],
         "all_hold": report.all_hold,
         "plus_minus_empty": report.plus_minus_empty,
     }
-    lines = [
-        f"{c.name}: {c.lhs} <= {c.rhs} {'ok' if c.holds else 'VIOLATED'}"
-        for c in report.checks
-    ]
+    lines = [f"{c.name}: {c.lhs} <= {c.rhs} {'ok' if c.holds else 'VIOLATED'}"
+             for c in report.checks]
     if report.plus_minus_empty:
         lines.append("note: the +- family is empty")
-    _emit(args, "family-bounds", {"degrees": str(seq)}, result, "\n".join(lines))
+    return result, "\n".join(lines)
 
 
-def cmd_staircase_family(args) -> None:
+def cmd_staircase_family(args) -> tuple[dict, str]:
     base, bumped = count_staircase_family(args.m)
     result = {
         "m": args.m,
@@ -250,68 +196,38 @@ def cmd_staircase_family(args) -> None:
         "count": base,
         "bumped_count": bumped,
     }
-    _emit(
-        args,
-        "staircase-family",
-        {"m": args.m},
-        result,
-        f"count={base} bumped_count={bumped}",
-    )
+    return result, f"count={base} bumped_count={bumped}"
 
 
-def cmd_split_check(args) -> None:
-    seq = _sequence(args.degrees)
-    verdict = is_split_sequence(seq)
-    result = {
-        "is_split": verdict.is_split,
-        "m": verdict.m,
-        "lhs": verdict.lhs,
-        "rhs": verdict.rhs,
-    }
-    _emit(
-        args,
-        "split-check",
-        {"degrees": str(seq)},
-        result,
-        "split" if verdict.is_split else f"not split ({verdict.lhs} != {verdict.rhs})",
-    )
+def cmd_split_check(args) -> tuple[dict, str]:
+    verdict = is_split_sequence(args.degrees)
+    if verdict.is_split:
+        return vars(verdict), "split"
+    return vars(verdict), f"not split ({verdict.lhs} != {verdict.rhs})"
 
 
-def cmd_split_witness(args) -> None:
-    region = VerySimpleRegion(args.n, args.c1, args.c2)
-    witness = split_witness(region)
-    inputs = {"n": args.n, "c1": args.c1, "c2": args.c2}
+def cmd_split_witness(args) -> tuple[dict, str]:
+    witness = split_witness(VerySimpleRegion(args.n, args.c1, args.c2))
     if witness is None:
-        _emit(args, "split-witness", inputs, {"found": False},
-              "no witness (region fully graphic)")
-        return
+        return {"found": False}, "no witness (region fully graphic)"
     split = witness.graph
     result = {
+        **vars(witness),
         "found": True,
         "sequence": str(witness.sequence),
-        "ell": witness.ell,
-        "cross_edges": witness.cross_edges,
-        "c": witness.c,
-        "alpha": witness.alpha,
         "clique": sorted(v + 1 for v in split.clique),
         "independent": sorted(v + 1 for v in split.independent),
         "edges": edges_to_text(split.graph.edges()),
     }
-    _emit(args, "split-witness", inputs, result,
-          f"{witness.sequence} (clique size {witness.ell})")
+    return result, f"{witness.sequence} (clique size {witness.ell})"
 
 
-def cmd_tyshkevich(args) -> None:
-    g_seq = _sequence(args.split_degrees)
-    h_seq = _sequence(args.other_degrees)
-    split = split_partition(havel_hakimi_graph(g_seq))
-    other = havel_hakimi_graph(h_seq)
+def cmd_tyshkevich(args) -> tuple[dict, str]:
+    split = split_partition(havel_hakimi_graph(args.split_degrees))
+    other = havel_hakimi_graph(args.other_degrees)
     composed = tyshkevich_compose(split, other)
-    result = {
-        "composed": str(composed.degree_sequence()),
-        "edges": edges_to_text(composed.edges()),
-    }
     human = str(composed.degree_sequence())
+    result = {"composed": human, "edges": edges_to_text(composed.edges())}
     if args.verify:
         report = verify_multiplicativity(split, other)
         result["counts"] = {
@@ -321,54 +237,32 @@ def cmd_tyshkevich(args) -> None:
         }
         result["multiplicative"] = report.holds
         human += f"  [{report.composed_count} = {report.split_count} * {report.other_count}]"
-    _emit(
-        args,
-        "tyshkevich",
-        {"split_degrees": str(g_seq), "other_degrees": str(h_seq)},
-        result,
-        human,
-    )
+    return result, human
 
 
-def cmd_nonstab_witness(args) -> None:
-    witness = nonstability_witness(
-        args.n, args.n_prime, args.c1, args.c2, verify=args.verify
-    )
-    inputs = {
-        "n": args.n,
-        "n_prime": args.n_prime,
-        "c1": args.c1,
-        "c2": args.c2,
-    }
+def cmd_nonstab_witness(args) -> tuple[dict, str]:
+    witness = nonstability_witness(args.n, args.n_prime, args.c1, args.c2, verify=args.verify)
     if witness is None:
-        _emit(args, "nonstab-witness", inputs, {"found": False},
-              "no witness (region fully graphic)")
-        return
-    result = {
-        "found": True,
-        "base": str(witness.base),
-        "perturbed": str(witness.perturbed),
-        "m": witness.m,
-        "ell": witness.witness.ell,
-        "unique_verified": witness.unique_verified,
-    }
+        return {"found": False}, "no witness (region fully graphic)"
+    result = {**vars(witness), "found": True, "base": str(witness.base),
+              "perturbed": str(witness.perturbed), "ell": witness.witness.ell}
+    del result["witness"]
     human = f"base={witness.base} perturbed={witness.perturbed}"
     if args.verify:
-        result["base_count"] = witness.base_count
-        result["perturbed_count"] = witness.perturbed_count
         human += f" counts={witness.base_count},{witness.perturbed_count}"
-    _emit(args, "nonstab-witness", inputs, result, human)
+    else:
+        del result["base_count"], result["perturbed_count"]
+    return result, human
 
 
-def cmd_mcmc(args) -> None:
-    seq = _sequence(args.degrees)
+def cmd_mcmc(args) -> tuple[dict, str]:
+    seq = args.degrees
     config = ChainConfig(seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     run = sample(seq, config)
     result = {
-        "histogram": run.histogram,
+        **vars(run),
         "distinct_states": len(run.histogram),
         "final": edges_to_text(run.final.edges()),
-        "metadata": run.metadata,
     }
     try:
         total = count_realizations(seq).count
@@ -381,21 +275,10 @@ def cmd_mcmc(args) -> None:
             result["tv_to_uniform"] = tv_distance_to_uniform(run.histogram, total, config.steps)
             human += f", TV to uniform {result['tv_to_uniform']:.4f}"
         result["switch_connected"] = switch_connected(seq)
-    _emit(
-        args,
-        "mcmc",
-        {
-            "degrees": str(seq),
-            "steps": args.steps,
-            "seed": args.seed,
-            "burn_in": args.burn_in,
-        },
-        result,
-        human,
-    )
+    return result, human
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> tuple[dict, str]:
     rows = sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
     # The text form is as long as the JSON one; build it only when printed.
     human = "" if args.json else "\n".join(
@@ -403,13 +286,7 @@ def cmd_sweep(args) -> None:
         + f" {row['classification']}"
         for row in rows
     )
-    _emit(
-        args,
-        "sweep",
-        {"n_min": args.n_min, "n_max": args.n_max, "with_sigma": args.with_sigma},
-        {"rows": rows},
-        human,
-    )
+    return {"rows": rows}, human
 
 
 @functools.cache
@@ -424,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="graphicality of a degree sequence")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.add_argument("--tv", action="store_true",
                    help="check only descent indices (requires max degree < n)")
     p.set_defaults(func=cmd_check)
@@ -446,21 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("count", help="exact number of labeled realizations")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list labeled realizations")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.add_argument("--limit", type=int)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("pmeasure", help="local stability measure p(D)")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.set_defaults(func=cmd_pmeasure)
 
     p = sub.add_parser("family-bounds",
                        help="exact bounds between perturbation-family totals")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.set_defaults(func=cmd_family_bounds)
 
     p = sub.add_parser("staircase-family",
@@ -469,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_staircase_family)
 
     p = sub.add_parser("split-check", help="Hammer-Simeone split test")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.set_defaults(func=cmd_split_check)
 
     p = sub.add_parser("split-witness",
@@ -480,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split_witness)
 
     p = sub.add_parser("tyshkevich", help="compose a split graph with a graph")
-    p.add_argument("split_degrees")
-    p.add_argument("other_degrees")
+    p.add_argument("split_degrees", type=DegreeSequence.parse)
+    p.add_argument("other_degrees", type=DegreeSequence.parse)
     p.add_argument("--verify", action="store_true",
                    help="check count multiplicativity")
     p.set_defaults(func=cmd_tyshkevich)
@@ -496,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nonstab_witness)
 
     p = sub.add_parser("mcmc", help="switch-chain sampling")
-    p.add_argument("degrees")
+    p.add_argument("degrees", type=DegreeSequence.parse)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0)
@@ -513,9 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # Degree text is parsed here; argparse passes InvalidInput (not a
+        # ValueError) through, so bad text exits 1 like any domain error.
+        args = build_parser().parse_args(argv)
+        result, human = args.func(args)
+        if args.json:
+            inputs = {key: str(value) if isinstance(value, DegreeSequence) else value
+                      for key, value in vars(args).items()
+                      if key not in ("json", "command", "func")}
+            envelope = {"command": args.command, "inputs": inputs,
+                        "result": result, "version": __version__}
+            print(json.dumps(envelope, sort_keys=True))
+        else:
+            print(human)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -102,13 +102,13 @@ class RealizationCounter:
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
         degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
         n = len(degrees)
-        if n > self.max_n:
-            raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}; raise DEGSEQ_MAX_N")
-        if any(d < 0 or d > n - 1 for d in degrees):
+        self._check_length(n)
+        top = max(degrees, default=0)
+        if n and (top > n - 1 or min(degrees) < 0):
             return CountResult(count=0, nodes_explored=0, from_cache=False)
         # A list, not a generator: tuple() over-allocates a generator's result, and
         # each key freed after a memo hit then fills a tuple free list (~0.5 MB).
-        key = tuple([degrees.count(r) for r in range(1, max(degrees, default=0) + 1)])
+        key = tuple([degrees.count(r) for r in range(1, top + 1)])
         if len(self._memo) > MEMO_MAX_ENTRIES:
             self._memo.clear()
         hit = self._memo.get(key) if self.use_memo else None
@@ -119,6 +119,11 @@ class RealizationCounter:
         except RecursionError:  # the memo holds finished subcounts only
             raise TooLarge(f"n={n} recurses too deep for Python; lower DEGSEQ_MAX_N") from None
         return CountResult(count=value, nodes_explored=nodes, from_cache=False)
+
+    def _check_length(self, n: int) -> None:
+        """Raise TooLarge for a sequence of n entries, before anything is built."""
+        if n > self.max_n:
+            raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}; raise DEGSEQ_MAX_N")
 
     def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
@@ -458,6 +463,7 @@ def count_staircase_family(
     if m < 2:
         raise InvalidInput(f"staircase family counts need m >= 2, got {m}")
     counter = counter or default_counter()
+    counter._check_length(2 * m)
     base = counter.count(staircase_sequence(m)).count
     bumped = counter.count(bumped_staircase_sequence(m)).count
     return base, bumped

@@ -305,6 +305,13 @@ class TestWitnessCommands:
         assert envelope["result"]["count"] == 1
         assert envelope["result"]["bumped_count"] == 5
 
+    def test_staircase_family_over_the_counting_limit_builds_nothing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "staircase-family", str(10**12))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == "error: n=2000000000000 exceeds the counting limit 16; raise DEGSEQ_MAX_N\n"
+
 
 class TestMcmcCommand:
     def test_small_run_reports_tv(self, capsys):
@@ -369,6 +376,116 @@ class TestMcmcCommand:
         assert exc.value.code == 2
 
 
+# Stdout of every subcommand in both modes.  ``inputs`` echoes the parsed
+# arguments, degree text in canonical form (the unsorted arguments come back
+# sorted); ``region`` echoes the region it decided, not how it was named.
+GOLDEN_STDOUT = [
+    ('check 1,3,3,1',
+     'not graphic (inequality fails at k=2)\n',
+     '{"command": "check", "inputs": {"degrees": "3,3,1,1", "tv": false}, '
+     '"result": {"checked_ks": [1, 2], "failing_k": 2, "graphic": false, '
+     '"odd_sum": false, "sequence": "3,3,1,1", "stability_bound": false}, '
+     '"version": "0.1.0"}\n'),
+    ('leg --n 8 --sigma 16 --c1 4 --c2 1',
+     '4,4,3,1,1,1,1,1\n',
+     '{"command": "leg", "inputs": {"c1": 4, "c2": 1, "n": 8, "sigma": 16}, '
+     '"result": {"sequence": "4,4,3,1,1,1,1,1"}, "version": "0.1.0"}\n'),
+    ('region n=8,sigma=16,c1=4,c2=1',
+     'fully graphic\n',
+     '{"command": "region", "inputs": {"c1": 4, "c2": 1, "n": 8, "sigma": 16}, '
+     '"result": {"fully_graphic": true, "leg": "4,4,3,1,1,1,1,1"}, "version": "0.1.0"}\n'),
+    ('region --n 8 --c1 4 --c2 2 --sigma 20 --predicate phi_eps --epsilon 1/2',
+     'phi_eps: fails\n',
+     '{"command": "region", "inputs": {"c1": 4, "c2": 2, "n": 8, "predicate": "phi_eps", '
+     '"sigma": 20}, "result": {"epsilon": "1/2", "exception_bound": 1.457106781186548, '
+     '"holds": false, "predicate": "phi_eps"}, "version": "0.1.0"}\n'),
+    ('count 1,2,1,1,1',
+     '6\n',
+     '{"command": "count", "inputs": {"degrees": "2,1,1,1,1"}, "result": {"count": 6, '
+     '"from_cache": false, "nodes_explored": 3}, "version": "0.1.0"}\n'),
+    ('enumerate 1,1,1,1',
+     '1-2,3-4\n1-3,2-4\n1-4,2-3\n',
+     '{"command": "enumerate", "inputs": {"degrees": "1,1,1,1", "limit": null}, '
+     '"result": {"realizations": ["1-2,3-4", "1-3,2-4", "1-4,2-3"], "yielded": 3}, '
+     '"version": "0.1.0"}\n'),
+    ('pmeasure 2,2,2',
+     '3\n',
+     '{"command": "pmeasure", "inputs": {"degrees": "2,2,2"}, "result": {"base_count": 1, '
+     '"p": "3/1", "p_float": 3.0}, "version": "0.1.0"}\n'),
+    ('family-bounds 1,1,1,1',
+     'pair_bound: 12 <= 240 ok\ndouble_bound: 4 <= 192 ok\nmixed_bound: 12 <= 1632 ok\n',
+     '{"command": "family-bounds", "inputs": {"degrees": "1,1,1,1"}, '
+     '"result": {"all_hold": true, "base_count": 3, "checks": [{"holds": true, "lhs": 12, '
+     '"name": "pair_bound", "rhs": 240}, {"holds": true, "lhs": 4, '
+     '"name": "double_bound", "rhs": 192}, {"holds": true, "lhs": 12, '
+     '"name": "mixed_bound", "rhs": 1632}], "families": {"++": 12, "+-": 12, "+2": 4, '
+     '"--": 6, "-2": 0}, "plus_minus_empty": false}, "version": "0.1.0"}\n'),
+    ('staircase-family 3',
+     'count=1 bumped_count=2\n',
+     '{"command": "staircase-family", "inputs": {"m": 3}, "result": {"bumped_count": 2, '
+     '"bumped_sequence": "5,4,4,3,2,2", "count": 1, "m": 3, "sequence": "5,4,3,3,2,1"}, '
+     '"version": "0.1.0"}\n'),
+    ('split-check 1,3,1,3,1,1',
+     'split\n',
+     '{"command": "split-check", "inputs": {"degrees": "3,3,1,1,1,1"}, '
+     '"result": {"is_split": true, "lhs": 6, "m": 2, "rhs": 6}, "version": "0.1.0"}\n'),
+    ('split-witness --n 5 --c1 4 --c2 1',
+     '3,2,1,1,1 (clique size 2)\n',
+     '{"command": "split-witness", "inputs": {"c1": 4, "c2": 1, "n": 5}, '
+     '"result": {"alpha": 1, "c": 1, "clique": [1, 2], "cross_edges": 3, '
+     '"edges": "1-2,1-3,1-5,2-4", "ell": 2, "found": true, "independent": [3, 4, 5], '
+     '"sequence": "3,2,1,1,1"}, "version": "0.1.0"}\n'),
+    ('tyshkevich 2,1,1 1,1',
+     '4,3,3,3,1\n',
+     '{"command": "tyshkevich", "inputs": {"other_degrees": "1,1", '
+     '"split_degrees": "2,1,1", "verify": false}, "result": {"composed": "4,3,3,3,1", '
+     '"edges": "1-2,1-3,1-4,1-5,2-4,2-5,4-5"}, "version": "0.1.0"}\n'),
+    ('nonstab-witness --n 4 --n-prime 6 --c1 3 --c2 0 --verify',
+     'base=4,4,3,3,2,0,0,0 perturbed=4,4,4,3,3,0,0,0 counts=1,1\n',
+     '{"command": "nonstab-witness", "inputs": {"c1": 3, "c2": 0, "n": 4, "n_prime": 6, '
+     '"verify": true}, "result": {"base": "4,4,3,3,2,0,0,0", "base_count": 1, "ell": 1, '
+     '"found": true, "m": 2, "perturbed": "4,4,4,3,3,0,0,0", "perturbed_count": 1, '
+     '"unique_verified": true}, "version": "0.1.0"}\n'),
+    ('mcmc 2,2,2,1,1 --steps 20 --seed 1',
+     'visited 5 states in 20 steps, TV to uniform 0.4643\n',
+     '{"command": "mcmc", "inputs": {"burn_in": 0, "degrees": "2,2,2,1,1", "seed": 1, '
+     '"steps": 20}, "result": {"distinct_states": 5, "final": "1-2,1-3,2-4,3-5", '
+     '"histogram": {"1-2,1-3,2-3,4-5": 2, "1-2,1-3,2-4,3-5": 6, "1-2,1-3,2-5,3-4": 1, '
+     '"1-2,1-5,2-3,3-4": 9, "1-3,1-5,2-3,2-4": 2}, "metadata": {"accepted": 8, '
+     '"burn_in": 0, "rng": "shake128", "seed": 1, "start": "1-2,1-3,2-3,4-5", '
+     '"steps": 20}, "state_space": 7, "switch_connected": true, '
+     '"tv_to_uniform": 0.4642857142857143}, "version": "0.1.0"}\n'),
+    ('sweep --n-min 3 --n-max 3',
+     'n=3 c1=0 c2=0 FULLY_GRAPHIC\n'
+     'n=3 c1=1 c2=0 FULLY_GRAPHIC\n'
+     'n=3 c1=1 c2=1 EMPTY\n'
+     'n=3 c1=2 c2=0 NOT_FULLY_GRAPHIC\n'
+     'n=3 c1=2 c2=1 FULLY_GRAPHIC\n'
+     'n=3 c1=2 c2=2 FULLY_GRAPHIC\n',
+     '{"command": "sweep", "inputs": {"n_max": 3, "n_min": 3, "with_sigma": false}, '
+     '"result": {"rows": [{"c1": 0, "c2": 0, "classification": "FULLY_GRAPHIC", "n": 3}, '
+     '{"c1": 1, "c2": 0, "classification": "FULLY_GRAPHIC", "n": 3}, {"c1": 1, "c2": 1, '
+     '"classification": "EMPTY", "n": 3}, {"c1": 2, "c2": 0, '
+     '"classification": "NOT_FULLY_GRAPHIC", "n": 3}, {"c1": 2, "c2": 1, '
+     '"classification": "FULLY_GRAPHIC", "n": 3}, {"c1": 2, "c2": 2, '
+     '"classification": "FULLY_GRAPHIC", "n": 3}]}, "version": "0.1.0"}\n'),
+]
+
+
+class TestGoldenStdout:
+    def test_every_subcommand_is_covered(self):
+        commands = {argv.split()[0] for argv, _, _ in GOLDEN_STDOUT}
+        assert commands == set(SCHEMA["properties"]["command"]["enum"])
+
+    @pytest.mark.parametrize("argv, human, envelope", GOLDEN_STDOUT,
+                             ids=[argv for argv, _, _ in GOLDEN_STDOUT])
+    def test_stdout(self, capsys, monkeypatch, argv, human, envelope):
+        counter = enumeration.default_counter()
+        for mode, expected in (([], human), (["--json"], envelope)):
+            monkeypatch.setattr(counter, "_memo", {})  # count reports a cold query
+            assert run(capsys, *mode, *argv.split()) == (0, expected, "")
+
+
 class TestExitCodes:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "pmeasure", "3,3,1,1")
@@ -381,6 +498,13 @@ class TestExitCodes:
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "count", ",".join(["1"] * 18))
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "1,x"], ["--json", "tyshkevich", "2,1,1", "x"], ["count", "2,-1"]])
+    def test_bad_degree_text_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
