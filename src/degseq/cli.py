@@ -7,20 +7,24 @@ Every successful invocation prints either a human-readable summary or, with
 
 Each ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
 writes output.  ``inputs`` echoes the parsed arguments, each degree sequence in
-canonical text; ``region`` echoes the region it decided instead.
+canonical text; ``region`` echoes the region it decided instead.  A sweep's
+rows reach ``main`` as an iterator and are encoded a batch at a time, so a
+large sweep never holds all its rows, or all their text, in memory.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
 for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS,
-ENUMERATE_MAX_GRAPHS).
+ENUMERATE_MAX_GRAPHS, WITNESS_MAX_SIZE).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import operator
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import __version__
@@ -47,11 +51,11 @@ from .graphicality import (
     RegionPredicate,
     is_graphic,
     is_graphic_tv,
+    iter_sweep,
     jms_star_sigma_margin,
     leg,
     region_fully_graphic,
     satisfies_stability_bound,
-    sweep,
     very_simple_region_fully_graphic,
 )
 from .mcmc import (
@@ -73,6 +77,9 @@ from .splitgraph import (
 # Most graphs ``enumerate`` lists.  Without --limit, or above it, the exact
 # count is taken first, and more realizations than this raise TooLarge.
 ENUMERATE_MAX_GRAPHS = 100_000
+
+# Sweep rows encoded per write, and so held in memory at once with their text.
+_ROWS_PER_WRITE = 256
 
 
 def cmd_check(args) -> tuple[dict, str]:
@@ -279,8 +286,9 @@ def cmd_mcmc(args) -> tuple[dict, str]:
 
 
 def cmd_sweep(args) -> tuple[dict, str]:
-    rows = sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
-    # The text form is as long as the JSON one; build it only when printed.
+    rows = iter_sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
+    # The text form is as long as the JSON one; build it only when printed
+    # (it takes the rows, which the envelope then never sees).
     human = "" if args.json else "\n".join(
         " ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
         + f" {row['classification']}"
@@ -389,6 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_envelope(envelope: dict) -> None:
+    """Print ``json.dumps(envelope, sort_keys=True)``; an iterator of rows
+    in the result is encoded ``_ROWS_PER_WRITE`` rows at a time."""
+    rows = envelope["result"].get("rows")
+    if not isinstance(rows, Iterator):
+        print(json.dumps(envelope, sort_keys=True))
+        return
+    # A sweep's inputs are numbers and a flag, so this is the one '"rows": []'.
+    envelope["result"]["rows"] = []
+    head, tail = json.dumps(envelope, sort_keys=True).split('"rows": []')
+    sys.stdout.write(head + '"rows": [')
+    sep = ""
+    while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+        sys.stdout.write(sep + json.dumps(batch, sort_keys=True)[1:-1])
+        sep = ", "
+    print("]" + tail)
+
+
 def main(argv=None) -> int:
     try:
         # Degree text is parsed here; argparse passes InvalidInput (not a
@@ -401,7 +427,7 @@ def main(argv=None) -> int:
                       if key not in ("json", "command", "func")}
             envelope = {"command": args.command, "inputs": inputs,
                         "result": result, "version": __version__}
-            print(json.dumps(envelope, sort_keys=True))
+            _print_envelope(envelope)
         else:
             print(human)
     except TooLarge as exc:

@@ -4,14 +4,15 @@ and single-entry perturbations.
 All types here are immutable after construction and safe to share between
 threads.  Degree sequences are kept sorted non-increasing; a region is a pair
 of degree bounds (c1, c2) on sequences of length n, optionally pinned to a
-fixed even degree sum.
+fixed even degree sum.  ``Record`` is the base of every record type in the
+package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from functools import total_ordering
 
 from .errors import (
     ExceedsMax,
@@ -21,8 +22,65 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class DegreeSequence:
+class Record:
+    """Base of the package's record types.  The fields are the names the
+    class itself annotates, in order; a class attribute of a field's name is
+    its default.  A record takes its fields by position or keyword, then
+    runs the class's own ``__post_init__``, if it has one.  ``repr`` reads
+    ``Name(field=value, ...)`` and ``==`` compares the field tuples of two
+    records of one class.  A subclass declared with ``frozen=True`` refuses
+    assignment and deletion and hashes as its field tuple; other records are
+    unhashable.
+    """
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = Record._hash
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls.__match_args__
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
+            for name in kwargs.keys() & fields[: len(args)]:
+                raise TypeError(f"{cls.__name__}() got field {name!r} twice")
+            kwargs = dict(zip(fields, args), **kwargs)
+        if tuple(kwargs) != fields:
+            for name in kwargs.keys() - fields:
+                raise TypeError(f"{cls.__name__}() has no field {name!r}")
+            try:
+                kwargs = {f: kwargs[f] if f in kwargs else cls.__dict__[f] for f in fields}
+            except KeyError as exc:
+                raise TypeError(f"{cls.__name__}() missing field {exc.args[0]!r}") from None
+        vars(self).update(kwargs)
+        if "__post_init__" in cls.__dict__:
+            self.__post_init__()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._astuple())
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+
+@total_ordering
+class DegreeSequence(Record, frozen=True):
     """A non-increasing vector of vertex degrees.
 
     Raw input is normalised by sorting.  Entries must be non-negative
@@ -76,9 +134,13 @@ class DegreeSequence:
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.degrees)
 
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.degrees < other.degrees
+        return NotImplemented
 
-@dataclass(frozen=True)
-class VerySimpleRegion:
+
+class VerySimpleRegion(Record, frozen=True):
     """All non-increasing length-n sequences with entries in [c2, c1] and even sum."""
 
     n: int
@@ -101,8 +163,7 @@ class VerySimpleRegion:
         return f"n={self.n},c1={self.c1},c2={self.c2}"
 
 
-@dataclass(frozen=True)
-class SimpleRegion:
+class SimpleRegion(Record, frozen=True):
     """The slice of a very simple region with a fixed even degree sum."""
 
     n: int
@@ -130,7 +191,7 @@ class SimpleRegion:
         return f"n={self.n},sigma={self.sigma},c1={self.c1},c2={self.c2}"
 
 
-Region = Union[SimpleRegion, VerySimpleRegion]
+Region = SimpleRegion | VerySimpleRegion
 
 
 def parse_region(text: str) -> Region:
@@ -226,8 +287,7 @@ class PerturbationKind(Enum):
         return sum(self.deltas)
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(Record, frozen=True):
     """A perturbation applied at 1-based positions of a sorted sequence.
 
     ``j`` is unused for the single-position kinds.  The doubled kinds model
@@ -280,8 +340,7 @@ def apply_perturbation(
     return DegreeSequence(values)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record, frozen=True):
     """A simple graph on labeled vertices 0 .. n-1.
 
     Adjacency is stored as one neighbour bitset per vertex: bit j of

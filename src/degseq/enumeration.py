@@ -24,15 +24,15 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .core import (
     DegreeSequence,
     LabeledGraph,
     Perturbation,
     PerturbationKind,
+    Record,
     apply_perturbation,
 )
 from .errors import InvalidInput, NotGraphic, TooLarge
@@ -40,6 +40,16 @@ from .graphicality import is_graphic
 
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
+
+# Most vertices plus edges a witness builder lays out (the staircase builders
+# here, the split and non-stability witnesses in ``splitgraph``): a longer
+# sequence, or a larger realization, raises TooLarge before any is allocated.
+WITNESS_MAX_SIZE = 200_000
+
+
+def _check_witness_size(what: str, size: int) -> None:
+    if size > WITNESS_MAX_SIZE:
+        raise TooLarge(f"{what} = {size} exceeds WITNESS_MAX_SIZE = {WITNESS_MAX_SIZE}")
 
 
 def _env_limit(name: str, default: int) -> int:
@@ -65,8 +75,7 @@ def _default_limits() -> tuple[int, int]:
     return _env_limit("DEGSEQ_MAX_N", 16), _env_limit("DEGSEQ_NODE_BUDGET", 5_000_000)
 
 
-@dataclass
-class CountResult:
+class CountResult(Record):
     """An exact realization count plus counter diagnostics."""
 
     count: int
@@ -268,8 +277,7 @@ def enumerate_realizations(
 # Perturbation families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PerturbationFamilyCount:
+class PerturbationFamilyCount(Record):
     """Total realizations across one perturbation family of a sequence.
 
     The family of D under a kind is the set of positional vectors obtained
@@ -345,8 +353,7 @@ def p_measure(
 # Family bounds: the inequalities tying the five family totals together
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundCheck:
+class BoundCheck(Record):
     name: str
     lhs: int
     rhs: int
@@ -356,8 +363,7 @@ class BoundCheck:
         return self.lhs <= self.rhs
 
 
-@dataclass
-class FamilyBoundsReport:
+class FamilyBoundsReport(Record):
     """Exact evaluation of the polynomial bounds between family totals.
 
     For a graphic D of length n, with G(x) the total of family x and g the
@@ -423,10 +429,12 @@ def staircase_sequence(m: int) -> DegreeSequence:
     """(2m-1, 2m-2, ..., m+1, m, m, m-1, ..., 2, 1); length 2m, m >= 1.
 
     Uniquely realizable: its one realization is the half graph returned by
-    :func:`staircase_realization`.
+    :func:`staircase_realization`.  A length 2m above ``WITNESS_MAX_SIZE``
+    raises TooLarge.
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
+    _check_witness_size("2m", 2 * m)
     values = list(range(2 * m - 1, m, -1)) + [m, m] + list(range(m - 1, 0, -1))
     return DegreeSequence(values)
 
@@ -447,10 +455,12 @@ def staircase_realization(m: int) -> LabeledGraph:
 
     A half graph: a clique on 0..m-1 (clique vertex i has degree 2m-1-i) and
     vertex m+t of the independent half joined to clique vertices 0..m-t-1
-    (degree m-t).
+    (degree m-t).  Its 2m vertices plus m^2 edges above ``WITNESS_MAX_SIZE``
+    raise TooLarge.
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
+    _check_witness_size("vertices plus edges", 2 * m + m * m)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     edges += [(i, m + t) for t in range(m) for i in range(m - t)]
     return LabeledGraph.from_edges(2 * m, edges)

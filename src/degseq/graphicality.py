@@ -22,17 +22,15 @@ and phi_JMS_star_k cost O(1): each reads one minimum, see ``_min_slack``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
 
-from .core import DegreeSequence, SimpleRegion, VerySimpleRegion
+from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
 from .errors import InvalidInput, MissingSigma, TooLarge
 
 
-@dataclass
-class EGReport:
+class EGReport(Record):
     """Outcome of a graphicality test.
 
     ``failing_k`` is the smallest index whose inequality fails, or None.
@@ -43,7 +41,7 @@ class EGReport:
 
     graphic: bool
     failing_k: int | None
-    checked_ks: list[int] = field(default_factory=list)
+    checked_ks: list[int]
     odd_sum: bool = False
 
 
@@ -70,7 +68,7 @@ def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
 def is_graphic(seq: DegreeSequence) -> EGReport:
     """Full graphicality test, checking every index until one fails."""
     if seq.sigma % 2:
-        return EGReport(graphic=False, failing_k=None, odd_sum=True)
+        return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     return _eg_scan(seq.degrees, range(1, len(seq) + 1))
 
 
@@ -85,7 +83,7 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
     if degs[0] >= n:
         raise InvalidInput(f"reduction requires max degree below n, got d1={degs[0]}")
     if seq.sigma % 2:
-        return EGReport(graphic=False, failing_k=None, odd_sum=True)
+        return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     descents = [k for k in range(1, n) if degs[k - 1] > degs[k]]
     descents.append(n)
     return _eg_scan(degs, descents)
@@ -200,7 +198,7 @@ def _label(fully_graphic: bool) -> str:
 SWEEP_MAX_ROWS = 1_000_000
 
 
-def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
+def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dict]:
     """Classify every region with n_min <= n <= n_max and n > c1 >= c2 >= 0.
 
     Each row is a dict with keys ``n``, ``c1``, ``c2`` and ``classification``
@@ -208,8 +206,9 @@ def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
     region without a member with even sum), ordered by (n, c1, c2).  With
     ``with_sigma`` there is one row per sum n*c2 <= sigma <= n*c1, with the
     extra key ``sigma``, ordered by (n, sigma, c1, c2); odd sums are
-    ``EMPTY``.  The rows are counted before any is built, and a grid of
-    more than ``SWEEP_MAX_ROWS`` rows raises TooLarge.
+    ``EMPTY``.  The rows are counted on the call, and a grid of more than
+    ``SWEEP_MAX_ROWS`` rows raises TooLarge; each row is built only when the
+    iterator reaches it.
     """
     total = 0
     for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
@@ -218,26 +217,22 @@ def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
         if total > SWEEP_MAX_ROWS:
             raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
                            "(SWEEP_MAX_ROWS); narrow the n range")
-    rows = []
-    for n in range(max(n_min, 1), n_max + 1):  # n <= 0 has no c1 < n
-        if with_sigma:
-            for sigma in range(n * (n - 1) + 1):
-                odd = sigma % 2
-                # n*c2 <= sigma <= n*c1 means c2 <= floor and c1 >= ceil of sigma/n.
-                for c1 in range(-(-sigma // n), n):
-                    for c2 in range(min(c1, sigma // n) + 1):
-                        label = "EMPTY" if odd else _label(_leg_graphic(n, sigma, c1, c2))
-                        rows.append({"n": n, "sigma": sigma, "c1": c1, "c2": c2,
-                                     "classification": label})
-            continue
-        for c1 in range(n):
-            for c2 in range(c1 + 1):
-                if c1 == c2 and n * c1 % 2:  # the only case without an even sum
-                    label = "EMPTY"
-                else:
-                    label = _label(_min_slack(n, c1, c2) >= -1)
-                rows.append({"n": n, "c1": c1, "c2": c2, "classification": label})
-    return rows
+    ns = range(max(n_min, 1), n_max + 1)  # n <= 0 has no c1 < n
+    if with_sigma:
+        # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
+        return ({"n": n, "sigma": s, "c1": c1, "c2": c2,
+                 "classification": "EMPTY" if s % 2 else _label(_leg_graphic(n, s, c1, c2))}
+                for n in ns for s in range(n * (n - 1) + 1)
+                for c1 in range(-(-s // n), n) for c2 in range(min(c1, s // n) + 1))
+    # c1 == c2 with n*c1 odd is the only region without an even sum.
+    return ({"n": n, "c1": c1, "c2": c2, "classification": "EMPTY" if c1 == c2 and n * c1 % 2
+             else _label(_min_slack(n, c1, c2) >= -1)}
+            for n in ns for c1 in range(n) for c2 in range(c1 + 1))
+
+
+def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:
+    """The rows of ``iter_sweep`` as a list."""
+    return list(iter_sweep(n_min, n_max, with_sigma))
 
 
 def satisfies_stability_bound(seq: DegreeSequence) -> bool:
@@ -290,8 +285,7 @@ def jms_star_sigma_margin(n: int, sigma: int, c1: int, c2: int) -> int:
     return lo * hi - (c1 - c2) * (lo * (n - c1 - 1) + hi * c2)
 
 
-@dataclass(frozen=True)
-class RegionPredicate:
+class RegionPredicate(Record, frozen=True):
     """A named closed-form predicate over region parameters.
 
     Evaluation is a pure function of (n, sigma, c1, c2); the sum is ignored

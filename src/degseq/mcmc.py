@@ -36,10 +36,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, edges_to_text
+from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
 from .errors import InvalidInput, NotGraphic
 from .graphicality import is_graphic
 
@@ -69,8 +68,7 @@ def _check_seed(seed: int) -> None:
         raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Record, frozen=True):
     seed: int
     steps: int
     burn_in: int = 0
@@ -186,11 +184,10 @@ def switch_step(graph: LabeledGraph, rng: Iterator[int]) -> LabeledGraph:
     return LabeledGraph(graph.n, tuple(adj))
 
 
-@dataclass
-class SampleResult:
+class SampleResult(Record):
     final: LabeledGraph
     histogram: Counter
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:

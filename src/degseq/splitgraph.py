@@ -16,32 +16,23 @@ witness family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection
+from collections.abc import Collection
 
-from .core import DegreeSequence, LabeledGraph, VerySimpleRegion
+from .core import DegreeSequence, LabeledGraph, Record, VerySimpleRegion
 from .enumeration import (
+    WITNESS_MAX_SIZE,  # also the cap of the builders here
     RealizationCounter,
+    _check_witness_size,
     bumped_staircase_sequence,
     default_counter,
     staircase_realization,
     staircase_sequence,
 )
-from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit, TooLarge
+from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit
 from .graphicality import _slack, is_graphic, very_simple_region_fully_graphic
 
-# Most vertices plus edges a witness builder lays out: a longer witness
-# sequence, or a larger realization, raises TooLarge before any is allocated.
-WITNESS_MAX_SIZE = 200_000
 
-
-def _check_witness_size(what: str, size: int) -> None:
-    if size > WITNESS_MAX_SIZE:
-        raise TooLarge(f"{what} = {size} exceeds WITNESS_MAX_SIZE = {WITNESS_MAX_SIZE}")
-
-
-@dataclass
-class SplitVerdict:
+class SplitVerdict(Record):
     """Hammer-Simeone test outcome: split iff lhs == rhs."""
 
     is_split: bool
@@ -50,8 +41,7 @@ class SplitVerdict:
     rhs: int
 
 
-@dataclass(frozen=True)
-class SplitGraph:
+class SplitGraph(Record, frozen=True):
     """A labeled graph with one chosen clique/independent partition.
 
     The partition need not be unique; equality of split graphs compares the
@@ -136,8 +126,7 @@ def split_partition(graph: LabeledGraph) -> SplitGraph:
 # Split witness inside a non-fully-graphic region
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SplitWitness:
+class SplitWitness(Record):
     """A split member of a region, with its realization.
 
     ``ell`` is the clique size; ``cross_edges`` the number of clique-to-
@@ -235,8 +224,7 @@ def _composed_degrees(
     return DegreeSequence(own + [d + ell for d in other.degrees])
 
 
-@dataclass
-class MultiplicativityReport:
+class MultiplicativityReport(Record):
     """Exact counts checking |G(d(K))| = |G(d(G))| * |G(d(H))|."""
 
     composed_count: int
@@ -268,8 +256,7 @@ def verify_multiplicativity(
 # Non-stability witness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NonstabilityWitness:
+class NonstabilityWitness(Record):
     """A uniquely-realizable sequence whose one double-step bump explodes.
 
     ``base`` is the degree sequence of (split witness) o (staircase m), a

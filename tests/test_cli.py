@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence, cli, enumeration
+from degseq import DegreeSequence, __version__, cli, enumeration, sweep
 from degseq.cli import build_parser, main
 from degseq.graphicality import PREDICATE_NAMES
 
@@ -207,6 +207,18 @@ class TestRegionCommands:
     def test_sweep_too_large(self, capsys):
         code, _, err = run(capsys, "sweep", "--n-min", "1", "--n-max", "200", "--with-sigma")
         assert code == 3 and "1000000" in err
+
+    def test_sweep_envelope_written_in_batches(self, capsys):
+        # 346 rows: two batches of the envelope writer, then the empty sweep
+        for n_min, n_max in ((5, 6), (6, 5)):
+            argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max), "--with-sigma"]
+            code, out, _ = run(capsys, "--json", *argv)
+            rows = sweep(n_min, n_max, with_sigma=True)
+            assert code == 0 and len(rows) in (0, 346) and cli._ROWS_PER_WRITE < 346
+            assert out == json.dumps({
+                "command": "sweep", "result": {"rows": rows}, "version": __version__,
+                "inputs": {"n_max": n_max, "n_min": n_min, "with_sigma": True},
+            }, sort_keys=True) + "\n"
 
     def test_sweep_with_sigma_marks_odd_sums_empty(self, capsys):
         envelope = run_json(
@@ -575,6 +587,16 @@ class TestImportCost:
     def test_import_leaves_numpy_out(self):
         done = run_fresh("-c", "import sys, degseq.cli; print('numpy' in sys.modules)")
         assert done.stdout.strip() == "False", done.stderr
+
+    def test_import_leaves_the_heavy_stdlib_out(self):
+        # dataclasses pulls in inspect, ast and dis; typing is annotations only.
+        # -I -S: no site packages, no environment, so nothing else loads them.
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import degseq.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -597,6 +597,24 @@ class TestStaircase:
         with pytest.raises(InvalidInput):
             count_staircase_family(1)
 
+    def test_size_cap(self):
+        cap = enumeration.WITNESS_MAX_SIZE
+        start = time.perf_counter()
+        for build in (staircase_sequence, bumped_staircase_sequence, staircase_realization):
+            with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
+                build(10**12)
+        assert time.perf_counter() - start < 1
+        # the sequences have 2m entries
+        m = cap // 2
+        assert staircase_sequence(m).n == bumped_staircase_sequence(m).n == cap
+        with pytest.raises(TooLarge, match=f"2m = {cap + 2} exceeds"):
+            staircase_sequence(m + 1)
+        # the realization has 2m vertices plus m^2 edges
+        m = math.isqrt(cap + 1) - 1
+        assert staircase_realization(m).edge_count == m * m
+        with pytest.raises(TooLarge, match="vertices plus edges"):
+            staircase_realization(m + 1)
+
 
 class TestCrossChecks:
     def test_zero_count_iff_not_graphic_small(self, counter):

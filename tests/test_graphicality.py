@@ -29,7 +29,7 @@ from degseq import (
     sweep,
     very_simple_region_fully_graphic,
 )
-from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic
+from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, iter_sweep
 from conftest import all_sorted_sequences, brute_force_count
 
 
@@ -306,6 +306,14 @@ class TestSweep:
     def test_empty_ranges(self):
         assert sweep(5, 4) == [] and sweep(-3, 0, with_sigma=True) == []
         assert sweep(-3, 1) == sweep(1, 1)
+
+    def test_iter_sweep_is_lazy_and_checks_size_on_the_call(self):
+        rows = iter_sweep(1, 30, with_sigma=True)  # 0.8 million rows, none built yet
+        assert next(rows) == {"n": 1, "sigma": 0, "c1": 0, "c2": 0,
+                              "classification": "FULLY_GRAPHIC"}
+        assert list(iter_sweep(3, 5)) == sweep(3, 5)
+        with pytest.raises(TooLarge):
+            iter_sweep(2, 200, with_sigma=True)  # before any row is asked for
 
     @staticmethod
     def rows(n, with_sigma):
