@@ -45,7 +45,6 @@ from .errors import (
 from .graphicality import (
     EGReport,
     RegionPredicate,
-    evaluate_predicate,
     is_graphic,
     is_graphic_tv,
     is_primitive,

@@ -5,11 +5,14 @@ Every successful invocation prints either a human-readable summary or, with
 
     {"command": ..., "inputs": ..., "result": ..., "version": ...}
 
-Each ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
-writes output.  ``inputs`` echoes the parsed arguments, each degree sequence in
-canonical text; ``region`` echoes the region it decided instead.  A sweep's
-rows reach ``main`` as an iterator and are encoded a batch at a time, so a
-large sweep never holds all its rows, or all their text, in memory.
+``COMMANDS`` is the one definition of the subcommands and their arguments:
+``build_parser`` builds the parser from it and ``main`` runs the command it
+names.  Each ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main``
+alone writes output.  ``inputs`` echoes the parsed arguments, each degree
+sequence in canonical text; ``region`` echoes the region it decided instead.
+A sweep's rows and text lines reach ``main`` as iterators over one pass of the
+grid, written a batch of rows or a line at a time, so a large sweep never
+holds all its rows, or all their text, in memory.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
 for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS,
@@ -285,21 +288,62 @@ def cmd_mcmc(args) -> tuple[dict, str]:
     return result, human
 
 
-def cmd_sweep(args) -> tuple[dict, str]:
+def cmd_sweep(args) -> tuple[dict, Iterator[str]]:
     rows = iter_sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
-    # The text form is as long as the JSON one; build it only when printed
-    # (it takes the rows, which the envelope then never sees).
-    human = "" if args.json else "\n".join(
-        " ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
-        + f" {row['classification']}"
-        for row in rows
-    )
-    return {"rows": rows}, human
+    # Both forms read the one iterator; main reads only the form it prints.
+    lines = (" ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
+             + f" {row['classification']}" for row in rows)
+    return {"rows": rows}, lines
+
+
+_DEGREES = {"type": DegreeSequence.parse}
+_REQUIRED_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+
+# Subcommand name -> (command, help line, {argument: add_argument keywords}),
+# in the order --help lists them.
+COMMANDS = {
+    "check": (cmd_check, "graphicality of a degree sequence", {
+        "degrees": _DEGREES,
+        "--tv": {**_FLAG, "help": "check only descent indices (requires max degree < n)"}}),
+    "leg": (cmd_leg, "least Erdos-Gallai member of a region",
+            dict.fromkeys(("--n", "--sigma", "--c1", "--c2"), _REQUIRED_INT)),
+    "region": (cmd_region, "fully-graphic decision or predicate evaluation", {
+        "params": {"nargs": "?",
+                   "help": "region text like n=8,sigma=16,c1=4,c2=1 (sigma optional)"},
+        **dict.fromkeys(("--n", "--c1", "--c2", "--sigma"), {"type": int}),
+        "--predicate": {"choices": PREDICATE_NAMES},
+        "--epsilon": {"help": "rational like 1/2 (phi_eps only)"}}),
+    "count": (cmd_count, "exact number of labeled realizations", {"degrees": _DEGREES}),
+    "enumerate": (cmd_enumerate, "list labeled realizations",
+                  {"degrees": _DEGREES, "--limit": {"type": int}}),
+    "pmeasure": (cmd_pmeasure, "local stability measure p(D)", {"degrees": _DEGREES}),
+    "family-bounds": (cmd_family_bounds, "exact bounds between perturbation-family totals",
+                      {"degrees": _DEGREES}),
+    "staircase-family": (cmd_staircase_family,
+                         "counts for the staircase sequence and its bumped variant",
+                         {"m": {"type": int}}),
+    "split-check": (cmd_split_check, "Hammer-Simeone split test", {"degrees": _DEGREES}),
+    "split-witness": (cmd_split_witness, "split member of a non-fully-graphic region",
+                      dict.fromkeys(("--n", "--c1", "--c2"), _REQUIRED_INT)),
+    "tyshkevich": (cmd_tyshkevich, "compose a split graph with a graph", {
+        "split_degrees": _DEGREES, "other_degrees": _DEGREES,
+        "--verify": {**_FLAG, "help": "check count multiplicativity"}}),
+    "nonstab-witness": (cmd_nonstab_witness, "uniquely realizable sequence with an exploding bump",
+                        {**dict.fromkeys(("--n", "--n-prime", "--c1", "--c2"), _REQUIRED_INT),
+                         "--verify": _FLAG}),
+    "mcmc": (cmd_mcmc, "switch-chain sampling", {
+        "degrees": _DEGREES, "--steps": _REQUIRED_INT, "--seed": _REQUIRED_INT,
+        "--burn-in": {"type": int, "default": 0}}),
+    "sweep": (cmd_sweep, "classify a grid of regions", {
+        "--n-min": _REQUIRED_INT, "--n-max": _REQUIRED_INT,
+        "--with-sigma": {**_FLAG, "help": "one row per fixed-sum region"}}),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
+    """The argument parser of ``COMMANDS``, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="degseq",
         description="Degree-sequence regions: graphicality, exact counts, "
@@ -307,93 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="graphicality of a degree sequence")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.add_argument("--tv", action="store_true",
-                   help="check only descent indices (requires max degree < n)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("leg", help="least Erdos-Gallai member of a region")
-    for flag in ("--n", "--sigma", "--c1", "--c2"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(func=cmd_leg)
-
-    p = sub.add_parser("region", help="fully-graphic decision or predicate evaluation")
-    p.add_argument("params", nargs="?",
-                   help="region text like n=8,sigma=16,c1=4,c2=1 (sigma optional)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c1", type=int)
-    p.add_argument("--c2", type=int)
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--predicate", choices=PREDICATE_NAMES)
-    p.add_argument("--epsilon", help="rational like 1/2 (phi_eps only)")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("count", help="exact number of labeled realizations")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("enumerate", help="list labeled realizations")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.add_argument("--limit", type=int)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("pmeasure", help="local stability measure p(D)")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.set_defaults(func=cmd_pmeasure)
-
-    p = sub.add_parser("family-bounds",
-                       help="exact bounds between perturbation-family totals")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.set_defaults(func=cmd_family_bounds)
-
-    p = sub.add_parser("staircase-family",
-                       help="counts for the staircase sequence and its bumped variant")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_staircase_family)
-
-    p = sub.add_parser("split-check", help="Hammer-Simeone split test")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.set_defaults(func=cmd_split_check)
-
-    p = sub.add_parser("split-witness",
-                       help="split member of a non-fully-graphic region")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.set_defaults(func=cmd_split_witness)
-
-    p = sub.add_parser("tyshkevich", help="compose a split graph with a graph")
-    p.add_argument("split_degrees", type=DegreeSequence.parse)
-    p.add_argument("other_degrees", type=DegreeSequence.parse)
-    p.add_argument("--verify", action="store_true",
-                   help="check count multiplicativity")
-    p.set_defaults(func=cmd_tyshkevich)
-
-    p = sub.add_parser("nonstab-witness",
-                       help="uniquely realizable sequence with an exploding bump")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-prime", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_nonstab_witness)
-
-    p = sub.add_parser("mcmc", help="switch-chain sampling")
-    p.add_argument("degrees", type=DegreeSequence.parse)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=0)
-    p.set_defaults(func=cmd_mcmc)
-
-    p = sub.add_parser("sweep", help="classify a grid of regions")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--with-sigma", action="store_true",
-                   help="one row per fixed-sum region")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (_, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
     return parser
 
 
@@ -420,16 +381,19 @@ def main(argv=None) -> int:
         # Degree text is parsed here; argparse passes InvalidInput (not a
         # ValueError) through, so bad text exits 1 like any domain error.
         args = build_parser().parse_args(argv)
-        result, human = args.func(args)
+        result, human = COMMANDS[args.command][0](args)
         if args.json:
             inputs = {key: str(value) if isinstance(value, DegreeSequence) else value
-                      for key, value in vars(args).items()
-                      if key not in ("json", "command", "func")}
+                      for key, value in vars(args).items() if key not in ("json", "command")}
             envelope = {"command": args.command, "inputs": inputs,
                         "result": result, "version": __version__}
             _print_envelope(envelope)
         else:
-            print(human)
+            # A string, or a sweep's lines written as they come: either way
+            # the text of print("\n".join(lines)).
+            lines = iter((human,) if isinstance(human, str) else human)
+            print(next(lines, ""))
+            sys.stdout.writelines(line + "\n" for line in lines)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import total_ordering
+from operator import attrgetter
 
 from .errors import (
     ExceedsMax,
@@ -34,7 +35,11 @@ class Record:
     """
 
     def __init_subclass__(cls, frozen: bool = False):
-        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # The field tuple's getter, made once per class; attrgetter of one
+        # name returns the bare value, so that case is wrapped.
+        get = attrgetter(*fields)
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Record._refuse
             if "__hash__" not in cls.__dict__:
@@ -60,20 +65,17 @@ class Record:
         if "__post_init__" in cls.__dict__:
             self.__post_init__()
 
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({inner})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._astuple(self) == self._astuple(other)
         return NotImplemented
 
     def _hash(self) -> int:
-        return hash(self._astuple())
+        return hash(self._astuple(self))
 
     def _refuse(self, name, *value):
         raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
@@ -409,9 +411,6 @@ class LabeledGraph(Record, frozen=True):
                 out.append((u, v))
                 bits &= bits - 1
         return tuple(out)
-
-    def canonical_key(self) -> tuple[tuple[int, int], ...]:
-        return self.edges()
 
     def __str__(self) -> str:
         return edges_to_text(self.edges())

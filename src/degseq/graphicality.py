@@ -338,14 +338,3 @@ class RegionPredicate(Record, frozen=True):
             )
         # phi_FG: exact characterization of a fully graphic very simple region.
         return _min_slack(n, c1, c2) >= -1
-
-
-def evaluate_predicate(
-    predicate: RegionPredicate,
-    n: int,
-    c1: int,
-    c2: int,
-    sigma: int | None = None,
-) -> bool:
-    """Evaluate a region predicate on the given parameters."""
-    return predicate.evaluate(n, c1, c2, sigma=sigma)

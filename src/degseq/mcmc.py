@@ -30,13 +30,19 @@ vertex of largest residual degree from the next-largest residuals.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
+
+# CPython's own SHAKE, which hashlib falls back to, imports in about 1 ms and
+# 0.3 MB; hashlib loads OpenSSL (5 ms, 4 MB).  Both give the same stream.
+try:
+    from _sha3 import shake_128
+except ImportError:
+    from hashlib import shake_128
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
 from .errors import InvalidInput, NotGraphic
@@ -49,7 +55,7 @@ _WORDS = 1 << 64
 
 
 def _block(seed: int, index: int) -> array:
-    words = array("Q", hashlib.shake_128(b"%d/%d" % (seed, index)).digest(8 * DRAW_BLOCK))
+    words = array("Q", shake_128(b"%d/%d" % (seed, index)).digest(8 * DRAW_BLOCK))
     if sys.byteorder == "big":
         words.byteswap()
     return words

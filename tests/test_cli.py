@@ -220,6 +220,17 @@ class TestRegionCommands:
                 "inputs": {"n_max": n_max, "n_min": n_min, "with_sigma": True},
             }, sort_keys=True) + "\n"
 
+    def test_sweep_text_is_streamed_from_the_rows(self, capsys):
+        # A grid's lines and the empty grid's one newline, as the joined text
+        # printed them; the command hands main an iterator, not the text.
+        for n_min, n_max in ((2, 3), (6, 5)):
+            argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max)]
+            lines = [" ".join(f"{k}={row[k]}" for k in ("n", "c1", "c2")) + " "
+                     + row["classification"] for row in sweep(n_min, n_max)]
+            assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+            _, human = cli.cmd_sweep(build_parser().parse_args(argv))
+            assert not isinstance(human, str) and list(human) == lines
+
     def test_sweep_with_sigma_marks_odd_sums_empty(self, capsys):
         envelope = run_json(
             capsys, "sweep", "--n-min", "3", "--n-max", "3", "--with-sigma"
@@ -488,6 +499,17 @@ class TestGoldenStdout:
     def test_every_subcommand_is_covered(self):
         commands = {argv.split()[0] for argv, _, _ in GOLDEN_STDOUT}
         assert commands == set(SCHEMA["properties"]["command"]["enum"])
+        assert SCHEMA["properties"]["command"]["enum"] == list(cli.COMMANDS)
+
+    def test_main_runs_the_command_of_the_table(self, capsys, monkeypatch):
+        golden = {argv.split()[0]: argv.split() for argv, _, _ in GOLDEN_STDOUT}
+        for name, (command, *rest) in list(cli.COMMANDS.items()):
+            assert command is getattr(cli, "cmd_" + name.replace("-", "_"))
+            ran = []
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                (lambda args: ran.append(args.command) or ({}, "ran"), *rest))
+            assert run(capsys, *golden[name]) == (0, "ran\n", "")
+            assert ran == [name]
 
     @pytest.mark.parametrize("argv, human, envelope", GOLDEN_STDOUT,
                              ids=[argv for argv, _, _ in GOLDEN_STDOUT])
@@ -589,10 +611,12 @@ class TestImportCost:
         assert done.stdout.strip() == "False", done.stderr
 
     def test_import_leaves_the_heavy_stdlib_out(self):
-        # dataclasses pulls in inspect, ast and dis; typing is annotations only.
-        # -I -S: no site packages, no environment, so nothing else loads them.
+        # dataclasses pulls in inspect, ast and dis; typing is annotations only;
+        # hashlib loads OpenSSL, and the chain's SHAKE comes from _sha3.  -I -S:
+        # no site packages, no environment, so nothing else loads them.
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import degseq.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'hashlib', '_hashlib'}"
+                " & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr

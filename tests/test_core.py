@@ -232,7 +232,7 @@ class TestLabeledGraph:
 
     def test_canonical_key_is_sorted_edges(self):
         g = LabeledGraph.from_edges(4, [(2, 3), (0, 1)])
-        assert g.canonical_key() == ((0, 1), (2, 3))
+        assert g.edges() == ((0, 1), (2, 3))
         assert str(g) == "1-2,3-4"
 
     def test_edges_to_text_past_the_label_memo(self):

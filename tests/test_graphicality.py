@@ -16,7 +16,6 @@ from degseq import (
     TooLarge,
     SimpleRegion,
     VerySimpleRegion,
-    evaluate_predicate,
     is_graphic,
     is_graphic_tv,
     is_primitive,
@@ -386,18 +385,18 @@ class TestStabilityBound:
 class TestPredicates:
     def test_min_max_degree_form(self):
         p = RegionPredicate("phi_JMS")
-        assert evaluate_predicate(p, 10, 3, 2)
-        assert not evaluate_predicate(p, 6, 5, 1)
+        assert p.evaluate(10, 3, 2)
+        assert not p.evaluate(6, 5, 1)
 
     def test_sum_form_margin(self):
         p = RegionPredicate("phi_JMS_star_sigma")
-        assert not evaluate_predicate(p, 8, 4, 1, sigma=16)
+        assert not p.evaluate(8, 4, 1, sigma=16)
         assert jms_star_sigma_margin(8, 16, 4, 1) == 8
 
     def test_zero_bounds_always_pass_fg(self):
         p = RegionPredicate("phi_FG")
         for n in (1, 5, 12):
-            assert evaluate_predicate(p, n, 0, 0)
+            assert p.evaluate(n, 0, 0)
 
     def test_missing_sigma(self):
         for name in ("phi_JMS_star_sigma", "phi_GS", "phi_eps"):
