@@ -14,9 +14,9 @@ A sweep's rows and text lines reach ``main`` as iterators over one pass of the
 grid, written a batch of rows or a line at a time, so a large sweep never
 holds all its rows, or all their text, in memory.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large
-for the configured limits (DEGSEQ_MAX_N, DEGSEQ_NODE_BUDGET, SWEEP_MAX_ROWS,
-ENUMERATE_MAX_GRAPHS, WITNESS_MAX_SIZE).
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large:
+over DEGSEQ_STEP_BUDGET, ENUMERATE_MAX_N, ENUMERATE_MAX_GRAPHS, MCMC_MAX_WORK,
+SWEEP_MAX_ROWS or WITNESS_MAX_SIZE, or nested deeper than Python allows.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     parse_region,
 )
 from .enumeration import (
+    ENUMERATE_MAX_N,
     count_realizations,
     count_staircase_family,
     bumped_staircase_sequence,
@@ -274,8 +275,8 @@ def cmd_mcmc(args) -> tuple[dict, str]:
         "distinct_states": len(run.histogram),
         "final": edges_to_text(run.final.edges()),
     }
-    try:
-        total = count_realizations(seq).count
+    try:  # no exact-space report above ENUMERATE_MAX_N, where a count may take seconds
+        total = count_realizations(seq).count if seq.n <= ENUMERATE_MAX_N else 0
     except TooLarge:
         total = 0  # sampling still fine; just skip the exact-space report
     human = f"visited {len(run.histogram)} states in {config.steps} steps"

@@ -41,6 +41,10 @@ from .graphicality import is_graphic
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
 
+# Longest sequence ``realization_edge_lists`` searches.  Its backtracker can
+# reach dead ends, which the counter's step budget does not see.
+ENUMERATE_MAX_N = 16
+
 # Most vertices plus edges a witness builder lays out (the staircase builders
 # here, the split and non-stability witnesses in ``splitgraph``): a longer
 # sequence, or a larger realization, raises TooLarge before any is allocated.
@@ -52,27 +56,18 @@ def _check_witness_size(what: str, size: int) -> None:
         raise TooLarge(f"{what} = {size} exceeds WITNESS_MAX_SIZE = {WITNESS_MAX_SIZE}")
 
 
-def _env_limit(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
+@functools.cache
+def _default_step_budget() -> int:
+    """DEGSEQ_STEP_BUDGET (default 3,000,000), read on first use rather than
+    at import, so a bad value raises InvalidInput where a count needs it."""
+    text = os.environ.get("DEGSEQ_STEP_BUDGET", "3000000")
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise InvalidInput(f"{name} must be a non-negative integer, got {text!r}")
+        raise InvalidInput(f"DEGSEQ_STEP_BUDGET must be a non-negative integer, got {text!r}")
     return value
-
-
-@functools.cache
-def _default_limits() -> tuple[int, int]:
-    """(max_n, node_budget) from DEGSEQ_MAX_N and DEGSEQ_NODE_BUDGET.
-
-    Read on first use, not at import, so a bad value surfaces as
-    InvalidInput where a limit is needed.  Defaults: 16 and 5,000,000.
-    """
-    return _env_limit("DEGSEQ_MAX_N", 16), _env_limit("DEGSEQ_NODE_BUDGET", 5_000_000)
 
 
 class CountResult(Record):
@@ -92,47 +87,40 @@ class RealizationCounter:
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
     Results are deterministic and independent of call order.
-    The node count and budget are per query, so concurrent queries may
+    ``step_budget`` (default DEGSEQ_STEP_BUDGET) bounds the walk steps of
+    one query: the child histograms it tries, times 1 + high**2 // 2**14
+    when a walk call may take up to high of a class (big binomials), plus
+    d // 32 per walk call and d per node on a length-d histogram (scans and
+    copies), so a step costs 1-2 µs at any length; past it the query raises
+    TooLarge.  Steps and nodes are per query, so concurrent queries may
     duplicate work (memo writes are idempotent) but never corrupt a result
     or each other's ``nodes_explored``.
     """
 
-    def __init__(
-        self,
-        max_n: int | None = None,
-        node_budget: int | None = None,
-        use_memo: bool = True,
-    ):
-        self.max_n = _default_limits()[0] if max_n is None else max_n
-        self.node_budget = _default_limits()[1] if node_budget is None else node_budget
-        self.use_memo = use_memo
+    def __init__(self, step_budget: int | None = None):
+        self.step_budget = _default_step_budget() if step_budget is None else step_budget
         self._memo: dict[tuple[int, ...], int] = {}
 
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
         degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
         n = len(degrees)
-        self._check_length(n)
         top = max(degrees, default=0)
         if n and (top > n - 1 or min(degrees) < 0):
             return CountResult(count=0, nodes_explored=0, from_cache=False)
-        # A list, not a generator: tuple() over-allocates a generator's result, and
-        # each key freed after a memo hit then fills a tuple free list (~0.5 MB).
-        key = tuple([degrees.count(r) for r in range(1, top + 1)])
+        hist = [0] * (top + 1)
+        for d in degrees:
+            hist[d] += 1
+        key = tuple(hist[1:])
         if len(self._memo) > MEMO_MAX_ENTRIES:
             self._memo.clear()
-        hit = self._memo.get(key) if self.use_memo else None
+        hit = self._memo.get(key)
         if hit is not None:
             return CountResult(count=hit, nodes_explored=0, from_cache=True)
         try:
             value, nodes = self._count(key)
         except RecursionError:  # the memo holds finished subcounts only
-            raise TooLarge(f"n={n} recurses too deep for Python; lower DEGSEQ_MAX_N") from None
+            raise TooLarge(f"n={n} recurses too deep for Python") from None
         return CountResult(count=value, nodes_explored=nodes, from_cache=False)
-
-    def _check_length(self, n: int) -> None:
-        """Raise TooLarge for a sequence of n entries, before anything is built."""
-        if n > self.max_n:
-            raise TooLarge(f"n={n} exceeds the counting limit {self.max_n}; raise DEGSEQ_MAX_N")
 
     def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
@@ -140,33 +128,39 @@ class RealizationCounter:
         A node takes k_r of the h[r] vertices of residual r, top class first,
         in comb(h[r], k_r) ways; ``()`` is never stored, so each visit is a node.
         """
-        memo = self._memo if self.use_memo else None
-        lookup = memo.get if memo is not None else {}.get
+        memo = self._memo
+        lookup = memo.get
         comb = math.comb
-        nodes = 0
+        budget = self.step_budget
+        nodes = steps = 0
 
         def expand(key: tuple[int, ...]) -> int:
-            nonlocal nodes
+            nonlocal nodes, steps
             nodes += 1
-            if nodes > self.node_budget:
-                raise TooLarge(
-                    f"node budget {self.node_budget} exceeded; raise DEGSEQ_NODE_BUDGET")
             d = len(key)
             if not d:
                 return 1
+            steps += d  # the entries this node copies and holds
+            scan = d >> 5  # a walk call's pass over empty classes and its leaf key
             h = [0, *key]  # h[r] vertices of residual r; h[0] takes class 1's picks
             h[d] -= 1  # the eliminated vertex
             child = h[:]  # the child histogram, edited in place
 
             def walk(r: int, need: int, ways: int, avail: int) -> int:
                 # ``avail``: the vertices of residual 1..r, all still pickable
+                nonlocal steps
                 while not h[r]:  # an empty class gives no neighbour
                     r -= 1
                 hr = h[r]
                 own = child[r]  # h[r] plus the picks from class r + 1
-                low = need - avail + hr  # the picks the classes below cannot supply
+                high = hr if hr < need else need
+                # the picks the classes below cannot supply
+                low = need - avail + hr if need + hr > avail else 0
+                steps += (high - low + 1) * (1 + (high * high >> 14)) + scan
+                if steps > budget:
+                    raise TooLarge(f"step budget {budget} exceeded; raise DEGSEQ_STEP_BUDGET")
                 total = 0
-                for k in range(hr if hr < need else need, (low if low > 0 else 0) - 1, -1):
+                for k in range(high, low - 1, -1):
                     child[r] = own - k
                     child[r - 1] += k
                     w = ways * comb(hr, k)
@@ -185,8 +179,7 @@ class RealizationCounter:
 
             left = sum(key) - 1
             total = walk(d, d, 1, left) if left >= d else 0
-            if memo is not None:
-                memo[key] = total
+            memo[key] = total
             return total
 
         return expand(key), nodes
@@ -204,8 +197,7 @@ def count_realizations(
     """Exact number of labeled graphs realizing ``seq``.
 
     Sequences with an entry outside [0, n-1] count zero rather than raising;
-    a length above the limit, a node budget overrun or too deep a recursion
-    raises TooLarge.
+    a step budget overrun or too deep a recursion raises TooLarge.
     """
     return (counter or default_counter()).count(seq)
 
@@ -221,16 +213,15 @@ def realization_edge_lists(
     possible neighbourhoods, which partitions the realization set, so no
     graph is produced twice.  At most ``limit`` lists are yielded (none for
     0).  A negative limit raises InvalidInput and a length above
-    DEGSEQ_MAX_N raises TooLarge, both at the call.  Only a graphic root has
-    a leaf, so a non-graphic ``seq`` yields nothing without a search.
+    ``ENUMERATE_MAX_N`` raises TooLarge, both at the call.  Only a graphic
+    root has a leaf, so a non-graphic ``seq`` yields nothing without a search.
     """
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be >= 0, got {limit}")
-    ceiling = _default_limits()[0]
     degrees = seq.degrees
     n = len(degrees)
-    if n > ceiling:
-        raise TooLarge(f"n={n} exceeds the enumeration limit {ceiling}; raise DEGSEQ_MAX_N")
+    if n > ENUMERATE_MAX_N:
+        raise TooLarge(f"n={n} exceeds ENUMERATE_MAX_N = {ENUMERATE_MAX_N}")
     if not is_graphic(seq).graphic:
         return iter(())
     residual = list(degrees)
@@ -473,7 +464,6 @@ def count_staircase_family(
     if m < 2:
         raise InvalidInput(f"staircase family counts need m >= 2, got {m}")
     counter = counter or default_counter()
-    counter._check_length(2 * m)
     base = counter.count(staircase_sequence(m)).count
     bumped = counter.count(bumped_staircase_sequence(m)).count
     return base, bumped

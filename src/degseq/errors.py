@@ -34,7 +34,7 @@ class NotSplit(DegseqError):
 
 
 class TooLarge(DegseqError):
-    """The instance exceeds the configured enumeration limit or node budget."""
+    """The instance exceeds a documented size limit or the counter's step budget."""
 
 
 class ConstructionError(DegseqError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from array import array
 from bisect import bisect_left
@@ -45,13 +46,16 @@ except ImportError:
     from hashlib import shake_128
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
-from .errors import InvalidInput, NotGraphic
+from .errors import InvalidInput, NotGraphic, TooLarge
 from .graphicality import is_graphic
 
 RNG_ALGORITHM = "shake128"
 # 64-bit words per block of the move stream; part of the stream's definition.
 DRAW_BLOCK = 4096
 _WORDS = 1 << 64
+# Most work one ``sample`` run takes on, as (burn_in + steps) * (m + 4) for m
+# edges: a few seconds at most on a 2-CPU x86-64 host.
+MCMC_MAX_WORK = 10**7
 
 
 def _block(seed: int, index: int) -> array:
@@ -204,8 +208,13 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     ``steps`` states after burn-in are recorded, one per step, so the
     histogram total equals ``config.steps``; ``final`` is the state after the
     last step.  Moves come from ``make_rng(config.seed)`` (see the module
-    docstring), decoded inline.
+    docstring), decoded inline.  More work than ``MCMC_MAX_WORK`` raises
+    TooLarge before the start graph is built.
     """
+    work = (config.burn_in + config.steps) * (seq.sigma // 2 + 4)
+    if work > MCMC_MAX_WORK:
+        raise TooLarge(f"(burn_in + steps) * (m + 4) = {work} exceeds"
+                       f" MCMC_MAX_WORK = {MCMC_MAX_WORK}")
     start = havel_hakimi_graph(seq)
     edges, adj = list(start.edges()), list(start.adj)
     histogram, accepted = _run(adj, edges, make_rng(config.seed), config.burn_in, config.steps)
@@ -248,5 +257,5 @@ def tv_distance_to_uniform(histogram: Counter, states: int, total: int) -> float
     if total <= 0 or states <= 0 or len(histogram) > states:
         raise InvalidInput("need a positive sample size and a state count >= max(1, keys)")
     uniform = 1.0 / states
-    dist = sum(abs(v / total - uniform) for v in histogram.values())
+    dist = math.fsum(abs(v / total - uniform) for v in histogram.values())
     return 0.5 * (dist + (states - len(histogram)) / states)

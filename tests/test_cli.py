@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence, __version__, cli, enumeration, sweep
+from degseq import DegreeSequence, __version__, cli, enumeration, mcmc, sweep
 from degseq.cli import build_parser, main
 from degseq.graphicality import PREDICATE_NAMES
 
@@ -307,7 +307,7 @@ class TestWitnessCommands:
         assert len(envelope["result"]["base"].split(",")) == 2004
 
     def test_nonstab_witness_above_the_counting_limit(self, capsys):
-        # n = 20 exceeds DEGSEQ_MAX_N; uniqueness is decided without counting.
+        # Uniqueness is decided without counting; only --verify counts.
         envelope = run_json(
             capsys, "nonstab-witness", "--n", "20", "--n-prime", "22", "--c1", "19", "--c2", "3")
         result = envelope["result"]
@@ -333,7 +333,11 @@ class TestWitnessCommands:
         code, out, err = run(capsys, "--json", "staircase-family", str(10**12))
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
-        assert err == "error: n=2000000000000 exceeds the counting limit 16; raise DEGSEQ_MAX_N\n"
+        assert err == "error: 2m = 2000000000000 exceeds WITNESS_MAX_SIZE = 200000\n"
+
+    def test_staircase_family_beyond_sixteen_entries(self, capsys):
+        result = run_json(capsys, "staircase-family", "20")["result"]
+        assert (result["count"], result["bumped_count"]) == (1, 24157817)
 
 
 class TestMcmcCommand:
@@ -348,13 +352,28 @@ class TestMcmcCommand:
         assert result["metadata"]["rng"] == "shake128"
         assert sum(result["histogram"].values()) == 2000
 
-    def test_large_instance_skips_exact_space(self, capsys):
-        degrees = ",".join(["1"] * 18)  # beyond the counting limit
+    def test_large_instance_skips_exact_space(self, capsys, monkeypatch):
+        def no_count(seq):
+            raise AssertionError(f"counted {seq}")
+
+        monkeypatch.setattr(cli, "count_realizations", no_count)
+        degrees = ",".join(["1"] * 18)  # above ENUMERATE_MAX_N
         envelope = run_json(
             capsys, "mcmc", degrees, "--steps", "50", "--seed", "1"
         )
-        assert "tv_to_uniform" not in envelope["result"]
+        assert not {"state_space", "tv_to_uniform", "switch_connected"} & set(envelope["result"])
         assert sum(envelope["result"]["histogram"].values()) == 50
+
+    @pytest.mark.parametrize("steps, burn_in", [(10**11, 0), (1, 10**11)])
+    def test_chain_over_its_work_cap_exits_3(self, capsys, steps, burn_in):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "mcmc", "2,2,2", "--steps", str(steps),
+                             "--seed", "1", "--burn-in", str(burn_in))
+        assert time.perf_counter() - start < 1
+        work = (steps + burn_in) * (3 + 4)
+        assert code == 3 and out == ""
+        assert err == (f"error: (burn_in + steps) * (m + 4) = {work} exceeds"
+                       f" MCMC_MAX_WORK = {mcmc.MCMC_MAX_WORK}\n")
 
     def test_exact_space_report_enumerates_nothing(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -477,7 +496,7 @@ GOLDEN_STDOUT = [
      '"1-2,1-5,2-3,3-4": 9, "1-3,1-5,2-3,2-4": 2}, "metadata": {"accepted": 8, '
      '"burn_in": 0, "rng": "shake128", "seed": 1, "start": "1-2,1-3,2-3,4-5", '
      '"steps": 20}, "state_space": 7, "switch_connected": true, '
-     '"tv_to_uniform": 0.4642857142857143}, "version": "0.1.0"}\n'),
+     '"tv_to_uniform": 0.46428571428571425}, "version": "0.1.0"}\n'),
     ('sweep --n-min 3 --n-max 3',
      'n=3 c1=0 c2=0 FULLY_GRAPHIC\n'
      'n=3 c1=1 c2=0 FULLY_GRAPHIC\n'
@@ -530,8 +549,8 @@ class TestExitCodes:
         assert code == 1 and "error" in err
 
     def test_too_large(self, capsys):
-        code, _, err = run(capsys, "count", ",".join(["1"] * 18))
-        assert code == 3 and "error" in err
+        code, _, err = run(capsys, "count", ",".join(["1"] * 2000))
+        assert code == 3 and err == "error: n=2000 recurses too deep for Python\n"
 
     @pytest.mark.parametrize("argv", [
         ["check", "1,x"], ["--json", "tyshkevich", "2,1,1", "x"], ["count", "2,-1"]])
@@ -557,9 +576,9 @@ def run_fresh(*args, **env):
 
 class TestLimitVariables:
     @pytest.mark.parametrize("name, value", [
-        ("DEGSEQ_MAX_N", "abc"),
-        ("DEGSEQ_MAX_N", "-1"),
-        ("DEGSEQ_NODE_BUDGET", "1e6"),
+        ("DEGSEQ_STEP_BUDGET", "abc"),
+        ("DEGSEQ_STEP_BUDGET", "-1"),
+        ("DEGSEQ_STEP_BUDGET", "1e6"),
     ])
     def test_bad_value_is_a_domain_error(self, name, value):
         done = run_fresh("-c", "import degseq", **{name: value})
@@ -568,28 +587,31 @@ class TestLimitVariables:
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and name in done.stderr
         assert "Traceback" not in done.stderr
-        # commands that need no counting limit are unaffected
+        # commands that count nothing are unaffected
         done = run_fresh("-m", "degseq.cli", "check", "1,1", **{name: value})
         assert done.returncode == 0 and done.stdout.strip() == "graphic"
 
     def test_recursion_depth_is_a_size_error(self):
-        # n = 80 passes the raised length limit but nests deeper than Python allows
+        # n = 80 is within the step budget but nests deeper than Python allows
         code = ("from degseq import *\n"
                 "try:\n    count_realizations(staircase_sequence(40))\n"
                 "except TooLarge as exc:\n    print(exc)\n"
                 "print(count_realizations(bumped_staircase_sequence(7)).count)")
-        done = run_fresh("-c", code, DEGSEQ_MAX_N="400")
+        done = run_fresh("-c", code)
         assert done.returncode == 0, done.stderr
         message, after = done.stdout.splitlines()
-        assert "n=80" in message and "DEGSEQ_MAX_N" in message
+        assert message == "n=80 recurses too deep for Python"
         assert after == "89"  # the counter stays exact after the refusal
-        done = run_fresh("-m", "degseq.cli", "staircase-family", "40", DEGSEQ_MAX_N="400")
+        done = run_fresh("-m", "degseq.cli", "staircase-family", "40")
         assert done.returncode == 3
-        assert done.stderr.startswith("error: ") and "DEGSEQ_MAX_N" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: n=80 recurses too deep for Python\n"
 
     def test_valid_value_is_honoured(self):
-        done = run_fresh("-m", "degseq.cli", "count", ",".join(["1"] * 18), DEGSEQ_MAX_N="18")
+        argv = ("-m", "degseq.cli", "count", ",".join(["1"] * 18))
+        done = run_fresh(*argv, DEGSEQ_STEP_BUDGET="10")
+        assert done.returncode == 3
+        assert done.stderr == "error: step budget 10 exceeded; raise DEGSEQ_STEP_BUDGET\n"
+        done = run_fresh(*argv, DEGSEQ_STEP_BUDGET="100")
         assert done.returncode == 0 and done.stdout.strip() == "34459425"  # 17!!
 
 

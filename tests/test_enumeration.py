@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -82,11 +84,14 @@ def oracle_count(degrees):
 
 
 class TestSparseOracle:
-    @pytest.mark.parametrize("use_memo", [True, False])
-    def test_every_sorted_sequence_up_to_8(self, use_memo):
-        counter = RealizationCounter(use_memo=use_memo)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_every_sorted_sequence_up_to_8(self, shared):
+        # One counter whose memo serves every query, or a cold one per query.
+        counter = RealizationCounter()
         for n in range(1, 9):
             for seq in all_sorted_sequences(n):
+                if not shared:
+                    counter = RealizationCounter()
                 assert counter.count(seq).count == oracle_count(seq), seq
 
     def test_oracle_against_the_census(self):
@@ -214,12 +219,15 @@ class TestCounterDiagnostics:
             assert [diagnostics(r) for r in got] == [
                 (15138592322753242235338875, 2202, False), (0, 1191, False)]
 
-    def test_concurrent_queries_without_memo(self):
+    def test_concurrent_queries_sharing_memo_entries(self):
+        # Both sums are even, so the queries meet each other's residual
+        # states; whichever stores an entry first, both counts stay exact.
         sequences = [(5,) * 12, (3,) * 14]
-        serial = [diagnostics(RealizationCounter(use_memo=False).count(d)) for d in sequences]
-        assert serial == [(2977635137862, 18878, False), (19506631814670, 11080, False)]
-        got = count_concurrently(RealizationCounter(use_memo=False), sequences)
-        assert [diagnostics(r) for r in got] == serial
+        expected = [oracle_count(d) for d in sequences]
+        assert expected == [2977635137862, 19506631814670]
+        for _ in range(3):
+            got = count_concurrently(RealizationCounter(), sequences)
+            assert [r.count for r in got] == expected
 
 
 class TestCountRealizations:
@@ -258,13 +266,28 @@ class TestCountRealizations:
         assert count_realizations(DegreeSequence([5, 5, 5])).count == 0
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            count_realizations(DegreeSequence([1] * 18))
+        # 200,000 entries: one nests deeper than Python allows, the other
+        # passes the step budget on its second node.  Neither hangs.
+        for degrees, reason in (([1] * 200_000, "recurses too deep"),
+                                ([199_999] * 200_000, "DEGSEQ_STEP_BUDGET")):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match=reason):
+                RealizationCounter().count(degrees)
+            assert time.perf_counter() - start < 1
+
+    def test_beyond_sixteen_entries(self):
+        counter = RealizationCounter()
+        assert counter.count([1] * 18).count == 34459425  # 17!!
+        assert counter.count([4] * 40).count == oracle_count([4] * 40)
 
     def test_node_budget(self):
-        tight = RealizationCounter(node_budget=3)
+        # 3 steps stop this query; 200 let it finish, within as many nodes.
+        tight = RealizationCounter(step_budget=3)
         with pytest.raises(TooLarge):
             tight.count(DegreeSequence([3, 3, 2, 2, 2, 2]))
+        res = RealizationCounter(step_budget=200).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
+        assert res.count == oracle_count([3, 3, 2, 2, 2, 2])
+        assert 0 < res.nodes_explored <= 200
 
     def test_cache_flag_and_diagnostics(self):
         counter = RealizationCounter()
@@ -276,7 +299,6 @@ class TestCountRealizations:
 
     def test_memoization_soundness_random_sample(self):
         rng = random.Random(20240817)
-        plain = RealizationCounter(use_memo=False, node_budget=50_000_000)
         memo = RealizationCounter()
         for _ in range(12):
             n = rng.randint(2, 10)
@@ -285,17 +307,20 @@ class TestCountRealizations:
                 degs[-1] += 1
                 degs.sort(reverse=True)
             seq = DegreeSequence(degs)
-            assert memo.count(seq).count == plain.count(seq).count, degs
+            assert memo.count(seq).count == oracle_count(degs), degs
 
 
 class TestCounterLimits:
     def test_messages_name_the_variable_that_raises_the_limit(self):
-        with pytest.raises(TooLarge, match="counting limit 3; raise DEGSEQ_MAX_N"):
-            RealizationCounter(max_n=3).count([1, 1, 1, 1])
-        with pytest.raises(TooLarge, match="node budget 3 exceeded; raise DEGSEQ_NODE_BUDGET"):
-            RealizationCounter(node_budget=3).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
-        with pytest.raises(TooLarge, match="enumeration limit 16; raise DEGSEQ_MAX_N"):
+        with pytest.raises(TooLarge, match="^step budget 3 exceeded; raise DEGSEQ_STEP_BUDGET$"):
+            RealizationCounter(step_budget=3).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
+        with pytest.raises(TooLarge, match="^n=18 exceeds ENUMERATE_MAX_N = 16$"):
             list(enumerate_realizations(DegreeSequence([1] * 18)))
+
+    def test_enumeration_bound_is_the_benchmark_count_limit(self, monkeypatch):
+        # perfbench's mcmc oracle wants no exact-space report above COUNT_LIMIT.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        assert enumeration.ENUMERATE_MAX_N == importlib.import_module("workloads").COUNT_LIMIT
 
     def test_default_memo_limit_is_far_above_a_benchmark_round(self):
         assert enumeration.MEMO_MAX_ENTRIES >= 1 << 18
@@ -380,7 +405,7 @@ class TestEnumerateRealizations:
 
     def test_argument_errors_raise_at_the_call(self):
         for enumerate_ in (enumerate_realizations, enumeration.realization_edge_lists):
-            with pytest.raises(TooLarge, match="enumeration limit 16"):
+            with pytest.raises(TooLarge, match="ENUMERATE_MAX_N = 16"):
                 enumerate_(DegreeSequence([1] * 18))
             with pytest.raises(InvalidInput, match="limit must be >= 0"):
                 enumerate_(DegreeSequence([1, 1]), limit=-1)
@@ -470,7 +495,7 @@ class TestFamilyCount:
     def test_all_families_match_union_oracle_small(self):
         # The ungrouped positional sum.  Each distinct in-range multiset is
         # queried once and none out of range, so a family with no vector in
-        # range totals 0 even on a counter that refuses every length.
+        # range totals 0 even on a counter with no step to spend.
         for n in range(1, 8):
             for seq in all_sorted_sequences(n):
                 d = DegreeSequence(seq)
@@ -484,7 +509,7 @@ class TestFamilyCount:
                                 if 0 <= min(v) and max(v) < n}
                     assert sorted(counter.queries) == sorted(in_range), (seq, kind)
                     if not in_range:
-                        assert family_count(d, kind, RealizationCounter(max_n=0)).total == 0
+                        assert family_count(d, kind, RealizationCounter(step_budget=0)).total == 0
 
     def test_heavy_ties_match_positional_oracle(self):
         # A few value picks stand for many positional vectors here.  Every

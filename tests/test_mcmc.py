@@ -16,6 +16,7 @@ from degseq import (
     InvalidInput,
     LabeledGraph,
     NotGraphic,
+    TooLarge,
     edges_to_text,
     enumerate_realizations,
     havel_hakimi_graph,
@@ -228,6 +229,20 @@ class TestSample:
             run = sample(DegreeSequence([1, 1, 1, 1]), ChainConfig(seed=seed, steps=20))
             assert sum(run.histogram.values()) == 20 and run.metadata["seed"] == seed
 
+    def test_work_cap_is_checked_before_the_start_graph(self, monkeypatch):
+        # (burn_in + steps) * (m + 4) with m = 1: 10 at the cap runs, 11 does not.
+        monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", 10)
+        seq = DegreeSequence([1, 1])
+        assert sum(sample(seq, ChainConfig(seed=0, steps=1, burn_in=1)).histogram.values()) == 1
+
+        def no_start(seq):
+            raise AssertionError("built a start graph")
+
+        monkeypatch.setattr(mcmc, "havel_hakimi_graph", no_start)
+        for steps, burn_in in ((3, 0), (0, 3), (2, 1)):
+            with pytest.raises(TooLarge, match="= 15 exceeds MCMC_MAX_WORK = 10$"):
+                sample(seq, ChainConfig(seed=0, steps=steps, burn_in=burn_in))
+
     def test_zero_steps_record_nothing(self):
         seq = DegreeSequence([1, 1, 1, 1])
         for burn_in in (0, 9):
@@ -433,7 +448,7 @@ class TestSwitchConnectedOracle:
 
     def test_no_search_limit(self):
         assert not hasattr(mcmc, "SWITCH_MAX_STATES")
-        assert switch_connected(DegreeSequence([1] * 18)) is True  # beyond DEGSEQ_MAX_N
+        assert switch_connected(DegreeSequence([1] * 18)) is True  # above ENUMERATE_MAX_N
 
 
 class TestTextKeysAndCountForm:

@@ -353,8 +353,8 @@ class TestNonstabilityWitness:
                         witness.base, bump, permissive=True), case
 
     def test_uncountable_region_gets_a_threshold_witness(self):
-        # n = 20 is above the counting limit.  The first candidate (ell = 4,
-        # 8^4 3^16) has many realizations; the first threshold one is ell = 19.
+        # Chosen without counting: the first candidate (ell = 4, 8^4 3^16)
+        # has many realizations; the first threshold one is ell = 19.
         first = split_witness(VerySimpleRegion(20, 19, 3))
         assert first.ell == 4 and not _threshold(first.sequence.degrees)
         witness = nonstability_witness(20, 22, 19, 3)
