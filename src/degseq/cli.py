@@ -16,7 +16,7 @@ holds all its rows, or all their text, in memory.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large:
 over DEGSEQ_STEP_BUDGET, ENUMERATE_MAX_N, ENUMERATE_MAX_GRAPHS, MCMC_MAX_WORK,
-SWEEP_MAX_ROWS or WITNESS_MAX_SIZE, or nested deeper than Python allows.
+SWEEP_MAX_ROWS or WITNESS_MAX_SIZE.
 """
 
 from __future__ import annotations

@@ -185,10 +185,6 @@ class SimpleRegion(Record, frozen=True):
         if self.sigma % 2:
             raise InvalidRegion(f"sigma must be even, got {self.sigma}")
 
-    @property
-    def very_simple(self) -> VerySimpleRegion:
-        return VerySimpleRegion(self.n, self.c1, self.c2)
-
     def __str__(self) -> str:
         return f"n={self.n},sigma={self.sigma},c1={self.c1},c2={self.c2}"
 
@@ -233,32 +229,25 @@ def membership(seq: DegreeSequence, region: Region) -> bool:
     return True
 
 
-def _bounded_partitions(n: int, total: int, hi: int, lo: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing length-n tuples with entries in [lo, hi] summing to total."""
-    if total < n * lo or total > n * hi:
-        return
-    if n == 1:
-        yield (total,)
-        return
-    first_lo = max(lo, -(-total // n))  # ceil(total / n), first entry is the max
-    for first in range(min(hi, total - (n - 1) * lo), first_lo - 1, -1):
-        for rest in _bounded_partitions(n - 1, total - first, first, lo):
-            yield (first,) + rest
-
-
 def iter_region(region: Region) -> Iterator[DegreeSequence]:
     """Enumerate every member of the region.
 
     Members of each fixed sum come out lexicographically descending; for a
     very simple region the admissible sums are visited in ascending order.
     """
-    if isinstance(region, SimpleRegion):
-        sigmas: Iterable[int] = (region.sigma,)
-    else:
-        sigmas = region.sigma_values()
-    for sigma in sigmas:
-        for degs in _bounded_partitions(region.n, sigma, region.c1, region.c2):
-            yield DegreeSequence(degs)
+    n, hi, lo = region.n, region.c1, region.c2
+    sums = [region.sigma] if isinstance(region, SimpleRegion) else list(region.sigma_values())
+    # non-increasing prefixes, each with the sum its tail needs; the next one on top
+    stack = [((), total) for total in reversed(sums)]
+    while stack:
+        prefix, rest = stack.pop()
+        left = n - len(prefix)
+        if not left:
+            yield DegreeSequence(prefix)
+            continue
+        high = min(prefix[-1] if prefix else hi, rest - (left - 1) * lo)
+        low = max(lo, -(-rest // left))  # ceil(rest / left): the next entry is its tail's max
+        stack.extend((prefix + (v,), rest - v) for v in range(low, high + 1))
 
 
 class PerturbationKind(Enum):

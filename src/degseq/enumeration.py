@@ -87,14 +87,14 @@ class RealizationCounter:
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
     Results are deterministic and independent of call order.
-    ``step_budget`` (default DEGSEQ_STEP_BUDGET) bounds the walk steps of
-    one query: the child histograms it tries, times 1 + high**2 // 2**14
-    when a walk call may take up to high of a class (big binomials), plus
-    d // 32 per walk call and d per node on a length-d histogram (scans and
-    copies), so a step costs 1-2 µs at any length; past it the query raises
-    TooLarge.  Steps and nodes are per query, so concurrent queries may
-    duplicate work (memo writes are idempotent) but never corrupt a result
-    or each other's ``nodes_explored``.
+    ``step_budget`` (default DEGSEQ_STEP_BUDGET) is a query's one limit, in
+    steps: the child histograms it tries, times 1 + high**2 // 2**14 when a
+    class may give up to high picks (big binomials), plus d // 32 per class
+    and d per node on a length-d histogram (scans and copies), plus one per
+    64 bits of each count the memo stores (big integers).  Past it the query
+    raises TooLarge; no recursion limit applies.  Steps and nodes are per
+    query, so concurrent queries may duplicate work (memo writes are
+    idempotent) but never corrupt a result or each other's ``nodes_explored``.
     """
 
     def __init__(self, step_budget: int | None = None):
@@ -116,73 +116,96 @@ class RealizationCounter:
         hit = self._memo.get(key)
         if hit is not None:
             return CountResult(count=hit, nodes_explored=0, from_cache=True)
-        try:
-            value, nodes = self._count(key)
-        except RecursionError:  # the memo holds finished subcounts only
-            raise TooLarge(f"n={n} recurses too deep for Python") from None
-        return CountResult(count=value, nodes_explored=nodes, from_cache=False)
+        return CountResult(*self._count(key), from_cache=False)
 
     def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
 
         A node takes k_r of the h[r] vertices of residual r, top class first,
         in comb(h[r], k_r) ways; ``()`` is never stored, so each visit is a node.
+        Each node is a generator that yields the child keys it finds unmemoized
+        and reads each one's count from ``done`` when resumed, so no call
+        nests per node or per class.
         """
         memo = self._memo
         lookup = memo.get
         comb = math.comb
         budget = self.step_budget
-        nodes = steps = 0
+        over = f"step budget {budget} exceeded; raise DEGSEQ_STEP_BUDGET"
+        nodes = steps = done = 0  # ``done``: the count of the node that finished last
+        # Shared by the open nodes, so that none allocates a list (a deep
+        # elimination keeps 10^5 open for the GC to scan): their child
+        # histograms end to end (a node's residual r at hist[o + r]) and their
+        # classes paused at a pick.
+        hist: list[int] = []
+        paused: list[tuple[int, ...]] = []
 
-        def expand(key: tuple[int, ...]) -> int:
-            nonlocal nodes, steps
+        def node(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            nonlocal nodes, steps, done
             nodes += 1
             d = len(key)
             if not d:
-                return 1
+                done = 1
+                return
             steps += d  # the entries this node copies and holds
-            scan = d >> 5  # a walk call's pass over empty classes and its leaf key
-            h = [0, *key]  # h[r] vertices of residual r; h[0] takes class 1's picks
-            h[d] -= 1  # the eliminated vertex
-            child = h[:]  # the child histogram, edited in place
-
-            def walk(r: int, need: int, ways: int, avail: int) -> int:
-                # ``avail``: the vertices of residual 1..r, all still pickable
-                nonlocal steps
-                while not h[r]:  # an empty class gives no neighbour
-                    r -= 1
-                hr = h[r]
-                own = child[r]  # h[r] plus the picks from class r + 1
-                high = hr if hr < need else need
-                # the picks the classes below cannot supply
-                low = need - avail + hr if need + hr > avail else 0
-                steps += (high - low + 1) * (1 + (high * high >> 14)) + scan
-                if steps > budget:
-                    raise TooLarge(f"step budget {budget} exceeded; raise DEGSEQ_STEP_BUDGET")
-                total = 0
-                for k in range(high, low - 1, -1):
-                    child[r] = own - k
-                    child[r - 1] += k
+            scan = d >> 5  # a class's pass over empty classes and its leaf key
+            o, base, total = len(hist), len(paused), 0
+            hist.extend((0, *key))  # hist[o] takes class 1's picks
+            hist[o + d] -= 1  # the eliminated vertex
+            # ``avail``: the vertices of residual 1..r, all still pickable
+            r, need, ways, avail = d, d, 1, sum(key) - 1
+            opening = avail >= d
+            while opening or len(paused) > base:
+                if opening:  # class r: take k of its hr vertices, high k first
+                    hr = key[r - 1] - (r == d)
+                    while not hr:  # an empty class gives no neighbour
+                        r -= 1
+                        hr = key[r - 1]
+                    # ``own``: hr plus the picks from class r + 1
+                    own, below = hist[o + r], hist[o + r - 1]
+                    k = hr if hr < need else need
+                    # the picks the classes below cannot supply
+                    low = need - avail + hr if need + hr > avail else 0
+                    steps += (k - low + 1) * (1 + (k * k >> 14)) + scan
+                    if steps > budget:
+                        raise TooLarge(over)
+                    opening = False
+                else:  # class r is done: the class above takes its next pick
+                    hist[o + r], hist[o + r - 1] = own, below
+                    r, need, ways, avail, hr, own, below, k, low = paused.pop()
+                    k -= 1
+                while k >= low:
+                    hist[o + r] = own - k
+                    hist[o + r - 1] = below + k
                     w = ways * comb(hr, k)
                     if k < need:
-                        total += walk(r - 1, need - k, w, avail - hr)
-                    else:
-                        top = d
-                        while top and not child[top]:
-                            top -= 1
-                        state = tuple(child[1:top + 1])
-                        value = lookup(state)
-                        total += w * (expand(state) if value is None else value)
-                    child[r - 1] -= k
-                child[r] = own
-                return total
+                        paused.append((r, need, ways, avail, hr, own, below, k, low))
+                        r, need, ways, avail, opening = r - 1, need - k, w, avail - hr, True
+                        break
+                    top = d
+                    while top and not hist[o + top]:
+                        top -= 1
+                    state = tuple(hist[o + 1:o + top + 1])
+                    value = lookup(state)
+                    if value is None:
+                        yield state
+                        value = done
+                    total += w * value
+                    k -= 1
+            del hist[o:]
+            steps += total.bit_length() >> 6  # the big integers the memo holds
+            if steps > budget:
+                raise TooLarge(over)
+            memo[key] = done = total
 
-            left = sum(key) - 1
-            total = walk(d, d, 1, left) if left >= d else 0
-            memo[key] = total
-            return total
-
-        return expand(key), nodes
+        stack = [node(key)]
+        while stack:
+            for child in stack[-1]:  # run the top node to its next unmemoized child
+                stack.append(node(child))
+                break
+            else:
+                stack.pop()
+        return done, nodes
 
 
 @functools.cache
@@ -197,7 +220,7 @@ def count_realizations(
     """Exact number of labeled graphs realizing ``seq``.
 
     Sequences with an entry outside [0, n-1] count zero rather than raising;
-    a step budget overrun or too deep a recursion raises TooLarge.
+    a step budget overrun raises TooLarge.
     """
     return (counter or default_counter()).count(seq)
 

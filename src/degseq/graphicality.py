@@ -261,17 +261,6 @@ def region_satisfies_stability_bound(region: SimpleRegion) -> bool:
 # Region predicates
 # ---------------------------------------------------------------------------
 
-PREDICATE_NAMES = (
-    "phi_JMS",
-    "phi_JMS_star_k",
-    "phi_JMS_star_sigma",
-    "phi_GS",
-    "phi_eps",
-    "phi_FG",
-)
-
-_SIGMA_PREDICATES = frozenset({"phi_JMS_star_sigma", "phi_GS", "phi_eps"})
-
 
 def jms_star_sigma_margin(n: int, sigma: int, c1: int, c2: int) -> int:
     """LHS - RHS of the sum-form Jerrum-McKay-Sinclair inequality.
@@ -283,6 +272,19 @@ def jms_star_sigma_margin(n: int, sigma: int, c1: int, c2: int) -> int:
     lo = sigma - n * c2
     hi = n * c1 - sigma
     return lo * hi - (c1 - c2) * (lo * (n - c1 - 1) + hi * c2)
+
+
+# name: (needs the degree sum, the exact formula over (n, c1, c2, sigma, epsilon))
+_PREDICATES = {
+    "phi_JMS": (False, lambda n, c1, c2, s, e: (c1 - c2 + 1) ** 2 <= 4 * c2 * (n - c1 - 1)),
+    "phi_JMS_star_k": (False, lambda n, c1, c2, s, e: _min_slack(n, c1, c2) >= 0),
+    "phi_JMS_star_sigma": (True, lambda n, c1, c2, s, e: jms_star_sigma_margin(n, s, c1, c2) <= 0),
+    "phi_GS": (True, lambda n, c1, c2, s, e: 2 <= c2 and 3 <= c1 and 9 * c1 * c1 <= s),
+    "phi_eps": (True, lambda n, c1, c2, s, e: 2 <= c2 and 3 <= c1 and c1 * c1 <= (1 - e) * s),
+    # exact characterization of a fully graphic very simple region
+    "phi_FG": (False, lambda n, c1, c2, s, e: _min_slack(n, c1, c2) >= -1),
+}
+PREDICATE_NAMES = tuple(_PREDICATES)
 
 
 class RegionPredicate(Record, frozen=True):
@@ -298,7 +300,7 @@ class RegionPredicate(Record, frozen=True):
     epsilon: Fraction | None = None
 
     def __post_init__(self):
-        if self.name not in PREDICATE_NAMES:
+        if self.name not in _PREDICATES:
             raise InvalidInput(f"unknown predicate {self.name!r}")
         if self.name == "phi_eps":
             if self.epsilon is None or not (0 < self.epsilon <= 1):
@@ -308,7 +310,7 @@ class RegionPredicate(Record, frozen=True):
 
     @property
     def needs_sigma(self) -> bool:
-        return self.name in _SIGMA_PREDICATES
+        return _PREDICATES[self.name][0]
 
     @property
     def exception_bound(self) -> float | None:
@@ -320,21 +322,7 @@ class RegionPredicate(Record, frozen=True):
         return 1.0 / (8.0 * (1.0 - math.sqrt(1.0 - self.epsilon)) ** 2)
 
     def evaluate(self, n: int, c1: int, c2: int, sigma: int | None = None) -> bool:
-        if self.needs_sigma and sigma is None:
+        needs_sigma, holds = _PREDICATES[self.name]
+        if needs_sigma and sigma is None:
             raise MissingSigma(f"{self.name} needs the degree sum")
-        if self.name == "phi_JMS":
-            return (c1 - c2 + 1) ** 2 <= 4 * c2 * (n - c1 - 1)
-        if self.name == "phi_JMS_star_k":
-            return _min_slack(n, c1, c2) >= 0
-        if self.name == "phi_JMS_star_sigma":
-            return jms_star_sigma_margin(n, sigma, c1, c2) <= 0
-        if self.name == "phi_GS":
-            return 2 <= c2 and 3 <= c1 and 9 * c1 * c1 <= sigma
-        if self.name == "phi_eps":
-            return (
-                2 <= c2
-                and 3 <= c1
-                and Fraction(c1 * c1) <= (1 - self.epsilon) * sigma
-            )
-        # phi_FG: exact characterization of a fully graphic very simple region.
-        return _min_slack(n, c1, c2) >= -1
+        return holds(n, c1, c2, sigma, self.epsilon)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -323,6 +325,13 @@ class TestWitnessCommands:
             assert time.perf_counter() - start < 1
             assert (result["ell"], result["unique_verified"]) == (n - 1, True)
 
+    def test_nonstab_witness_verifies_a_long_threshold_base(self, capsys):
+        # a base of 2,004 entries with exactly one realization
+        result = run_json(capsys, "nonstab-witness", "--n", "2000", "--n-prime", "2002",
+                          "--c1", "1999", "--c2", "3", "--verify")["result"]
+        assert len(result["base"].split(",")) == 2004
+        assert (result["m"], result["base_count"], result["perturbed_count"]) == (2, 1, 1)
+
     def test_staircase_family(self, capsys):
         envelope = run_json(capsys, "staircase-family", "4")
         assert envelope["result"]["count"] == 1
@@ -549,8 +558,10 @@ class TestExitCodes:
         assert code == 1 and "error" in err
 
     def test_too_large(self, capsys):
-        code, _, err = run(capsys, "count", ",".join(["1"] * 2000))
-        assert code == 3 and err == "error: n=2000 recurses too deep for Python\n"
+        # 1000^2000 passes the step budget on its second node
+        code, out, err = run(capsys, "count", ",".join(["1000"] * 2000))
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error: step budget \d+ exceeded; raise DEGSEQ_STEP_BUDGET\n", err)
 
     @pytest.mark.parametrize("argv", [
         ["check", "1,x"], ["--json", "tyshkevich", "2,1,1", "x"], ["count", "2,-1"]])
@@ -591,20 +602,21 @@ class TestLimitVariables:
         done = run_fresh("-m", "degseq.cli", "check", "1,1", **{name: value})
         assert done.returncode == 0 and done.stdout.strip() == "graphic"
 
-    def test_recursion_depth_is_a_size_error(self):
-        # n = 80 is within the step budget but nests deeper than Python allows
-        code = ("from degseq import *\n"
-                "try:\n    count_realizations(staircase_sequence(40))\n"
-                "except TooLarge as exc:\n    print(exc)\n"
-                "print(count_realizations(bumped_staircase_sequence(7)).count)")
+    def test_recursion_limit_plays_no_part(self):
+        # The counter nests no call per node, so the step budget alone
+        # decides: deep eliminations answer under a recursion limit of 100.
+        code = ("import math, sys\nfrom degseq import *\nsys.setrecursionlimit(100)\n"
+                "print(*count_staircase_family(40))\n"
+                "print(count_realizations(DegreeSequence([1] * 2000)).count"
+                " == math.prod(range(1, 2000, 2)))")
         done = run_fresh("-c", code)
         assert done.returncode == 0, done.stderr
-        message, after = done.stdout.splitlines()
-        assert message == "n=80 recurses too deep for Python"
-        assert after == "89"  # the counter stays exact after the refusal
+        assert done.stdout == "1 5527939700884757\nTrue\n"  # F(77); 1999!!
         done = run_fresh("-m", "degseq.cli", "staircase-family", "40")
-        assert done.returncode == 3
-        assert done.stderr == "error: n=80 recurses too deep for Python\n"
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "count=1 bumped_count=5527939700884757\n"
+        done = run_fresh("-m", "degseq.cli", "count", ",".join(["1"] * 2000))
+        assert done.returncode == 0 and done.stdout == f"{math.prod(range(1, 2000, 2))}\n"
 
     def test_valid_value_is_honoured(self):
         argv = ("-m", "degseq.cli", "count", ",".join(["1"] * 18))

@@ -180,13 +180,13 @@ class TestIterRegion:
         import itertools
 
         region = SimpleRegion(5, 8, 3, 1)
-        members = {d.degrees for d in iter_region(region)}
+        members = [d.degrees for d in iter_region(region)]
         expected = {
             seq
             for seq in itertools.combinations_with_replacement(range(3, 0, -1), 5)
             if sum(seq) == 8
         }
-        assert members == expected
+        assert members == sorted(expected, reverse=True)  # lexicographically descending
 
     def test_very_simple_union(self):
         region = VerySimpleRegion(4, 2, 1)
@@ -194,6 +194,15 @@ class TestIterRegion:
         assert all(membership(d, region) for d in members)
         sums = {d.sigma for d in members}
         assert sums == {4, 6, 8}
+        # sums ascending, each sum's members lexicographically descending
+        keys = [(d.sigma, [-x for x in d.degrees]) for d in members]
+        assert keys == sorted(keys)
+
+    def test_one_member_region_of_any_length(self):
+        # the enumeration nests no call per entry
+        for n in (2, 5000):
+            members = list(iter_region(SimpleRegion(n, n, 1, 1)))
+            assert [d.degrees for d in members] == [(1,) * n]
 
 
 class TestLabeledGraph:

@@ -266,18 +266,23 @@ class TestCountRealizations:
         assert count_realizations(DegreeSequence([5, 5, 5])).count == 0
 
     def test_too_large(self):
-        # 200,000 entries: one nests deeper than Python allows, the other
-        # passes the step budget on its second node.  Neither hangs.
-        for degrees, reason in (([1] * 200_000, "recurses too deep"),
-                                ([199_999] * 200_000, "DEGSEQ_STEP_BUDGET")):
+        # 200,000 entries: the step budget stops both, 1^200000 on the big
+        # counts its memo would hold, the other on its second node.  Neither
+        # hangs, and the counter stays exact after the refusals.
+        counter = RealizationCounter()
+        for degrees in ([1] * 200_000, [199_999] * 200_000):
             start = time.perf_counter()
-            with pytest.raises(TooLarge, match=reason):
-                RealizationCounter().count(degrees)
+            with pytest.raises(TooLarge, match="DEGSEQ_STEP_BUDGET"):
+                counter.count(degrees)
             assert time.perf_counter() - start < 1
+        assert counter.count(bumped_staircase_sequence(7)).count == 89
 
     def test_beyond_sixteen_entries(self):
         counter = RealizationCounter()
-        assert counter.count([1] * 18).count == 34459425  # 17!!
+        # 1^k counts the perfect matchings of k vertices: (k - 1)!! for even k
+        for k in (2000, *range(40)):
+            expected = math.prod(range(1, k, 2)) if k % 2 == 0 else 0
+            assert counter.count([1] * k).count == expected, k
         assert counter.count([4] * 40).count == oracle_count([4] * 40)
 
     def test_node_budget(self):
@@ -598,8 +603,17 @@ class TestStaircase:
         assert bumped_staircase_sequence(4).degrees == (7, 6, 5, 5, 4, 3, 2, 2)
 
     def test_counts(self, counter):
-        assert count_staircase_family(2, counter) == (1, 1)
-        assert count_staircase_family(3, counter) == (1, 2)
+        # The staircase has one realization and its bump F(2m - 3), with F
+        # the Fibonacci numbers: a closed form that shares no code with the
+        # counter, out to n = 120 entries.
+        fib = [0, 1]
+        while len(fib) < 2 * 60:
+            fib.append(fib[-1] + fib[-2])
+        for m in range(2, 61):
+            assert count_staircase_family(m, counter) == (1, fib[2 * m - 3]), m
+        # a cold counter, which eliminates all 80 entries in one query
+        assert count_staircase_family(40, RealizationCounter()) == (1, 5527939700884757)
+        assert fib[77] == 5527939700884757
 
     def test_realization_is_the_unique_one(self):
         for m in range(1, 6):
