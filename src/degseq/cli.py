@@ -6,10 +6,11 @@ Every successful invocation prints either a human-readable summary or, with
     {"command": ..., "inputs": ..., "result": ..., "version": ...}
 
 ``COMMANDS`` is the one definition of the subcommands and their arguments:
-``build_parser`` builds the parser from it and ``main`` runs the command it
-names.  Each ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main``
-alone writes output.  ``inputs`` echoes the parsed arguments, each degree
-sequence in canonical text; ``region`` echoes the region it decided instead.
+``main`` reads argv from it, or for --help and usage errors from the argparse
+parser ``build_parser`` builds from it, and runs the command it names.  Each
+``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
+writes output.  ``inputs`` echoes the parsed arguments, each degree sequence
+in canonical text; ``region`` echoes the region it decided instead.
 A sweep's rows and text lines reach ``main`` as iterators over one pass of the
 grid, written a batch of rows or a line at a time, so a large sweep never
 holds all its rows, or all their text, in memory.
@@ -21,14 +22,14 @@ SWEEP_MAX_ROWS or WITNESS_MAX_SIZE.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import operator
+import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .core import (
@@ -78,12 +79,23 @@ from .splitgraph import (
     verify_multiplicativity,
 )
 
+# json.dumps(obj, sort_keys=True) is "".join(_encode(obj, 0)), without importing json.
+try:
+    from _json import encode_basestring_ascii, make_encoder
+    _encode = make_encoder(None, None, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+except ImportError:
+    from json import JSONEncoder
+    _encode = JSONEncoder(sort_keys=True).iterencode
+
 # Most graphs ``enumerate`` lists.  Without --limit, or above it, the exact
 # count is taken first, and more realizations than this raise TooLarge.
 ENUMERATE_MAX_GRAPHS = 100_000
 
 # Sweep rows encoded per write, and so held in memory at once with their text.
 _ROWS_PER_WRITE = 256
+
+# An argument every argparse version reads as a value, not as an option.
+_is_value = re.compile(r"(?!-)|-\d+\Z").match
 
 
 def cmd_check(args) -> tuple[dict, str]:
@@ -299,7 +311,7 @@ def cmd_sweep(args) -> tuple[dict, Iterator[str]]:
 
 _DEGREES = {"type": DegreeSequence.parse}
 _REQUIRED_INT = {"type": int, "required": True}
-_FLAG = {"action": "store_true"}
+_FLAG = {"action": "store_true", "default": False}
 
 # Subcommand name -> (command, help line, {argument: add_argument keywords}),
 # in the order --help lists them.
@@ -343,8 +355,9 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of ``COMMANDS``, built on the first call and reused after it."""
+def build_parser():
+    """The argparse parser of ``COMMANDS``, built on the first call and reused after it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="degseq",
         description="Degree-sequence regions: graphicality, exact counts, "
@@ -359,20 +372,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` read from ``COMMANDS``, or None for
+    --help, ``--``, usage errors and values that do not convert."""
+    top = 0
+    while top < len(argv) and len(argv[top]) > 2 and "--json".startswith(argv[top]):
+        top += 1
+    given = {}
+    rest = iter(argv[top + 1:])
+    try:  # on every failure here, LookupError included, argparse answers
+        arguments = COMMANDS[argv[top]][2]
+        positionals = [key for key in arguments if key[0] != "-"]
+        options = [key for key in arguments if key[0] == "-"] + ["--help"]
+        for arg in rest:
+            if _is_value(arg):
+                key, value = positionals.pop(0), arg
+            else:
+                option, eq, value = arg.partition("=")
+                keys = [key for key in options if key.startswith(option)]
+                key, = [option] if option in keys else keys  # ValueError on none or several
+                if key == "--help" or eq and "action" in arguments[key]:
+                    return None
+                if "action" in arguments[key]:  # store_true
+                    value = True
+                elif not eq and not _is_value(value := next(rest, "-")):
+                    return None
+            keywords = arguments[key]
+            given[key] = keywords["type"](value) if "type" in keywords else value
+            if "choices" in keywords and given[key] not in keywords["choices"]:
+                return None
+    except (LookupError, ValueError, DegseqError):
+        return None
+    namespace = {"json": top > 0, "command": argv[top]}
+    for key, keywords in arguments.items():
+        if key not in given and keywords.get("required", key[0] != "-" and "nargs" not in keywords):
+            return None
+        namespace[key.lstrip("-").replace("-", "_")] = given.get(key, keywords.get("default"))
+    return SimpleNamespace(**namespace)
+
+
 def _print_envelope(envelope: dict) -> None:
     """Print ``json.dumps(envelope, sort_keys=True)``; an iterator of rows
     in the result is encoded ``_ROWS_PER_WRITE`` rows at a time."""
     rows = envelope["result"].get("rows")
     if not isinstance(rows, Iterator):
-        print(json.dumps(envelope, sort_keys=True))
+        print("".join(_encode(envelope, 0)))
         return
     # A sweep's inputs are numbers and a flag, so this is the one '"rows": []'.
     envelope["result"]["rows"] = []
-    head, tail = json.dumps(envelope, sort_keys=True).split('"rows": []')
+    head, tail = "".join(_encode(envelope, 0)).split('"rows": []')
     sys.stdout.write(head + '"rows": [')
     sep = ""
     while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
-        sys.stdout.write(sep + json.dumps(batch, sort_keys=True)[1:-1])
+        sys.stdout.write(sep + "".join(_encode(batch, 0))[1:-1])
         sep = ", "
     print("]" + tail)
 
@@ -381,7 +433,7 @@ def main(argv=None) -> int:
     try:
         # Degree text is parsed here; argparse passes InvalidInput (not a
         # ValueError) through, so bad text exits 1 like any domain error.
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         result, human = COMMANDS[args.command][0](args)
         if args.json:
             inputs = {key: str(value) if isinstance(value, DegreeSequence) else value

@@ -29,7 +29,6 @@ vertex of largest residual degree from the next-largest residuals.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -58,8 +57,8 @@ _WORDS = 1 << 64
 MCMC_MAX_WORK = 10**7
 
 
-def _block(seed: int, index: int) -> array:
-    words = array("Q", shake_128(b"%d/%d" % (seed, index)).digest(8 * DRAW_BLOCK))
+def _block(seed: int, index: int, start: int, stop: int) -> array:
+    words = array("Q", shake_128(b"%d/%d" % (seed, index)).digest(8 * stop)[8 * start:])
     if sys.byteorder == "big":
         words.byteswap()
     return words
@@ -69,7 +68,15 @@ def make_rng(seed: int) -> Iterator[int]:
     """The chain's move stream for ``seed``: an endless iterator of 64-bit
     words (layout in the module docstring; ``RNG_ALGORITHM`` names it)."""
     _check_seed(seed)
-    return itertools.chain.from_iterable(map(functools.partial(_block, seed), itertools.count()))
+    return _words(seed, DRAW_BLOCK)
+
+
+def _words(seed: int, need: int) -> Iterator[int]:
+    """``make_rng(seed)``, hashing only the first ``need`` words of a block
+    until a draw runs past them (SHAKE128's shorter outputs are prefixes)."""
+    cuts = sorted({0, min(need, DRAW_BLOCK), DRAW_BLOCK})
+    parts = ((seed, index, *cut) for index in itertools.count() for cut in zip(cuts, cuts[1:]))
+    return itertools.chain.from_iterable(itertools.starmap(_block, parts))
 
 
 def _check_seed(seed: int) -> None:
@@ -217,7 +224,8 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
                        f" MCMC_MAX_WORK = {MCMC_MAX_WORK}")
     start = havel_hakimi_graph(seq)
     edges, adj = list(start.edges()), list(start.adj)
-    histogram, accepted = _run(adj, edges, make_rng(config.seed), config.burn_in, config.steps)
+    need = config.burn_in + config.steps  # words, unless a draw is rejected
+    histogram, accepted = _run(adj, edges, _words(config.seed, need), config.burn_in, config.steps)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,

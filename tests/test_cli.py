@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from degseq import DegreeSequence, __version__, cli, enumeration, mcmc, sweep
 from degseq.cli import build_parser, main
+from degseq.errors import DegseqError
 from degseq.graphicality import PREDICATE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -646,22 +651,139 @@ class TestImportCost:
 
     def test_import_leaves_the_heavy_stdlib_out(self):
         # dataclasses pulls in inspect, ast and dis; typing is annotations only;
-        # hashlib loads OpenSSL, and the chain's SHAKE comes from _sha3.  -I -S:
-        # no site packages, no environment, so nothing else loads them.
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import degseq.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'typing', 'hashlib', '_hashlib'}"
-                " & set(sys.modules)))")
+        # hashlib loads OpenSSL, and the chain's SHAKE comes from _sha3; argv is
+        # read without argparse (and its gettext), and envelopes are encoded
+        # without json.  -I -S: no site packages, no environment, so nothing
+        # else loads them, on import or in a successful command.
+        code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import degseq.cli\n"
+                "heavy = {'dataclasses', 'inspect', 'typing', 'hashlib', '_hashlib',"
+                " 'argparse', 'gettext', 'json'}\n"
+                "print(sorted(heavy & set(sys.modules)))\n"
+                "out, sys.stdout = sys.stdout, io.StringIO()\n"
+                "codes = [degseq.cli.main(['--json', 'check', '1,1']),"
+                " degseq.cli.main(['--json', 'sweep', '--n-min', '2', '--n-max', '30'])]\n"
+                "sys.stdout = out; print(codes, sorted(heavy & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout == "[]\n[0, 0] []\n"
+
+    def test_envelopes_without_the_c_encoder(self):
+        # Where _json is missing, json's own encoder writes the same bytes.
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "if sys.argv[2] == 'off': sys.modules['_json'] = None\n"
+                "import degseq.cli\n"
+                "for argv in sys.argv[3:]: degseq.cli.main(['--json', *argv.split()])\n"
+                "print('json' in sys.modules)")
+        argv = [argv for argv, _, _ in GOLDEN_STDOUT] + ["sweep --n-min 2 --n-max 10 --with-sigma"]
+        on, off = (subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), mode,
+                                   *argv], capture_output=True, text=True, timeout=60)
+                   for mode in ("on", "off"))
+        assert on.returncode == off.returncode == 0, off.stderr
+        assert on.stdout.endswith("\nFalse\n") and off.stdout.endswith("\nTrue\n")
+        assert on.stdout[:-6] == off.stdout[:-5]
+        assert on.stdout.count("\n") == len(argv) + 1
+
+
+# Values of each kind an argument of ``COMMANDS`` takes, then values it refuses.
+VALUES = {int: (["0", "8", "-3", "2000"], ["x", "", "1.5", "-1.5", "1e3", "-1_0"]),
+          DegreeSequence.parse: (["2,1,1", "1,1", "3,3,3,3"], ["1,x", "-1,2", "-1", " 1 , 1"]),
+          None: (["n=8,sigma=16,c1=4,c2=1", "n=6,c1=5,c2=1", "1/2", "0"], ["-1", "x", "-x"])}
+NOISE = ["--", "-", "-h", "--help", "--h", "--bogus", "--json", "extra", "-x", "--=1"]
+
+
+@st.composite
+def table_argv(draw):
+    """An argv shaped by ``COMMANDS``: --json or a prefix of it, then each
+    argument of the subcommand zero to two times, options by full name or by
+    a prefix, as ``--opt value`` or ``--opt=value``, in any order.  Most
+    hold a refused value, an ambiguous prefix, a missing argument or noise."""
+    top = draw(st.sampled_from([[]] * 4 + [["--json"]] * 4 + [
+        ["--j"], ["--jso", "--json"], ["-h"], ["-"], ["--"], ["--jsonx"], ["--json=1"]]))
+    name = draw(st.sampled_from([*cli.COMMANDS, "chec"]))
+    chunks = []
+    for key, keywords in cli.COMMANDS.get(name, (None, None, {}))[2].items():
+        for _ in range(draw(st.sampled_from([1] * 12 + [0, 2]))):
+            good, bad = VALUES[keywords.get("type")]
+            good = list(keywords.get("choices", good))
+            value = draw(st.sampled_from(good * 10 + bad + ["phi_X"]))
+            if key[0] != "-":
+                chunks.append([value])
+                continue
+            spelt = key[:draw(st.sampled_from([len(key)] * 4 + list(range(3, len(key)))))]
+            if keywords.get("action"):
+                chunks.append([spelt + draw(st.sampled_from([""] * 10 + ["=1"]))])
+            elif draw(st.booleans()):
+                chunks.append([spelt + "=" + value])
+            else:
+                chunks.append([spelt, value])
+    chunks += [[noise] for noise in draw(st.sampled_from([[]] * 20 + [[n] for n in NOISE]))]
+    return top + [name] + [arg for chunk in draw(st.permutations(chunks)) for arg in chunk]
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` gives, or the exit code or domain error it
+    ends with, with what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except DegseqError as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+# One argv per argument shape the benchmark's workloads send.
+WORKLOAD_ARGV = [
+    "--json sweep --n-min 8 --n-max 8", "--json sweep --n-min 9 --n-max 9 --with-sigma",
+    "--json region --n 30 --c1 20 --c2 14", "--json region n=100,sigma=260,c1=40,c2=1",
+    "--json check 9,7,7,5,3,1", "--json check 9,7,7,5,3,1 --tv", "--json count 3,3,2,2,2",
+    "--json pmeasure 2,2,2", "--json family-bounds 1,1,1,1", "--json staircase-family 5",
+    "--json tyshkevich 3,2,2,1 2,1,1 --verify", "--json split-witness --n 12 --c1 9 --c2 3",
+    "--json nonstab-witness --n 6 --n-prime 8 --c1 5 --c2 0 --verify",
+    "--json enumerate 3,3,2,2,2 --limit 120",
+    "--json mcmc 3,3,2,2,2 --steps 2500 --seed 4023190 --burn-in 0",
+]
 
 
 class TestParser:
     def test_built_once_and_not_at_import(self):
-        done = run_fresh("-c", "import degseq.cli as c; print(c.build_parser.cache_info().currsize)")
-        assert done.stdout.strip() == "0", done.stderr
+        code = ("import degseq.cli as c; print(c.build_parser.cache_info().currsize); "
+                "c.main(['--json', 'count', '1,1']); print(c.build_parser.cache_info().currsize)")
+        done = run_fresh("-c", code)
+        lines = done.stdout.splitlines()
+        assert lines[0] == lines[-1] == "0" and len(lines) == 3, done.stderr
         assert build_parser() is build_parser()
+
+    @given(table_argv())
+    @settings(max_examples=400, deadline=None)
+    def test_table_reader_agrees_with_argparse(self, argv):
+        # main reads argv with argparse wherever the table reader declines, so
+        # both accept with equal namespaces, or both end alike.
+        parsed = cli._parse(argv)
+        reference = parse_outcome(build_parser().parse_args, argv)
+        assert parsed is None or reference == (vars(parsed), "", "")
+
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in GOLDEN_STDOUT] + WORKLOAD_ARGV + [
+        "--j nonstab-witness --n 6 --n-p 8 --c1 5 --c2 0", "enumerate 1,1,1,1 --limit=2",
+        "enumerate 1,1,1,1 --limit -1", "--json mcmc 2,2,2 --burn-in=3 --se 1 --st 9 --steps 5",
+        "staircase-family -2", "region --epsilon 1/2 --pred phi_eps n=8,sigma=20,c1=4,c2=2",
+        "region --n 6 --c1 5 --c2 1", "tyshkevich --verify 2,1,1 1,1"])
+    def test_literal_argv_take_the_table(self, argv):
+        parsed = cli._parse(argv.split())
+        assert parsed is not None
+        assert vars(parsed) == vars(build_parser().parse_args(argv.split()))
+
+    @pytest.mark.parametrize("argv", [
+        "-h", "--help", "check --help", "count 1,1 --h", "check", "bogus 1,1", "check 1,1 2,2",
+        "check 1,1 --", "check -- 1,1", "check 1,1 --json", "--json=1 check 1,1", "- check 1,1",
+        "check --tv=1 1,1", "enumerate 1,1 --limit", "enumerate 1,1 --limit x",
+        "enumerate 1,1 --limit -1_0", "leg --c 1 --n 8 --sigma 16 --c2 1",
+        "region --predicate phi_X", "check 1,x", "count -1,2"])
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert cli._parse(argv.split()) is None
 
     def test_predicate_choices_are_the_library_names(self, capsys):
         for name in PREDICATE_NAMES:

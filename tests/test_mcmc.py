@@ -382,6 +382,21 @@ class TestEngineOracle:
         assert module != "_sha3"
         assert list(map(int, words)) == list(itertools.islice(stream_words(0), 3))
 
+    @pytest.mark.parametrize("need", [0, 1, 1000, 4095, 4096, 5000])
+    def test_sized_stream_is_the_stream(self, need):
+        # Hashed in pieces, block by block: still the documented words, across
+        # the cut in block 0, the boundary into block 1 and its cut.
+        words = list(itertools.islice(mcmc._words(7, need), 2 * 4096 + 3))
+        assert words == list(itertools.islice(stream_words(7), 2 * 4096 + 3))
+
+    def test_sample_hashes_only_the_words_it_needs(self, monkeypatch):
+        pieces = []
+        block = mcmc._block
+        monkeypatch.setattr(mcmc, "_block", lambda *part: pieces.append(part[2:]) or block(*part))
+        run = sample(DegreeSequence([2] * 9), ChainConfig(seed=1, steps=30, burn_in=10))
+        assert sum(run.histogram.values()) == 30
+        assert pieces == [(0, 40)]  # no word of this seed's first 40 is rejected
+
 
 class TestSampleInvariants:
     BLOCK = mcmc.DRAW_BLOCK
