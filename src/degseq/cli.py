@@ -11,9 +11,9 @@ parser ``build_parser`` builds from it, and runs the command it names.  Each
 ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
 writes output.  ``inputs`` echoes the parsed arguments, each degree sequence
 in canonical text; ``region`` echoes the region it decided instead.
-A sweep's rows and text lines reach ``main`` as iterators over one pass of the
-grid, written a batch of rows or a line at a time, so a large sweep never
-holds all its rows, or all their text, in memory.
+A sweep's rows reach ``main`` as iterators over one pass of the grid, of their
+JSON text or of their text lines, written a batch or a line at a time, so a
+large sweep never holds all its rows, or all their text, in memory.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large:
 over DEGSEQ_STEP_BUDGET, ENUMERATE_MAX_N, ENUMERATE_MAX_GRAPHS, MCMC_MAX_WORK,
@@ -54,9 +54,9 @@ from .errors import ConstructionError, DegseqError, TooLarge
 from .graphicality import (
     PREDICATE_NAMES,
     RegionPredicate,
+    _sweep_rows,
     is_graphic,
     is_graphic_tv,
-    iter_sweep,
     jms_star_sigma_margin,
     leg,
     region_fully_graphic,
@@ -91,7 +91,7 @@ except ImportError:
 # count is taken first, and more realizations than this raise TooLarge.
 ENUMERATE_MAX_GRAPHS = 100_000
 
-# Sweep rows encoded per write, and so held in memory at once with their text.
+# Sweep rows written at once, and so held in memory at once as text.
 _ROWS_PER_WRITE = 256
 
 # An argument every argparse version reads as a value, not as an option.
@@ -302,11 +302,16 @@ def cmd_mcmc(args) -> tuple[dict, str]:
 
 
 def cmd_sweep(args) -> tuple[dict, Iterator[str]]:
-    rows = iter_sweep(args.n_min, args.n_max, with_sigma=args.with_sigma)
-    # Both forms read the one iterator; main reads only the form it prints.
-    lines = (" ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
-             + f" {row['classification']}" for row in rows)
-    return {"rows": rows}, lines
+    """The rows' JSON text and their text lines, both over one pass of the grid."""
+    fields, rows = _sweep_rows(args.n_min, args.n_max, args.with_sigma)
+    # Each value is an int but the last, a fixed ASCII label, so %-templates
+    # write json.dumps(row, sort_keys=True) and the text line exactly.
+    spec = ["%d"] * (len(fields) - 1) + ['"%s"']
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    json_row = "{%s}" % ", ".join(f'"{fields[i]}": {spec[i]}' for i in order)
+    text_line = " ".join(f"{name}=%d" for name in fields[:-1]) + " %s"
+    return ({"rows": map(json_row.__mod__, map(operator.itemgetter(*order), rows))},
+            map(text_line.__mod__, rows))
 
 
 _DEGREES = {"type": DegreeSequence.parse}
@@ -412,8 +417,8 @@ def _parse(argv) -> SimpleNamespace | None:
 
 
 def _print_envelope(envelope: dict) -> None:
-    """Print ``json.dumps(envelope, sort_keys=True)``; an iterator of rows
-    in the result is encoded ``_ROWS_PER_WRITE`` rows at a time."""
+    """Print ``json.dumps(envelope, sort_keys=True)``; rows in the result come
+    as an iterator of their JSON text, written ``_ROWS_PER_WRITE`` at a time."""
     rows = envelope["result"].get("rows")
     if not isinstance(rows, Iterator):
         print("".join(_encode(envelope, 0)))
@@ -423,8 +428,8 @@ def _print_envelope(envelope: dict) -> None:
     head, tail = "".join(_encode(envelope, 0)).split('"rows": []')
     sys.stdout.write(head + '"rows": [')
     sep = ""
-    while batch := list(itertools.islice(rows, _ROWS_PER_WRITE)):
-        sys.stdout.write(sep + "".join(_encode(batch, 0))[1:-1])
+    while batch := ", ".join(itertools.islice(rows, _ROWS_PER_WRITE)):
+        sys.stdout.write(sep + batch)
         sep = ", "
     print("]" + tail)
 

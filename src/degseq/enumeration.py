@@ -78,6 +78,11 @@ class CountResult(Record):
     from_cache: bool
 
 
+# Steps an open counter node is charged for its suspended generator frame,
+# about 760 bytes at one step per 8 bytes; given back when the node ends.
+_NODE_FRAME_STEPS = 96
+
+
 class RealizationCounter:
     """Memoized exact counter for labeled realizations.
 
@@ -91,9 +96,11 @@ class RealizationCounter:
     steps: the child histograms it tries, times 1 + high**2 // 2**14 when a
     class may give up to high picks (big binomials), plus d // 32 per class
     and d per node on a length-d histogram (scans and copies), plus one per
-    64 bits of each count the memo stores (big integers).  Past it the query
-    raises TooLarge; no recursion limit applies.  Steps and nodes are per
-    query, so concurrent queries may duplicate work (memo writes are
+    64 bits of each count the memo stores (big integers), plus
+    ``_NODE_FRAME_STEPS`` per node while it is open (its suspended frame).
+    What a query holds is charged at one step per 8 bytes.  Past the budget
+    the query raises TooLarge; no recursion limit applies.  Steps and nodes
+    are per query, so concurrent queries may duplicate work (memo writes are
     idempotent) but never corrupt a result or each other's ``nodes_explored``.
     """
 
@@ -147,7 +154,7 @@ class RealizationCounter:
             if not d:
                 done = 1
                 return
-            steps += d  # the entries this node copies and holds
+            steps += d + _NODE_FRAME_STEPS  # the entries it copies and holds, and its frame
             scan = d >> 5  # a class's pass over empty classes and its leaf key
             o, base, total = len(hist), len(paused), 0
             hist.extend((0, *key))  # hist[o] takes class 1's picks
@@ -193,7 +200,8 @@ class RealizationCounter:
                     total += w * value
                     k -= 1
             del hist[o:]
-            steps += total.bit_length() >> 6  # the big integers the memo holds
+            # the big integers the memo holds; the frame is freed
+            steps += (total.bit_length() >> 6) - _NODE_FRAME_STEPS
             if steps > budget:
                 raise TooLarge(over)
             memo[key] = done = total

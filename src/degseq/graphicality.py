@@ -190,12 +190,35 @@ def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
-def _label(fully_graphic: bool) -> str:
-    return "FULLY_GRAPHIC" if fully_graphic else "NOT_FULLY_GRAPHIC"
+# A sweep row's classification, indexed by whether its region is fully graphic.
+_LABELS = ("NOT_FULLY_GRAPHIC", "FULLY_GRAPHIC")
 
 
 # Most rows one ``sweep`` may build; above it the sweep raises TooLarge.
 SWEEP_MAX_ROWS = 1_000_000
+
+
+def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> tuple[tuple[str, ...], Iterator]:
+    """``iter_sweep``'s field names, and its rows as tuples of their values in
+    that order (ints, then the classification), counted on the call."""
+    total = 0
+    for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
+        # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
+        total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
+        if total > SWEEP_MAX_ROWS:
+            raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
+                           "(SWEEP_MAX_ROWS); narrow the n range")
+    ns = range(max(n_min, 1), n_max + 1)  # n <= 0 has no c1 < n
+    if with_sigma:
+        # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
+        return ("n", "sigma", "c1", "c2", "classification"), (
+            (n, s, c1, c2, "EMPTY" if s % 2 else _LABELS[_leg_graphic(n, s, c1, c2)])
+            for n in ns for s in range(n * (n - 1) + 1)
+            for c1 in range(-(-s // n), n) for c2 in range(min(c1, s // n) + 1))
+    # c1 == c2 with n*c1 odd is the only region without an even sum.
+    return ("n", "c1", "c2", "classification"), (
+        (n, c1, c2, "EMPTY" if c1 == c2 and n * c1 % 2 else _LABELS[_min_slack(n, c1, c2) >= -1])
+        for n in ns for c1 in range(n) for c2 in range(c1 + 1))
 
 
 def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dict]:
@@ -210,24 +233,8 @@ def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dic
     ``SWEEP_MAX_ROWS`` rows raises TooLarge; each row is built only when the
     iterator reaches it.
     """
-    total = 0
-    for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
-        # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
-        total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
-        if total > SWEEP_MAX_ROWS:
-            raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
-                           "(SWEEP_MAX_ROWS); narrow the n range")
-    ns = range(max(n_min, 1), n_max + 1)  # n <= 0 has no c1 < n
-    if with_sigma:
-        # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
-        return ({"n": n, "sigma": s, "c1": c1, "c2": c2,
-                 "classification": "EMPTY" if s % 2 else _label(_leg_graphic(n, s, c1, c2))}
-                for n in ns for s in range(n * (n - 1) + 1)
-                for c1 in range(-(-s // n), n) for c2 in range(min(c1, s // n) + 1))
-    # c1 == c2 with n*c1 odd is the only region without an even sum.
-    return ({"n": n, "c1": c1, "c2": c2, "classification": "EMPTY" if c1 == c2 and n * c1 % 2
-             else _label(_min_slack(n, c1, c2) >= -1)}
-            for n in ns for c1 in range(n) for c2 in range(c1 + 1))
+    fields, rows = _sweep_rows(n_min, n_max, with_sigma)
+    return (dict(zip(fields, row)) for row in rows)
 
 
 def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:

@@ -17,7 +17,7 @@ from jsonschema import Draft7Validator
 from degseq import DegreeSequence, __version__, cli, enumeration, mcmc, sweep
 from degseq.cli import build_parser, main
 from degseq.errors import DegseqError
-from degseq.graphicality import PREDICATE_NAMES
+from degseq.graphicality import PREDICATE_NAMES, iter_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "output.json").read_text())
@@ -226,14 +226,23 @@ class TestRegionCommands:
                 "command": "sweep", "result": {"rows": rows}, "version": __version__,
                 "inputs": {"n_max": n_max, "n_min": n_min, "with_sigma": True},
             }, sort_keys=True) + "\n"
+        # The rows' JSON text comes from a template, not an encoder: it is
+        # json.dumps of the library's row, byte for byte, at every n <= 12.
+        for flag in ([], ["--with-sigma"]):
+            args = build_parser().parse_args(["sweep", "--n-min", "0", "--n-max", "12", *flag])
+            result, _ = cli.cmd_sweep(args)
+            assert list(result["rows"]) == [json.dumps(row, sort_keys=True)
+                                            for row in iter_sweep(0, 12, with_sigma=bool(flag))]
 
     def test_sweep_text_is_streamed_from_the_rows(self, capsys):
         # A grid's lines and the empty grid's one newline, as the joined text
         # printed them; the command hands main an iterator, not the text.
-        for n_min, n_max in ((2, 3), (6, 5)):
-            argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max)]
-            lines = [" ".join(f"{k}={row[k]}" for k in ("n", "c1", "c2")) + " "
-                     + row["classification"] for row in sweep(n_min, n_max)]
+        for n_min, n_max, flag in ((2, 3, []), (6, 5, []), (0, 12, []),
+                                   (0, 12, ["--with-sigma"])):
+            argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max), *flag]
+            lines = [" ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
+                     + f" {row['classification']}"
+                     for row in sweep(n_min, n_max, with_sigma=bool(flag))]
             assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
             _, human = cli.cmd_sweep(build_parser().parse_args(argv))
             assert not isinstance(human, str) and list(human) == lines
@@ -628,7 +637,8 @@ class TestLimitVariables:
         done = run_fresh(*argv, DEGSEQ_STEP_BUDGET="10")
         assert done.returncode == 3
         assert done.stderr == "error: step budget 10 exceeded; raise DEGSEQ_STEP_BUDGET\n"
-        done = run_fresh(*argv, DEGSEQ_STEP_BUDGET="100")
+        # 1^18 holds 9 open nodes at once, each charged for its frame
+        done = run_fresh(*argv, DEGSEQ_STEP_BUDGET="1000")
         assert done.returncode == 0 and done.stdout.strip() == "34459425"  # 17!!
 
 

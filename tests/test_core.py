@@ -23,7 +23,43 @@ from degseq import (
 from degseq.core import LabeledGraph, edges_to_text
 
 
+def parse_per_part(text: str, bounded: bool) -> DegreeSequence:
+    """``DegreeSequence.parse`` as it read every text before its one-pass path."""
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise InvalidInput(f"cannot parse degree sequence from {text!r}")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse degree sequence from {text!r}") from exc
+    return DegreeSequence(values, bounded=bounded)
+
+
+def parse_outcome(parse, text: str, bounded: bool):
+    """The entries ``parse`` reads from ``text``, or the type and message it raises."""
+    try:
+        return parse(text, bounded=bounded).degrees
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_BLANK = st.sampled_from(["", " ", "  ", "\t", "\n", "\u3000", "\xa0"])
+# Parts of degree text: ints with blanks around them, then odd spellings
+# (signs, underscores, Arabic-Indic and fullwidth digits, stray letters),
+# then digit strings on either side of int's 4,300-digit limit.
+_PART = st.one_of(
+    st.builds("{}{}{}".format, _BLANK, st.integers(-3, 12), _BLANK),
+    st.text(alphabet=" \t+-_0123456789\u0663\uff17x.", max_size=6),
+    st.integers(4290, 4310).map(lambda k: "7" * k),
+)
+
+
 class TestDegreeSequence:
+    @given(st.lists(_PART, max_size=6).map(",".join), st.booleans())
+    def test_parse_agrees_with_the_per_part_path(self, text, bounded):
+        assert (parse_outcome(DegreeSequence.parse, text, bounded)
+                == parse_outcome(parse_per_part, text, bounded))
+
     def test_input_is_sorted(self):
         assert DegreeSequence([1, 3, 2]).degrees == (3, 2, 1)
 

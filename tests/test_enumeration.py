@@ -266,8 +266,8 @@ class TestCountRealizations:
         assert count_realizations(DegreeSequence([5, 5, 5])).count == 0
 
     def test_too_large(self):
-        # 200,000 entries: the step budget stops both, 1^200000 on the big
-        # counts its memo would hold, the other on its second node.  Neither
+        # 200,000 entries: the step budget stops both, 1^200000 on the
+        # frames of its open nodes, the other on its second node.  Neither
         # hangs, and the counter stays exact after the refusals.
         counter = RealizationCounter()
         for degrees in ([1] * 200_000, [199_999] * 200_000):
@@ -286,13 +286,23 @@ class TestCountRealizations:
         assert counter.count([4] * 40).count == oracle_count([4] * 40)
 
     def test_node_budget(self):
-        # 3 steps stop this query; 200 let it finish, within as many nodes.
+        # 3 steps stop this query; 400 let it finish, in at most 200 nodes.
         tight = RealizationCounter(step_budget=3)
         with pytest.raises(TooLarge):
             tight.count(DegreeSequence([3, 3, 2, 2, 2, 2]))
-        res = RealizationCounter(step_budget=200).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
+        res = RealizationCounter(step_budget=400).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
         assert res.count == oracle_count([3, 3, 2, 2, 2, 2])
         assert 0 < res.nodes_explored <= 200
+
+    def test_open_nodes_are_charged_for_their_frames(self):
+        # 1^2000 opens 1,000 nodes at once, each charged its one-entry
+        # histogram, one child and _NODE_FRAME_STEPS for its frame: 98,000
+        # steps is the least budget that answers it.
+        assert enumeration._NODE_FRAME_STEPS == 96
+        expected = math.prod(range(1, 2000, 2))
+        assert RealizationCounter(step_budget=98_000).count([1] * 2000).count == expected
+        with pytest.raises(TooLarge):
+            RealizationCounter(step_budget=97_999).count([1] * 2000)
 
     def test_cache_flag_and_diagnostics(self):
         counter = RealizationCounter()

@@ -28,7 +28,7 @@ from degseq import (
     sweep,
     very_simple_region_fully_graphic,
 )
-from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, iter_sweep
+from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, _sweep_rows, iter_sweep
 from conftest import all_sorted_sequences, brute_force_count
 
 
@@ -313,6 +313,12 @@ class TestSweep:
         assert list(iter_sweep(3, 5)) == sweep(3, 5)
         with pytest.raises(TooLarge):
             iter_sweep(2, 200, with_sigma=True)  # before any row is asked for
+        with pytest.raises(TooLarge):
+            _sweep_rows(2, 200, True)
+        # Every row keeps its keys in this insertion order.
+        for with_sigma, keys in ((False, ["n", "c1", "c2", "classification"]),
+                                 (True, ["n", "sigma", "c1", "c2", "classification"])):
+            assert all(list(row) == keys for row in sweep(1, 9, with_sigma))
 
     @staticmethod
     def rows(n, with_sigma):
