@@ -302,16 +302,30 @@ def cmd_mcmc(args) -> tuple[dict, str]:
 
 
 def cmd_sweep(args) -> tuple[dict, Iterator[str]]:
-    """The rows' JSON text and their text lines, both over one pass of the grid."""
-    fields, rows = _sweep_rows(args.n_min, args.n_max, args.with_sigma)
-    # Each value is an int but the last, a fixed ASCII label, so %-templates
-    # write json.dumps(row, sort_keys=True) and the text line exactly.
-    spec = ["%d"] * (len(fields) - 1) + ['"%s"']
-    order = sorted(range(len(fields)), key=fields.__getitem__)
-    json_row = "{%s}" % ", ".join(f'"{fields[i]}": {spec[i]}' for i in order)
-    text_line = " ".join(f"{name}=%d" for name in fields[:-1]) + " %s"
-    return ({"rows": map(json_row.__mod__, map(operator.itemgetter(*order), rows))},
-            map(text_line.__mod__, rows))
+    """The rows' JSON text and their text lines, both over one pass of the grid's runs.
+
+    All values are ints or ASCII labels, so a head '{"c1": C1, "c2": C2,
+    "classification": "' plus the run's 'LABEL", "n": N, "sigma": S}' is
+    json.dumps(row, sort_keys=True), and 'n=N sigma=S c1=C1 c2=' plus 'C2 LABEL'
+    the text line; map joins them in C.  The plain grid keeps one c1's heads.
+    """
+    runs = _sweep_rows(args.n_min, args.n_max, args.with_sigma)
+    heads = functools.lru_cache(None if args.with_sigma else 1)(lambda c1: list(
+        map(f'{{"c1": {c1}, "c2": %d, "classification": "'.__mod__, range(c1 + 1))))
+    ends = functools.cache(lambda label: list(map(f"%d {label}".__mod__, range(args.n_max))))
+
+    def json_rows(run):
+        n, s, c1, lo, hi, label = run
+        tail = f'{label}", "n": {n}}}' if s is None else f'{label}", "n": {n}, "sigma": {s}}}'
+        return map(operator.add, heads(c1)[lo:hi + 1], itertools.repeat(tail))
+
+    def text_lines(run):
+        n, s, c1, lo, hi, label = run
+        head = f"n={n} c1={c1} c2=" if s is None else f"n={n} sigma={s} c1={c1} c2="
+        return map(operator.add, itertools.repeat(head), ends(label)[lo:hi + 1])
+
+    return ({"rows": itertools.chain.from_iterable(map(json_rows, runs))},
+            itertools.chain.from_iterable(map(text_lines, runs)))
 
 
 _DEGREES = {"type": DegreeSequence.parse}

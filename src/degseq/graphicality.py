@@ -17,6 +17,7 @@ fixed-sum region decision costs O(1): it evaluates the inequality in closed
 form on the block form (c1, alpha), (a, 1), (c2, beta) of the primitive
 member, at its block ends only.  A very simple region decision, phi_FG
 and phi_JMS_star_k cost O(1): each reads one minimum, see ``_min_slack``.
+A sweep makes at most 2n region decisions per (n, sigma), see ``_sweep_rows``.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ def _leg_graphic(n: int, sigma: int, c1: int, c2: int) -> bool:
     a = c2 + r
     beta = n - 1 - alpha
     # k = alpha: the a entry and the c2 block are capped at alpha.
-    if alpha and alpha * c1 > alpha * (alpha - 1) + min(a, alpha) + beta * min(c2, alpha):
+    if alpha and alpha * c1 > (alpha * (alpha - 1) + (a if a < alpha else alpha)
+                               + beta * (c2 if c2 < alpha else alpha)):
         return False
     # k = alpha + 1: only the c2 block lies after k.
-    return alpha * c1 + a <= (alpha + 1) * alpha + beta * min(c2, alpha + 1)
+    return alpha * c1 + a <= (alpha + 1) * alpha + beta * (c2 if c2 <= alpha else alpha + 1)
 
 
 def region_fully_graphic(region: SimpleRegion) -> bool:
@@ -190,17 +192,18 @@ def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
-# A sweep row's classification, indexed by whether its region is fully graphic.
-_LABELS = ("NOT_FULLY_GRAPHIC", "FULLY_GRAPHIC")
-
-
 # Most rows one ``sweep`` may build; above it the sweep raises TooLarge.
 SWEEP_MAX_ROWS = 1_000_000
 
 
-def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> tuple[tuple[str, ...], Iterator]:
-    """``iter_sweep``'s field names, and its rows as tuples of their values in
-    that order (ints, then the classification), counted on the call."""
+def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
+    """The grid as runs (n, sigma, c1, c2_lo, c2_hi, label) in (n, sigma, c1, c2)
+    order, sigma None in the plain grid, counted on the call.  At fixed n (and
+    sigma) a region only gains members as c1 rises or c2 falls, so one inside a
+    fully graphic region is fully graphic.  So the fully graphic c2 of each c1
+    are those >= some t, and t never falls as c1 rises: one walk per (n, sigma)
+    asks the predicate once per c1 and once per rise of t.
+    """
     total = 0
     for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
         # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
@@ -208,17 +211,28 @@ def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> tuple[tuple[str, ..
         if total > SWEEP_MAX_ROWS:
             raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
                            "(SWEEP_MAX_ROWS); narrow the n range")
-    ns = range(max(n_min, 1), n_max + 1)  # n <= 0 has no c1 < n
-    if with_sigma:
-        # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
-        return ("n", "sigma", "c1", "c2", "classification"), (
-            (n, s, c1, c2, "EMPTY" if s % 2 else _LABELS[_leg_graphic(n, s, c1, c2)])
-            for n in ns for s in range(n * (n - 1) + 1)
-            for c1 in range(-(-s // n), n) for c2 in range(min(c1, s // n) + 1))
-    # c1 == c2 with n*c1 odd is the only region without an even sum.
-    return ("n", "c1", "c2", "classification"), (
-        (n, c1, c2, "EMPTY" if c1 == c2 and n * c1 % 2 else _LABELS[_min_slack(n, c1, c2) >= -1])
-        for n in ns for c1 in range(n) for c2 in range(c1 + 1))
+    return _staircase(range(max(n_min, 1), n_max + 1), with_sigma)  # n <= 0 has no c1 < n
+
+
+def _staircase(ns: range, with_sigma: bool) -> Iterator[tuple]:
+    """The runs of ``_sweep_rows`` over the n in ``ns``."""
+    for n in ns:
+        for s in range(n * (n - 1) + 1) if with_sigma else (None,):
+            # An odd sum has no member: t = n puts every row below t, as EMPTY.
+            t, below = (n, "EMPTY") if with_sigma and s % 2 else (0, "NOT_FULLY_GRAPHIC")
+            # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
+            for c1 in range(-(-s // n), n) if with_sigma else range(n):
+                # c1 == c2 with n*c1 odd is the plain grid's one region without an even sum.
+                hi = (c1 if c1 * n <= s else s // n) if with_sigma else c1 - n * c1 % 2
+                while t <= hi and not (_leg_graphic(n, s, c1, t) if with_sigma
+                                       else _min_slack(n, c1, t) >= -1):
+                    t += 1
+                if t:
+                    yield n, s, c1, 0, t - 1 if t <= hi else hi, below
+                if t <= hi:
+                    yield n, s, c1, t, hi, "FULLY_GRAPHIC"
+                if hi < c1 and not with_sigma:
+                    yield n, s, c1, c1, c1, "EMPTY"
 
 
 def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dict]:
@@ -233,8 +247,10 @@ def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dic
     ``SWEEP_MAX_ROWS`` rows raises TooLarge; each row is built only when the
     iterator reaches it.
     """
-    fields, rows = _sweep_rows(n_min, n_max, with_sigma)
-    return (dict(zip(fields, row)) for row in rows)
+    return ({"n": n, "sigma": s, "c1": c1, "c2": c2, "classification": label} if with_sigma
+            else {"n": n, "c1": c1, "c2": c2, "classification": label}
+            for n, s, c1, lo, hi, label in _sweep_rows(n_min, n_max, with_sigma)
+            for c2 in range(lo, hi + 1))
 
 
 def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:

@@ -247,6 +247,19 @@ class TestRegionCommands:
             _, human = cli.cmd_sweep(build_parser().parse_args(argv))
             assert not isinstance(human, str) and list(human) == lines
 
+    def test_sweep_rows_from_runs_are_the_library_rows(self):
+        # Each row's JSON and text line are joined from a run's pieces: they
+        # are json.dumps of the library's row and its f-string line, n <= 20.
+        for flag in ([], ["--with-sigma"]):
+            args = build_parser().parse_args(["sweep", "--n-min", "1", "--n-max", "20", *flag])
+            rows = list(iter_sweep(1, 20, with_sigma=bool(flag)))
+            result, _ = cli.cmd_sweep(args)  # one pass: JSON or text, not both
+            assert list(result["rows"]) == [json.dumps(row, sort_keys=True) for row in rows]
+            _, lines = cli.cmd_sweep(args)
+            assert list(lines) == [
+                " ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
+                + f" {row['classification']}" for row in rows]
+
     def test_sweep_with_sigma_marks_odd_sums_empty(self, capsys):
         envelope = run_json(
             capsys, "sweep", "--n-min", "3", "--n-max", "3", "--with-sigma"

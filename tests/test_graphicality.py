@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degseq import (
@@ -28,6 +28,7 @@ from degseq import (
     sweep,
     very_simple_region_fully_graphic,
 )
+from degseq import graphicality
 from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, _sweep_rows, iter_sweep
 from conftest import all_sorted_sequences, brute_force_count
 
@@ -345,6 +346,50 @@ class TestSweep:
         assert sum(self.rows(n, True) for n in range(1, top + 1)) <= SWEEP_MAX_ROWS
         with pytest.raises(TooLarge):
             sweep(1, top + 1, with_sigma=True)
+
+
+class TestSweepStaircase:
+    """The sweep's threshold walk, against oracles that share none of its code."""
+
+    @staticmethod
+    def fixed_sum_label(n, sigma, c1, c2):
+        if sigma % 2:
+            return "EMPTY"
+        graphic = is_graphic(leg(SimpleRegion(n, sigma, c1, c2))).graphic
+        return "FULLY_GRAPHIC" if graphic else "NOT_FULLY_GRAPHIC"
+
+    def test_every_row_matches_its_least_member(self):
+        for n in range(1, 13):
+            for row in sweep(n, n, with_sigma=True):
+                assert row["classification"] == self.fixed_sum_label(
+                    row["n"], row["sigma"], row["c1"], row["c2"]), row
+            for row in sweep(n, n):
+                labels = {self.fixed_sum_label(n, sigma, row["c1"], row["c2"])
+                          for sigma in range(n * row["c2"], n * row["c1"] + 1)} - {"EMPTY"}
+                expected = ("EMPTY" if not labels else "NOT_FULLY_GRAPHIC"
+                            if "NOT_FULLY_GRAPHIC" in labels else "FULLY_GRAPHIC")
+                assert row["classification"] == expected, row
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_region_inside_a_fully_graphic_one_is_fully_graphic(self, data):
+        n = data.draw(st.integers(1, 40))
+        c1 = data.draw(st.integers(0, n - 1))
+        c2 = data.draw(st.integers(0, c1))
+        assume(-(-n * c2 // 2) <= n * c1 // 2)  # the region has an even sum
+        sigma = 2 * data.draw(st.integers(-(-n * c2 // 2), n * c1 // 2))
+        if not _leg_graphic(n, sigma, c1, c2):
+            return
+        for inner_c1 in range(-(-sigma // n), c1 + 1):
+            for inner_c2 in range(c2, min(inner_c1, sigma // n) + 1):
+                assert _leg_graphic(n, sigma, inner_c1, inner_c2), (inner_c1, inner_c2)
+
+    def test_calls_per_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graphicality, "_leg_graphic",
+                            lambda *region: calls.append(region) or _leg_graphic(*region))
+        rows = sweep(12, 12, with_sigma=True)
+        assert len(rows) == TestSweep.rows(12, True) and len(calls) <= 700
 
 
 class TestOneStepMonotonicity:
