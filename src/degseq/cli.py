@@ -15,9 +15,7 @@ A sweep's rows reach ``main`` as iterators over one pass of the grid, of their
 JSON text or of their text lines, written a batch or a line at a time, so a
 large sweep never holds all its rows, or all their text, in memory.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 instance too large:
-over DEGSEQ_STEP_BUDGET, ENUMERATE_MAX_N, ENUMERATE_MAX_GRAPHS, MCMC_MAX_WORK,
-SWEEP_MAX_ROWS or WITNESS_MAX_SIZE.
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 over a limit of ``errors.LIMITS``.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .enumeration import (
     staircase_sequence,
     verify_family_bounds,
 )
-from .errors import ConstructionError, DegseqError, TooLarge
+from .errors import LIMITS, ConstructionError, DegseqError, TooLarge, check_limit
 from .graphicality import (
     PREDICATE_NAMES,
     RegionPredicate,
@@ -87,9 +85,7 @@ except ImportError:
     from json import JSONEncoder
     _encode = JSONEncoder(sort_keys=True).iterencode
 
-# Most graphs ``enumerate`` lists.  Without --limit, or above it, the exact
-# count is taken first, and more realizations than this raise TooLarge.
-ENUMERATE_MAX_GRAPHS = 100_000
+ENUMERATE_MAX_GRAPHS = LIMITS["ENUMERATE_MAX_GRAPHS"][0]
 
 # Sweep rows written at once, and so held in memory at once as text.
 _ROWS_PER_WRITE = 256
@@ -164,11 +160,8 @@ def cmd_count(args) -> tuple[dict, str]:
 def cmd_enumerate(args) -> tuple[dict, str]:
     seq = args.degrees
     edge_lists = realization_edge_lists(seq, args.limit)
-    if args.limit is None or args.limit > ENUMERATE_MAX_GRAPHS:
-        total = count_realizations(seq).count
-        if total > ENUMERATE_MAX_GRAPHS:
-            raise TooLarge(f"{seq} has {total} realizations, more than ENUMERATE_MAX_GRAPHS"
-                           f" = {ENUMERATE_MAX_GRAPHS}; pass --limit {ENUMERATE_MAX_GRAPHS} or less")
+    if args.limit is None or args.limit > ENUMERATE_MAX_GRAPHS:  # then the count decides
+        check_limit("ENUMERATE_MAX_GRAPHS", ENUMERATE_MAX_GRAPHS, count_realizations(seq).count)
     # The checks LabeledGraph makes: an edge (u, v) has text only if 0 <= u < v < n,
     # and an increasing list repeats no edge.
     labels = {(u, v): _EDGE_LABELS[u, v] for u in range(seq.n) for v in range(u + 1, seq.n)}

@@ -35,32 +35,21 @@ from .core import (
     Record,
     apply_perturbation,
 )
-from .errors import InvalidInput, NotGraphic, TooLarge
-from .graphicality import is_graphic
+from .errors import LIMITS, InvalidInput, NotGraphic, TooLarge, check_limit
+from .graphicality import WITNESS_MAX_SIZE, is_graphic
 
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
 
-# Longest sequence ``realization_edge_lists`` searches.  Its backtracker can
-# reach dead ends, which the counter's step budget does not see.
-ENUMERATE_MAX_N = 16
-
-# Most vertices plus edges a witness builder lays out (the staircase builders
-# here, the split and non-stability witnesses in ``splitgraph``): a longer
-# sequence, or a larger realization, raises TooLarge before any is allocated.
-WITNESS_MAX_SIZE = 200_000
-
-
-def _check_witness_size(what: str, size: int) -> None:
-    if size > WITNESS_MAX_SIZE:
-        raise TooLarge(f"{what} = {size} exceeds WITNESS_MAX_SIZE = {WITNESS_MAX_SIZE}")
+# The backtracker's dead ends escape the step budget, so it has a length bound of its own.
+ENUMERATE_MAX_N = LIMITS["ENUMERATE_MAX_N"][0]
 
 
 @functools.cache
 def _default_step_budget() -> int:
-    """DEGSEQ_STEP_BUDGET (default 3,000,000), read on first use rather than
-    at import, so a bad value raises InvalidInput where a count needs it."""
-    text = os.environ.get("DEGSEQ_STEP_BUDGET", "3000000")
+    """DEGSEQ_STEP_BUDGET (default in ``errors.LIMITS``), read on first use rather
+    than at import, so a bad value raises InvalidInput where a count needs it."""
+    text = os.environ.get("DEGSEQ_STEP_BUDGET", str(LIMITS["DEGSEQ_STEP_BUDGET"][0]))
     try:
         value = int(text)
     except ValueError:
@@ -138,7 +127,6 @@ class RealizationCounter:
         lookup = memo.get
         comb = math.comb
         budget = self.step_budget
-        over = f"step budget {budget} exceeded; raise DEGSEQ_STEP_BUDGET"
         nodes = steps = done = 0  # ``done``: the count of the node that finished last
         # Shared by the open nodes, so that none allocates a list (a deep
         # elimination keeps 10^5 open for the GC to scan): their child
@@ -175,7 +163,7 @@ class RealizationCounter:
                     low = need - avail + hr if need + hr > avail else 0
                     steps += (k - low + 1) * (1 + (k * k >> 14)) + scan
                     if steps > budget:
-                        raise TooLarge(over)
+                        raise TooLarge("DEGSEQ_STEP_BUDGET", budget, steps)
                     opening = False
                 else:  # class r is done: the class above takes its next pick
                     hist[o + r], hist[o + r - 1] = own, below
@@ -203,7 +191,7 @@ class RealizationCounter:
             # the big integers the memo holds; the frame is freed
             steps += (total.bit_length() >> 6) - _NODE_FRAME_STEPS
             if steps > budget:
-                raise TooLarge(over)
+                raise TooLarge("DEGSEQ_STEP_BUDGET", budget, steps)
             memo[key] = done = total
 
         stack = [node(key)]
@@ -251,8 +239,7 @@ def realization_edge_lists(
         raise InvalidInput(f"limit must be >= 0, got {limit}")
     degrees = seq.degrees
     n = len(degrees)
-    if n > ENUMERATE_MAX_N:
-        raise TooLarge(f"n={n} exceeds ENUMERATE_MAX_N = {ENUMERATE_MAX_N}")
+    check_limit("ENUMERATE_MAX_N", ENUMERATE_MAX_N, n)
     if not is_graphic(seq).graphic:
         return iter(())
     residual = list(degrees)
@@ -456,7 +443,7 @@ def staircase_sequence(m: int) -> DegreeSequence:
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    _check_witness_size("2m", 2 * m)
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * m)
     values = list(range(2 * m - 1, m, -1)) + [m, m] + list(range(m - 1, 0, -1))
     return DegreeSequence(values)
 
@@ -482,7 +469,7 @@ def staircase_realization(m: int) -> LabeledGraph:
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    _check_witness_size("vertices plus edges", 2 * m + m * m)
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * m + m * m)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     edges += [(i, m + t) for t in range(m) for i in range(m - t)]
     return LabeledGraph.from_edges(2 * m, edges)

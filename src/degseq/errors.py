@@ -33,9 +33,36 @@ class NotSplit(DegseqError):
     """The operation requires a split graph or split degree sequence."""
 
 
+# Each refusal's limit: name -> (value, unit, what it bounds).  Modules bind their constants here.
+LIMITS = {
+    "DEGSEQ_STEP_BUDGET": (3_000_000, "steps", "in one count (set the variable to change it)"),
+    "ENUMERATE_MAX_N": (16, "entries", "in a sequence to enumerate"),
+    "ENUMERATE_MAX_GRAPHS": (100_000, "realizations", "to list (pass a --limit up to it)"),
+    "MCMC_MAX_WORK": (10**7, "units of work", "for one chain: (burn_in + steps) * (m + 4) + n * n"),
+    "SWEEP_MAX_ROWS": (1_000_000, "rows", "in one sweep (narrow the n range)"),
+    "WITNESS_MAX_SIZE": (200_000, "entries plus edges", "that leg or a witness builder lays out"),
+}
+
+
 class TooLarge(DegseqError):
-    """The instance exceeds a documented size limit or the counter's step budget."""
+    """``requested`` is over ``allowed``, the value of ``LIMITS[limit]`` at the check; the
+    step budget and the sweep stop counting early, so theirs is the count when the check
+    fired.  The message is built from these three."""
+
+    def __init__(self, limit: str, allowed: int, requested: int):
+        super().__init__(limit, allowed, requested)
+        self.limit, self.allowed, self.requested = limit, allowed, requested
+
+    def __str__(self) -> str:
+        _, unit, bounds = LIMITS[self.limit]
+        return f"{self.limit} exceeded: {self.requested} > {self.allowed} {unit} {bounds}"
 
 
 class ConstructionError(DegseqError):
     """A witness construction could not be completed as specified."""
+
+
+def check_limit(limit: str, allowed: int, requested: int) -> None:
+    """Raise ``TooLarge(limit, allowed, requested)`` if ``requested > allowed``."""
+    if requested > allowed:
+        raise TooLarge(limit, allowed, requested)

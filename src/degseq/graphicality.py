@@ -28,7 +28,9 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
-from .errors import InvalidInput, MissingSigma, TooLarge
+from .errors import LIMITS, InvalidInput, MissingSigma, check_limit
+
+WITNESS_MAX_SIZE = LIMITS["WITNESS_MAX_SIZE"][0]
 
 
 class EGReport(Record):
@@ -117,9 +119,11 @@ def leg(region: SimpleRegion) -> DegreeSequence:
     This is the unique primitive member (c1)^alpha, a, (c2)^(n-1-alpha) and
     the lexicographic maximum of the region; the region is fully graphic
     exactly when this sequence is graphic.  For c1 = c2 the region is the
-    singleton constant sequence.
+    singleton constant sequence.  An n above ``WITNESS_MAX_SIZE`` raises
+    TooLarge before any entry is built.
     """
     n, sigma, c1, c2 = region.n, region.sigma, region.c1, region.c2
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n)
     if c1 == c2:
         return DegreeSequence((c1,) * n)
     alpha = (sigma - n * c2) // (c1 - c2)
@@ -192,8 +196,7 @@ def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
-# Most rows one ``sweep`` may build; above it the sweep raises TooLarge.
-SWEEP_MAX_ROWS = 1_000_000
+SWEEP_MAX_ROWS = LIMITS["SWEEP_MAX_ROWS"][0]
 
 
 def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
@@ -208,9 +211,7 @@ def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
     for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
         # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
         total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
-        if total > SWEEP_MAX_ROWS:
-            raise TooLarge(f"sweep of n={n_min}..{n_max} has over {SWEEP_MAX_ROWS} rows "
-                           "(SWEEP_MAX_ROWS); narrow the n range")
+        check_limit("SWEEP_MAX_ROWS", SWEEP_MAX_ROWS, total)
     return _staircase(range(max(n_min, 1), n_max + 1), with_sigma)  # n <= 0 has no c1 < n
 
 

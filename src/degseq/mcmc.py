@@ -45,16 +45,14 @@ except ImportError:
     from hashlib import shake_128
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
-from .errors import InvalidInput, NotGraphic, TooLarge
+from .errors import LIMITS, InvalidInput, NotGraphic, check_limit
 from .graphicality import is_graphic
 
 RNG_ALGORITHM = "shake128"
 # 64-bit words per block of the move stream; part of the stream's definition.
 DRAW_BLOCK = 4096
 _WORDS = 1 << 64
-# Most work one ``sample`` run takes on, as (burn_in + steps) * (m + 4) for m
-# edges: a few seconds at most on a 2-CPU x86-64 host.
-MCMC_MAX_WORK = 10**7
+MCMC_MAX_WORK = LIMITS["MCMC_MAX_WORK"][0]
 
 
 def _block(seed: int, index: int, start: int, stop: int) -> array:
@@ -215,13 +213,12 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     ``steps`` states after burn-in are recorded, one per step, so the
     histogram total equals ``config.steps``; ``final`` is the state after the
     last step.  Moves come from ``make_rng(config.seed)`` (see the module
-    docstring), decoded inline.  More work than ``MCMC_MAX_WORK`` raises
-    TooLarge before the start graph is built.
+    docstring), decoded inline.  Work (burn_in + steps) * (m + 4) + n * n,
+    for m edges on n vertices (the chain's steps, then the greedy start),
+    above ``MCMC_MAX_WORK`` raises TooLarge before the start graph is built.
     """
-    work = (config.burn_in + config.steps) * (seq.sigma // 2 + 4)
-    if work > MCMC_MAX_WORK:
-        raise TooLarge(f"(burn_in + steps) * (m + 4) = {work} exceeds"
-                       f" MCMC_MAX_WORK = {MCMC_MAX_WORK}")
+    work = (config.burn_in + config.steps) * (seq.sigma // 2 + 4) + seq.n * seq.n
+    check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, work)
     start = havel_hakimi_graph(seq)
     edges, adj = list(start.edges()), list(start.adj)
     need = config.burn_in + config.steps  # words, unless a draw is rejected

@@ -20,16 +20,14 @@ from collections.abc import Collection
 
 from .core import DegreeSequence, LabeledGraph, Record, VerySimpleRegion
 from .enumeration import (
-    WITNESS_MAX_SIZE,  # also the cap of the builders here
     RealizationCounter,
-    _check_witness_size,
     bumped_staircase_sequence,
     default_counter,
     staircase_realization,
     staircase_sequence,
 )
-from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit
-from .graphicality import _slack, is_graphic, very_simple_region_fully_graphic
+from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit, check_limit
+from .graphicality import WITNESS_MAX_SIZE, _slack, is_graphic, very_simple_region_fully_graphic
 
 
 class SplitVerdict(Record):
@@ -151,7 +149,7 @@ class SplitWitness(Record):
         n + ell(ell - 1)/2 + cross_edges exceeds ``WITNESS_MAX_SIZE``.
         """
         n, ell, sigma = self.sequence.n, self.ell, self.cross_edges
-        _check_witness_size("vertices plus edges", n + ell * (ell - 1) // 2 + sigma)
+        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n + ell * (ell - 1) // 2 + sigma)
         c2 = sigma // (n - ell)
         edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
         edges += [(i % ell, ell + i // c2) for i in range(sigma)]
@@ -186,7 +184,7 @@ def split_witness(region: VerySimpleRegion) -> SplitWitness | None:
     sum ell(ell - 1) + 2*sigma is even, so the sequence is a member.
     An n above ``WITNESS_MAX_SIZE`` raises TooLarge.
     """
-    _check_witness_size("n", region.n)
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, region.n)
     if very_simple_region_fully_graphic(region):
         return None
     n, c1, c2 = region.n, region.c1, region.c2
@@ -280,7 +278,7 @@ class NonstabilityWitness(Record):
 
         Raises TooLarge when its vertices plus edges exceed ``WITNESS_MAX_SIZE``.
         """
-        _check_witness_size("vertices plus edges", self.base.n + self.base.sigma // 2)
+        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, self.base.n + self.base.sigma // 2)
         return tyshkevich_compose(self.witness.graph, staircase_realization(self.m))
 
 
@@ -319,7 +317,7 @@ def nonstability_witness(
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:
         raise InvalidInput(f"n_prime must exceed n, got {n_prime} <= {n}")
-    _check_witness_size("2 n_prime - n", 2 * n_prime - n)
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * n_prime - n)
     if very_simple_region_fully_graphic(region):
         return None
     m = n_prime - n

@@ -230,8 +230,9 @@ class TestSample:
             assert sum(run.histogram.values()) == 20 and run.metadata["seed"] == seed
 
     def test_work_cap_is_checked_before_the_start_graph(self, monkeypatch):
-        # (burn_in + steps) * (m + 4) with m = 1: 10 at the cap runs, 11 does not.
-        monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", 10)
+        # (burn_in + steps) * (m + 4) + n * n with m = 1, n = 2: 14 at the cap
+        # runs, and one over it does not.
+        monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", 14)
         seq = DegreeSequence([1, 1])
         assert sum(sample(seq, ChainConfig(seed=0, steps=1, burn_in=1)).histogram.values()) == 1
 
@@ -239,9 +240,23 @@ class TestSample:
             raise AssertionError("built a start graph")
 
         monkeypatch.setattr(mcmc, "havel_hakimi_graph", no_start)
-        for steps, burn_in in ((3, 0), (0, 3), (2, 1)):
-            with pytest.raises(TooLarge, match="= 15 exceeds MCMC_MAX_WORK = 10$"):
+        for cap, steps, burn_in in ((13, 1, 1), (14, 3, 0), (14, 0, 3), (14, 2, 1)):
+            monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", cap)
+            work = (steps + burn_in) * 5 + 4
+            with pytest.raises(TooLarge) as exc:
                 sample(seq, ChainConfig(seed=0, steps=steps, burn_in=burn_in))
+            assert (exc.value.limit, exc.value.allowed, exc.value.requested) == (
+                "MCMC_MAX_WORK", cap, work)
+            assert str(exc.value) == (f"MCMC_MAX_WORK exceeded: {work} > {cap} units of work"
+                                      " for one chain: (burn_in + steps) * (m + 4) + n * n")
+
+    def test_start_graph_is_charged_to_the_work_cap(self):
+        # 16,000 ones: one step, but a greedy start of n * n = 2.56e8.
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as exc:
+            sample(DegreeSequence([1] * 16_000), ChainConfig(seed=0, steps=1))
+        assert time.perf_counter() - start < 1
+        assert exc.value.requested == 1 * (8_000 + 4) + 16_000 ** 2
 
     def test_zero_steps_record_nothing(self):
         seq = DegreeSequence([1, 1, 1, 1])
