@@ -33,7 +33,6 @@ from .enumeration import (
 from .errors import (
     ConstructionError,
     DegseqError,
-    ExceedsMax,
     InvalidInput,
     InvalidRegion,
     MissingSigma,
@@ -52,6 +51,7 @@ from .graphicality import (
     leg,
     region_fully_graphic,
     region_satisfies_stability_bound,
+    require_graphic,
     satisfies_stability_bound,
     sweep,
     very_simple_region_fully_graphic,

@@ -51,6 +51,7 @@ from .enumeration import (
 from .errors import LIMITS, ConstructionError, DegseqError, TooLarge, check_limit
 from .graphicality import (
     PREDICATE_NAMES,
+    WITNESS_MAX_SIZE,
     RegionPredicate,
     _sweep_rows,
     is_graphic,
@@ -69,6 +70,7 @@ from .mcmc import (
     tv_distance_to_uniform,
 )
 from .splitgraph import (
+    _require_split,
     is_split_sequence,
     nonstability_witness,
     split_partition,
@@ -99,11 +101,7 @@ def cmd_check(args) -> tuple[dict, str]:
     report = is_graphic_tv(seq) if args.tv else is_graphic(seq)
     result = {**vars(report), "sequence": str(seq),
               "stability_bound": satisfies_stability_bound(seq)}
-    if report.graphic:
-        return result, "graphic"
-    if report.odd_sum:
-        return result, "not graphic (odd degree sum)"
-    return result, f"not graphic (inequality fails at k={report.failing_k})"
+    return result, "graphic" if report.graphic else f"not graphic ({report.reason})"
 
 
 def cmd_leg(args) -> tuple[dict, str]:
@@ -239,8 +237,14 @@ def cmd_split_witness(args) -> tuple[dict, str]:
 
 
 def cmd_tyshkevich(args) -> tuple[dict, str]:
-    split = split_partition(havel_hakimi_graph(args.split_degrees))
-    other = havel_hakimi_graph(args.other_degrees)
+    first, second = args.split_degrees, args.other_degrees
+    # Before either graph: a split first factor, and the composition's entries
+    # plus edges, whose clique-to-second edges number ell * n2.
+    ell = _require_split(first).m
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE,
+                first.n + second.n + (first.sigma + second.sigma) // 2 + ell * second.n)
+    split = split_partition(havel_hakimi_graph(first))
+    other = havel_hakimi_graph(second)
     composed = tyshkevich_compose(split, other)
     human = str(composed.degree_sequence())
     result = {"composed": human, "edges": edges_to_text(composed.edges())}

@@ -15,12 +15,7 @@ from enum import Enum
 from functools import total_ordering
 from operator import attrgetter
 
-from .errors import (
-    ExceedsMax,
-    InvalidInput,
-    InvalidRegion,
-    NegativeDegree,
-)
+from .errors import InvalidInput, InvalidRegion, NegativeDegree
 
 
 class Record:
@@ -86,31 +81,27 @@ class DegreeSequence(Record, frozen=True):
     """A non-increasing vector of vertex degrees.
 
     Raw input is normalised by sorting.  Entries must be non-negative
-    integers; with ``bounded=True`` the constructor also rejects entries
-    above n - 1 (the ceiling for a simple graph on n vertices), which is
-    what a graphic candidate must satisfy.  Ordering compares entry tuples
-    lexicographically.
+    integers; an entry above n - 1 is allowed, and only means the sequence
+    has no realization.  Ordering compares entry tuples lexicographically.
     """
 
     degrees: tuple[int, ...]
 
-    def __init__(self, degrees: Iterable[int], *, bounded: bool = False):
+    def __init__(self, degrees: Iterable[int]):
         degs = tuple(sorted(map(int, degrees), reverse=True))
         if not degs:
             raise InvalidInput("degree sequence must be non-empty")
         if degs[-1] < 0:
             raise NegativeDegree(f"negative entry in {degs}")
-        if bounded and degs[0] > len(degs) - 1:
-            raise ExceedsMax(f"entry {degs[0]} exceeds n - 1 = {len(degs) - 1}")
         object.__setattr__(self, "degrees", degs)
 
     @classmethod
-    def parse(cls, text: str, *, bounded: bool = False) -> "DegreeSequence":
+    def parse(cls, text: str) -> "DegreeSequence":
         """Parse the canonical comma-separated form, e.g. ``4,4,3,1,1,1,1,1``,
         ignoring blanks and empty entries.  Text whose every part ``int`` reads,
         blanks and all, takes one pass; other text is read part by part."""
         try:
-            return cls(map(int, text.split(",")), bounded=bounded)
+            return cls(map(int, text.split(",")))
         except ValueError:
             pass
         parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -120,7 +111,7 @@ class DegreeSequence(Record, frozen=True):
             values = [int(p) for p in parts]
         except ValueError as exc:
             raise InvalidInput(f"cannot parse degree sequence from {text!r}") from exc
-        return cls(values, bounded=bounded)
+        return cls(values)
 
     @property
     def n(self) -> int:
@@ -315,15 +306,12 @@ class Perturbation(Record, frozen=True):
         return self.kind.sigma_delta
 
 
-def apply_perturbation(
-    seq: DegreeSequence, pert: Perturbation, *, permissive: bool = False
-) -> DegreeSequence:
+def apply_perturbation(seq: DegreeSequence, pert: Perturbation) -> DegreeSequence:
     """Apply ``pert`` to ``seq`` and return the re-sorted result.
 
-    Raises NegativeDegree if an entry would drop below zero and ExceedsMax if
-    an entry would exceed n - 1.  ``permissive=True`` suppresses ExceedsMax
-    (such sequences simply have zero realizations); entries below zero remain
-    an error because a DegreeSequence cannot represent them.
+    Raises NegativeDegree if an entry would drop below zero, as a
+    DegreeSequence cannot represent it.  An entry above n - 1 is returned as
+    it is: such a sequence simply has no realization.
     """
     n = seq.n
     if pert.i > n or (pert.j is not None and pert.j > n):
@@ -333,8 +321,6 @@ def apply_perturbation(
         values[pos - 1] += delta
     if min(values) < 0:
         raise NegativeDegree(f"{pert.kind.value} at {pert.i},{pert.j} drops below zero")
-    if not permissive and max(values) > n - 1:
-        raise ExceedsMax(f"{pert.kind.value} at {pert.i},{pert.j} exceeds n - 1 = {n - 1}")
     return DegreeSequence(values)
 
 

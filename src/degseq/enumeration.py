@@ -35,8 +35,8 @@ from .core import (
     Record,
     apply_perturbation,
 )
-from .errors import LIMITS, InvalidInput, NotGraphic, TooLarge, check_limit
-from .graphicality import WITNESS_MAX_SIZE, is_graphic
+from .errors import LIMITS, InvalidInput, TooLarge, check_limit
+from .graphicality import WITNESS_MAX_SIZE, is_graphic, require_graphic
 
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
@@ -350,11 +350,11 @@ def p_measure(
     which is the total of the -- family over |G(D)|: the vectors
     D - e_i - e_j are distinct for distinct pairs, so the positional sum
     and the family total agree.  Vectors with a negative entry count zero.
+    A sequence that is not graphic raises NotGraphic before any count.
     """
+    require_graphic(seq)
     counter = counter or default_counter()
     base = counter.count(seq).count
-    if base == 0:
-        raise NotGraphic(f"{seq} has no realization")
     return Fraction(family_count(seq, PerturbationKind.MINUS_MINUS, counter).total, base)
 
 
@@ -402,11 +402,11 @@ class FamilyBoundsReport(Record):
 def verify_family_bounds(
     seq: DegreeSequence, counter: RealizationCounter | None = None
 ) -> FamilyBoundsReport:
-    """Evaluate all three family bounds for a graphic sequence, exactly."""
+    """Evaluate all three family bounds for a graphic sequence, exactly.
+    A sequence that is not graphic raises NotGraphic before any count."""
+    require_graphic(seq)
     counter = counter or default_counter()
     base = counter.count(seq).count
-    if base == 0:
-        raise NotGraphic(f"{seq} has no realization")
     n = seq.n
     totals = {
         kind: family_count(seq, kind, counter).total for kind in PerturbationKind
@@ -455,7 +455,7 @@ def bumped_staircase_sequence(m: int) -> DegreeSequence:
     count grows exponentially in m.
     """
     return apply_perturbation(
-        staircase_sequence(m), Perturbation(PerturbationKind.PLUS_PLUS, m, 2 * m), permissive=True
+        staircase_sequence(m), Perturbation(PerturbationKind.PLUS_PLUS, m, 2 * m)
     )
 
 

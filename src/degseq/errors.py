@@ -17,10 +17,6 @@ class NegativeDegree(DegseqError):
     """An operation would produce a degree below zero."""
 
 
-class ExceedsMax(DegseqError):
-    """An operation would produce a degree above n - 1."""
-
-
 class MissingSigma(DegseqError):
     """A sum-dependent predicate was evaluated without a degree sum."""
 
@@ -38,7 +34,8 @@ LIMITS = {
     "DEGSEQ_STEP_BUDGET": (3_000_000, "steps", "in one count (set the variable to change it)"),
     "ENUMERATE_MAX_N": (16, "entries", "in a sequence to enumerate"),
     "ENUMERATE_MAX_GRAPHS": (100_000, "realizations", "to list (pass a --limit up to it)"),
-    "MCMC_MAX_WORK": (10**7, "units of work", "for one chain: (burn_in + steps) * (m + 4) + n * n"),
+    "MCMC_MAX_WORK": (10**7, "units of work", "for one chain, (burn_in + steps) * (m + 4)"
+                      " + n * n, or a greedy start, n * n"),
     "SWEEP_MAX_ROWS": (1_000_000, "rows", "in one sweep (narrow the n range)"),
     "WITNESS_MAX_SIZE": (200_000, "entries plus edges", "that leg or a witness builder lays out"),
 }

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
-from .errors import LIMITS, InvalidInput, MissingSigma, check_limit
+from .errors import LIMITS, InvalidInput, MissingSigma, NotGraphic, check_limit
 
 WITNESS_MAX_SIZE = LIMITS["WITNESS_MAX_SIZE"][0]
 
@@ -46,6 +46,11 @@ class EGReport(Record):
     failing_k: int | None
     checked_ks: list[int]
     odd_sum: bool = False
+
+    @property
+    def reason(self) -> str:
+        """Why a failed test failed: ``odd degree sum`` or ``inequality fails at k=K``."""
+        return "odd degree sum" if self.odd_sum else f"inequality fails at k={self.failing_k}"
 
 
 def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
@@ -73,6 +78,14 @@ def is_graphic(seq: DegreeSequence) -> EGReport:
     if seq.sigma % 2:
         return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     return _eg_scan(seq.degrees, range(1, len(seq) + 1))
+
+
+def require_graphic(seq: DegreeSequence) -> None:
+    """Raise NotGraphic, with the reason of :func:`is_graphic`, unless ``seq``
+    is graphic.  The package's one answer of "not graphic"."""
+    report = is_graphic(seq)
+    if not report.graphic:
+        raise NotGraphic(f"{seq} is not graphic ({report.reason})")
 
 
 def is_graphic_tv(seq: DegreeSequence) -> EGReport:

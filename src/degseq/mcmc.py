@@ -24,7 +24,11 @@ else ``_switch(i, j', 1)``: the order of the pair picks the re-pairing, so
 the m(m-1) values of r give each unordered pair with each re-pairing once.
 
 The starting state is built greedily (Havel-Hakimi): repeatedly satisfy the
-vertex of largest residual degree from the next-largest residuals.
+vertex of largest residual degree from the next-largest residuals.  The
+Erdos-Gallai gate (``graphicality.require_graphic``) runs first, and the
+greedy step needs no check of its own: on a graphic sequence it never fails
+(Havel 1955, Hakimi 1962).  The build is charged n * n against
+``MCMC_MAX_WORK``, the charge ``sample`` makes for its start.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ except ImportError:
     from hashlib import shake_128
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
-from .errors import LIMITS, InvalidInput, NotGraphic, check_limit
-from .graphicality import is_graphic
+from .errors import LIMITS, InvalidInput, check_limit
+from .graphicality import require_graphic
 
 RNG_ALGORITHM = "shake128"
 # 64-bit words per block of the move stream; part of the stream's definition.
@@ -95,10 +99,11 @@ class ChainConfig(Record, frozen=True):
 
 
 def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
-    """A deterministic realization with vertex i carrying degree d_i."""
+    """A deterministic realization with vertex i carrying degree d_i.  Raises
+    TooLarge for n * n above ``MCMC_MAX_WORK``, then NotGraphic, before any build."""
     n = seq.n
-    if seq.degrees[0] > n - 1:
-        raise NotGraphic(f"{seq} has an entry above n - 1")
+    check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, n * n)
+    require_graphic(seq)
     residual = [(d, v) for v, d in enumerate(seq.degrees)]
     adj = [0] * n
     while True:
@@ -106,13 +111,9 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
         d, v = residual[0]
         if d == 0:
             break
-        if d > len(residual) - 1:
-            raise NotGraphic(f"{seq} is not graphic")
         residual[0] = (0, v)
         for idx in range(1, d + 1):
             r, u = residual[idx]
-            if r == 0:
-                raise NotGraphic(f"{seq} is not graphic")
             residual[idx] = (r - 1, u)
             adj[v] |= 1 << u
             adj[u] |= 1 << v
@@ -238,7 +239,7 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
 def switch_connected(seq: DegreeSequence) -> bool:
     """Whether the switch graph on the realizations of ``seq`` is connected:
     always, once there is one.  Raises NotGraphic when there is none, as
-    decided by Erdos-Gallai (:func:`is_graphic`); otherwise returns True.
+    decided by Erdos-Gallai (:func:`require_graphic`); otherwise returns True.
 
     A 2-switch replaces edges ab, cd with non-edges ac, bd on four
     distinct vertices.  Any two realizations of one degree sequence are
@@ -249,8 +250,7 @@ def switch_connected(seq: DegreeSequence) -> bool:
     pairs are non-edges, and each is drawn with positive probability.  So
     no search is needed, and none is made.
     """
-    if not is_graphic(seq).graphic:
-        raise NotGraphic(f"{seq} has no realization")
+    require_graphic(seq)
     return True
 
 

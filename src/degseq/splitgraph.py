@@ -26,8 +26,9 @@ from .enumeration import (
     staircase_realization,
     staircase_sequence,
 )
-from .errors import ConstructionError, InvalidInput, NotGraphic, NotSplit, check_limit
-from .graphicality import WITNESS_MAX_SIZE, _slack, is_graphic, very_simple_region_fully_graphic
+from .errors import ConstructionError, InvalidInput, NotSplit, check_limit
+from .graphicality import (WITNESS_MAX_SIZE, _slack, require_graphic,
+                           very_simple_region_fully_graphic)
 
 
 class SplitVerdict(Record):
@@ -96,13 +97,20 @@ def is_split_sequence(seq: DegreeSequence) -> SplitVerdict:
     When the verdict is split, every realization of the sequence is a split
     graph; when it is not, none is.
     """
-    if not is_graphic(seq).graphic:
-        raise NotGraphic(f"{seq} is not graphic")
+    require_graphic(seq)
     degs = seq.degrees
     m = hs_index(seq)
     lhs = sum(degs[:m])
     rhs = m * (m - 1) + sum(degs[m:])
     return SplitVerdict(is_split=(lhs == rhs), m=m, lhs=lhs, rhs=rhs)
+
+
+def _require_split(seq: DegreeSequence) -> SplitVerdict:
+    """The verdict of :func:`is_split_sequence`, or NotSplit when it is not split."""
+    verdict = is_split_sequence(seq)
+    if not verdict.is_split:
+        raise NotSplit(f"degree sequence {seq} is not split")
+    return verdict
 
 
 def split_partition(graph: LabeledGraph) -> SplitGraph:
@@ -111,9 +119,7 @@ def split_partition(graph: LabeledGraph) -> SplitGraph:
     The m highest-degree vertices (any tie-break) form a clique and the rest
     an independent set whenever the Hammer-Simeone equality holds.
     """
-    verdict = is_split_sequence(graph.degree_sequence())
-    if not verdict.is_split:
-        raise NotSplit(f"degree sequence {graph.degree_sequence()} is not split")
+    verdict = _require_split(graph.degree_sequence())
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     clique = frozenset(order[: verdict.m])
     independent = frozenset(order[verdict.m :])

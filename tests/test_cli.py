@@ -411,7 +411,8 @@ class TestMcmcCommand:
         work = (steps + burn_in) * (3 + 4) + 3 * 3
         assert code == 3 and out == ""
         assert err == (f"error: MCMC_MAX_WORK exceeded: {work} > {mcmc.MCMC_MAX_WORK} units of"
-                       " work for one chain: (burn_in + steps) * (m + 4) + n * n\n")
+                       " work for one chain, (burn_in + steps) * (m + 4) + n * n, or a greedy"
+                       " start, n * n\n")
 
     def test_exact_space_report_enumerates_nothing(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):

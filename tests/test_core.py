@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from degseq import (
     DegreeSequence,
-    ExceedsMax,
     InvalidInput,
     InvalidRegion,
     NegativeDegree,
@@ -23,7 +22,7 @@ from degseq import (
 from degseq.core import LabeledGraph, edges_to_text
 
 
-def parse_per_part(text: str, bounded: bool) -> DegreeSequence:
+def parse_per_part(text: str) -> DegreeSequence:
     """``DegreeSequence.parse`` as it read every text before its one-pass path."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -32,13 +31,13 @@ def parse_per_part(text: str, bounded: bool) -> DegreeSequence:
         values = [int(p) for p in parts]
     except ValueError as exc:
         raise InvalidInput(f"cannot parse degree sequence from {text!r}") from exc
-    return DegreeSequence(values, bounded=bounded)
+    return DegreeSequence(values)
 
 
-def parse_outcome(parse, text: str, bounded: bool):
+def parse_outcome(parse, text: str):
     """The entries ``parse`` reads from ``text``, or the type and message it raises."""
     try:
-        return parse(text, bounded=bounded).degrees
+        return parse(text).degrees
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -55,10 +54,9 @@ _PART = st.one_of(
 
 
 class TestDegreeSequence:
-    @given(st.lists(_PART, max_size=6).map(",".join), st.booleans())
-    def test_parse_agrees_with_the_per_part_path(self, text, bounded):
-        assert (parse_outcome(DegreeSequence.parse, text, bounded)
-                == parse_outcome(parse_per_part, text, bounded))
+    @given(st.lists(_PART, max_size=6).map(",".join))
+    def test_parse_agrees_with_the_per_part_path(self, text):
+        assert parse_outcome(DegreeSequence.parse, text) == parse_outcome(parse_per_part, text)
 
     def test_input_is_sorted(self):
         assert DegreeSequence([1, 3, 2]).degrees == (3, 2, 1)
@@ -84,11 +82,6 @@ class TestDegreeSequence:
     def test_rejects_negative(self):
         with pytest.raises(NegativeDegree):
             DegreeSequence([1, -1])
-
-    def test_bounded_flag(self):
-        with pytest.raises(ExceedsMax):
-            DegreeSequence([3, 1], bounded=True)
-        assert DegreeSequence([3, 1]).degrees == (3, 1)
 
     def test_ordering_is_lexicographic(self):
         assert DegreeSequence([2, 2, 0]) > DegreeSequence([2, 1, 1])
@@ -170,12 +163,10 @@ class TestPerturbation:
         with pytest.raises(NegativeDegree):
             apply_perturbation(d, p)
 
-    def test_exceeds_max_and_permissive(self):
+    def test_entry_above_n_minus_1_is_returned(self):
         d = DegreeSequence([1, 1])
         p = Perturbation(PerturbationKind.PLUS_PLUS, 1, 2)
-        with pytest.raises(ExceedsMax):
-            apply_perturbation(d, p)
-        assert apply_perturbation(d, p, permissive=True).degrees == (2, 2)
+        assert apply_perturbation(d, p).degrees == (2, 2)
 
     def test_delta_table(self):
         assert {k.value: k.deltas for k in PerturbationKind} == {
@@ -207,7 +198,7 @@ class TestPerturbation:
             p = Perturbation(kind, i, j)
         else:
             p = Perturbation(kind, i)
-        out = apply_perturbation(d, p, permissive=True)
+        out = apply_perturbation(d, p)
         assert out.sigma - d.sigma == kind.sigma_delta
 
 

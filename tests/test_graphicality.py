@@ -1,8 +1,10 @@
+import ast
 import itertools
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,23 +14,31 @@ from degseq import (
     DegreeSequence,
     InvalidInput,
     MissingSigma,
+    NotGraphic,
     RegionPredicate,
     TooLarge,
     SimpleRegion,
     VerySimpleRegion,
+    havel_hakimi_graph,
     is_graphic,
     is_graphic_tv,
     is_primitive,
+    is_split_sequence,
     iter_region,
     jms_star_sigma_margin,
     leg,
+    p_measure,
     region_fully_graphic,
     region_satisfies_stability_bound,
+    require_graphic,
     satisfies_stability_bound,
     sweep,
+    switch_connected,
+    verify_family_bounds,
     very_simple_region_fully_graphic,
 )
 from degseq import graphicality
+from degseq.cli import main
 from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, _sweep_rows, iter_sweep
 from conftest import all_sorted_sequences, brute_force_count
 
@@ -147,6 +157,48 @@ class TestIsGraphic:
 
     def test_entry_at_or_above_n_fails(self):
         assert not is_graphic(DegreeSequence([4, 2, 1, 1])).graphic
+
+
+class TestRequireGraphic:
+    """The one gate: every call that needs a graphic input raises its NotGraphic."""
+
+    @pytest.mark.parametrize("degs, why", [
+        ("2,1,1,1", "odd degree sum"),
+        ("3,3,1,1", "inequality fails at k=2"),
+        ("4,1,1", "inequality fails at k=1")])
+    @pytest.mark.parametrize("call", [
+        require_graphic, havel_hakimi_graph, switch_connected, is_split_sequence,
+        p_measure, verify_family_bounds])
+    def test_each_caller_raises_the_erdos_gallai_reason(self, call, degs, why):
+        with pytest.raises(NotGraphic) as exc:
+            call(DegreeSequence.parse(degs))
+        assert str(exc.value) == f"{degs} is not graphic ({why})"
+
+    @pytest.mark.parametrize("degs, why", [
+        ("2,1,1,1", "odd degree sum"), ("3,3,1,1", "inequality fails at k=2")])
+    def test_check_prints_the_same_reason(self, capsys, degs, why):
+        assert main(["check", degs]) == 0
+        assert capsys.readouterr().out == f"not graphic ({why})\n"
+
+    @pytest.mark.parametrize("command", ["pmeasure", "family-bounds"])
+    def test_odd_sum_is_refused_before_any_count(self, capsys, command):
+        # n = 22, so no entry is above n - 1, but the sum is odd: the counter
+        # would run its step budget out before it found no realization.
+        degs = ",".join(["11"] * 21 + ["10"])
+        start = time.perf_counter()
+        code = main([command, degs])
+        assert time.perf_counter() - start < 0.5
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: {degs} is not graphic (odd degree sum)\n")
+
+    def test_one_raise_in_the_source(self):
+        src = Path(graphicality.__file__).parent
+        raises = [(path.name, getattr(top, "name", None))
+                  for path in sorted(src.glob("*.py"))
+                  for top in ast.parse(path.read_text()).body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Raise) and ast.unparse(node.exc).startswith("NotGraphic")]
+        assert raises == [("graphicality.py", "require_graphic")]
 
 
 class TestTripathiVijay:

@@ -54,8 +54,8 @@ CASES = {
     "MCMC_MAX_WORK": (
         lambda: sample(DegreeSequence([2, 2, 2]), ChainConfig(seed=1, steps=10**11)),
         10**7, 10**11 * (3 + 4) + 3 * 3,
-        "MCMC_MAX_WORK exceeded: 700000000009 > 10000000 units of work for one chain:"
-        " (burn_in + steps) * (m + 4) + n * n",
+        "MCMC_MAX_WORK exceeded: 700000000009 > 10000000 units of work for one chain,"
+        " (burn_in + steps) * (m + 4) + n * n, or a greedy start, n * n",
         ["mcmc", "2,2,2", "--steps", str(10**11), "--seed", "1"]),
     "SWEEP_MAX_ROWS": (
         # the grid of n = 2..24 is the first past the limit
@@ -170,3 +170,39 @@ class TestLeg:
         assert out == "fully graphic\n"
         assert err == ("error: WITNESS_MAX_SIZE exceeded: 1000000000000 > 200000 entries plus"
                        " edges that leg or a witness builder lays out\n")
+
+
+class TestTyshkevich:
+    """Both greedy graphs and the composition are bounded before any is built."""
+
+    def test_composition_over_the_witness_size_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "havel_hakimi_graph", lambda seq: pytest.fail("built a graph"))
+        split = ",".join(["599"] * 300 + ["300"] * 300)  # split, Hammer-Simeone index 301
+        other = ",".join(["300"] * 600)
+        start = time.perf_counter()
+        code = main(["tyshkevich", split, other])
+        assert time.perf_counter() - start < 1
+        # 1,200 entries, (269,700 + 180,000) / 2 edges inside the factors, 301 * 600 across
+        assert (code, *capsys.readouterr()) == (
+            3, "", "error: WITNESS_MAX_SIZE exceeded: 406650 > 200000 entries plus edges that"
+                   " leg or a witness builder lays out\n")
+
+    def test_greedy_start_over_the_work_cap_exits_3(self, capsys):
+        # 1 + 40,000 + 20,000 + 1 * 40,000 = 100,001 passes the size; n * n does not
+        start = time.perf_counter()
+        code = main(["tyshkevich", "0", ",".join(["1"] * 40_000)])
+        assert time.perf_counter() - start < 1
+        assert (code, *capsys.readouterr()) == (
+            3, "", "error: MCMC_MAX_WORK exceeded: 1600000000 > 10000000 units of work for one"
+                   " chain, (burn_in + steps) * (m + 4) + n * n, or a greedy start, n * n\n")
+
+    def test_non_split_factor_exits_1_without_a_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "havel_hakimi_graph", lambda seq: pytest.fail("built a graph"))
+        assert main(["tyshkevich", "1,1,1,1", "1,1"]) == 1
+        assert capsys.readouterr().err == "error: degree sequence 1,1,1,1 is not split\n"
+
+    def test_library_greedy_start_is_charged(self):
+        assert mcmc.havel_hakimi_graph(DegreeSequence([0] * 3_162)).n == 3_162
+        with pytest.raises(TooLarge) as exc:
+            mcmc.havel_hakimi_graph(DegreeSequence([1] * 3_163))
+        assert exc.value.args == ("MCMC_MAX_WORK", 10**7, 3_163 ** 2)

@@ -248,7 +248,8 @@ class TestSample:
             assert (exc.value.limit, exc.value.allowed, exc.value.requested) == (
                 "MCMC_MAX_WORK", cap, work)
             assert str(exc.value) == (f"MCMC_MAX_WORK exceeded: {work} > {cap} units of work"
-                                      " for one chain: (burn_in + steps) * (m + 4) + n * n")
+                                      " for one chain, (burn_in + steps) * (m + 4) + n * n,"
+                                      " or a greedy start, n * n")
 
     def test_start_graph_is_charged_to_the_work_cap(self):
         # 16,000 ones: one step, but a greedy start of n * n = 2.56e8.

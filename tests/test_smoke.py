@@ -101,12 +101,12 @@ def test_abbreviated_options_and_equals_values_read_as_the_full_form(given, full
      " builder lays out"),
     # over MCMC_MAX_WORK, before the chain starts
     ("mcmc 2,2,2 --steps 100000000000 --seed 1",
-     "MCMC_MAX_WORK exceeded: 700000000009 > 10000000 units of work for one chain:"
-     " (burn_in + steps) * (m + 4) + n * n"),
+     "MCMC_MAX_WORK exceeded: 700000000009 > 10000000 units of work for one chain,"
+     " (burn_in + steps) * (m + 4) + n * n, or a greedy start, n * n"),
     # the greedy start of 16,000 ones is charged to the chain's work
     ("mcmc " + ",".join(["1"] * 16_000) + " --steps 1 --seed 1",
-     "MCMC_MAX_WORK exceeded: 256008004 > 10000000 units of work for one chain:"
-     " (burn_in + steps) * (m + 4) + n * n"),
+     "MCMC_MAX_WORK exceeded: 256008004 > 10000000 units of work for one chain,"
+     " (burn_in + steps) * (m + 4) + n * n, or a greedy start, n * n"),
 ], ids=["split-witness", "mcmc-steps", "mcmc-start-graph"])
 def test_over_a_limit_exits_3(argv, refusal):
     done = degseq("--json", *argv.split())

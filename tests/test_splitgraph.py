@@ -349,8 +349,7 @@ class TestNonstabilityWitness:
                     i = degs.index(m + ell)
                     j = degs.index(1 + ell, i + 1 if m == 1 else 0)
                     bump = Perturbation(PerturbationKind.PLUS_PLUS, i + 1, j + 1)
-                    assert witness.perturbed == apply_perturbation(
-                        witness.base, bump, permissive=True), case
+                    assert witness.perturbed == apply_perturbation(witness.base, bump), case
 
     def test_uncountable_region_gets_a_threshold_witness(self):
         # Chosen without counting: the first candidate (ell = 4, 8^4 3^16)
