@@ -70,10 +70,11 @@ from .mcmc import (
     tv_distance_to_uniform,
 )
 from .splitgraph import (
+    SplitGraph,
+    _composed_degrees,
     _require_split,
     is_split_sequence,
     nonstability_witness,
-    split_partition,
     split_witness,
     tyshkevich_compose,
     verify_multiplicativity,
@@ -238,16 +239,15 @@ def cmd_split_witness(args) -> tuple[dict, str]:
 
 def cmd_tyshkevich(args) -> tuple[dict, str]:
     first, second = args.split_degrees, args.other_degrees
-    # Before either graph: a split first factor, and the composition's entries
-    # plus edges, whose clique-to-second edges number ell * n2.
-    ell = _require_split(first).m
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE,
-                first.n + second.n + (first.sigma + second.sigma) // 2 + ell * second.n)
-    split = split_partition(havel_hakimi_graph(first))
+    # One split test; the greedy start gives vertex v the v-th largest entry, so the
+    # clique is labels 0..m-1.  The composition is bounded before any graph is built.
+    m = _require_split(first).m
+    composed = _composed_degrees(first.degrees, range(m), second)
+    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, composed.n + composed.sigma // 2)
+    split = SplitGraph(havel_hakimi_graph(first), frozenset(range(m)), frozenset(range(m, first.n)))
     other = havel_hakimi_graph(second)
-    composed = tyshkevich_compose(split, other)
-    human = str(composed.degree_sequence())
-    result = {"composed": human, "edges": edges_to_text(composed.edges())}
+    human = str(composed)
+    result = {"composed": human, "edges": edges_to_text(tyshkevich_compose(split, other).edges())}
     if args.verify:
         report = verify_multiplicativity(split, other)
         result["counts"] = {

@@ -10,12 +10,13 @@ package.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import total_ordering
 from operator import attrgetter
 
-from .errors import InvalidInput, InvalidRegion, NegativeDegree
+from .errors import DegseqError, InvalidInput, InvalidRegion, NegativeDegree
 
 
 class Record:
@@ -76,19 +77,33 @@ class Record:
         raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
 
 
+def _read_integers(record: Record, error: type[DegseqError], names: tuple[str, ...]) -> None:
+    """Store the named fields of ``record`` as read by ``operator.index``;
+    a field it refuses (a float, a string) raises ``error``."""
+    try:
+        vars(record).update({name: operator.index(getattr(record, name)) for name in names})
+    except TypeError:
+        raise error(f"{', '.join(names)} must be integers, got {record!r}") from None
+
+
 @total_ordering
 class DegreeSequence(Record, frozen=True):
     """A non-increasing vector of vertex degrees.
 
     Raw input is normalised by sorting.  Entries must be non-negative
-    integers; an entry above n - 1 is allowed, and only means the sequence
-    has no realization.  Ordering compares entry tuples lexicographically.
+    integers (read by ``operator.index``, so a float or a string raises
+    InvalidInput); an entry above n - 1 is allowed, and only means the
+    sequence has no realization.  Ordering compares entry tuples
+    lexicographically.
     """
 
     degrees: tuple[int, ...]
 
     def __init__(self, degrees: Iterable[int]):
-        degs = tuple(sorted(map(int, degrees), reverse=True))
+        try:
+            degs = tuple(sorted(map(operator.index, degrees), reverse=True))
+        except TypeError as exc:
+            raise InvalidInput(f"degree sequence entries must be integers ({exc})") from None
         if not degs:
             raise InvalidInput("degree sequence must be non-empty")
         if degs[-1] < 0:
@@ -148,6 +163,7 @@ class VerySimpleRegion(Record, frozen=True):
     c2: int
 
     def __post_init__(self):
+        _read_integers(self, InvalidRegion, self.__match_args__)
         if not (self.n > self.c1 >= self.c2 >= 0):
             raise InvalidRegion(
                 f"need n > c1 >= c2 >= 0, got n={self.n}, c1={self.c1}, c2={self.c2}"
@@ -172,6 +188,7 @@ class SimpleRegion(Record, frozen=True):
     c2: int
 
     def __post_init__(self):
+        _read_integers(self, InvalidRegion, self.__match_args__)
         if not (self.n > self.c1 >= self.c2 >= 0):
             raise InvalidRegion(
                 f"need n > c1 >= c2 >= 0, got n={self.n}, c1={self.c1}, c2={self.c2}"

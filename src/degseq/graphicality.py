@@ -353,10 +353,18 @@ class RegionPredicate(Record, frozen=True):
     def exception_bound(self) -> float | None:
         """For ``phi_eps``: regions with n below this bound may contain
         non-graphic members; every region at or above it is fully graphic.
-        None for the other predicates."""
+        None for the other predicates; InvalidInput when it is above the
+        largest float."""
         if self.name != "phi_eps":
             return None
-        return 1.0 / (8.0 * (1.0 - math.sqrt(1.0 - self.epsilon)) ** 2)
+        # 1 / (8 (1 - sqrt(1 - eps))^2), without the cancellation, in one exact quotient.
+        eps = Fraction(self.epsilon)
+        bound = Fraction((1 + math.sqrt(1 - eps)) ** 2) / (8 * eps * eps)
+        try:
+            return float(bound)
+        except OverflowError:
+            raise InvalidInput("the phi_eps exception bound exceeds the largest float"
+                               " (epsilon below about 5.3e-155)") from None
 
     def evaluate(self, n: int, c1: int, c2: int, sigma: int | None = None) -> bool:
         needs_sigma, holds = _PREDICATES[self.name]

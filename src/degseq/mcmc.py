@@ -48,7 +48,7 @@ try:
 except ImportError:
     from hashlib import shake_128
 
-from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, edges_to_text
+from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, _read_integers, edges_to_text
 from .errors import LIMITS, InvalidInput, check_limit
 from .graphicality import require_graphic
 
@@ -94,6 +94,7 @@ class ChainConfig(Record, frozen=True):
 
     def __post_init__(self):
         _check_seed(self.seed)
+        _read_integers(self, InvalidInput, ("steps", "burn_in"))
         if self.steps < 0 or self.burn_in < 0:
             raise InvalidInput("steps and burn_in must be >= 0")
 
@@ -104,17 +105,17 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
     n = seq.n
     check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, n * n)
     require_graphic(seq)
-    residual = [(d, v) for v, d in enumerate(seq.degrees)]
+    # (-residual, label) sorts largest residual first, lowest label among ties.
+    residual = [(-d, v) for v, d in enumerate(seq.degrees)]
     adj = [0] * n
-    while True:
-        residual.sort(key=lambda t: (-t[0], t[1]))
-        d, v = residual[0]
-        if d == 0:
+    while residual:
+        residual.sort()
+        d, v = residual.pop(0)
+        if not d:
             break
-        residual[0] = (0, v)
-        for idx in range(1, d + 1):
+        for idx in range(-d):
             r, u = residual[idx]
-            residual[idx] = (r - 1, u)
+            residual[idx] = (r + 1, u)
             adj[v] |= 1 << u
             adj[u] |= 1 << v
     return LabeledGraph(n, tuple(adj))

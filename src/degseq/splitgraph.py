@@ -16,6 +16,7 @@ witness family.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Collection
 
 from .core import DegreeSequence, LabeledGraph, Record, VerySimpleRegion
@@ -83,12 +84,9 @@ class SplitGraph(Record, frozen=True):
 
 
 def hs_index(seq: DegreeSequence) -> int:
-    """The largest index m with d_m >= m - 1 (1-based)."""
-    m = 1
-    for i, d in enumerate(seq.degrees, start=1):
-        if d >= i - 1:
-            m = i
-    return m
+    """The largest index m with d_m >= m - 1 (1-based): d_i falls as i - 1
+    rises, so the i with d_i >= i - 1 are exactly 1..m."""
+    return sum(map(operator.ge, seq.degrees, range(seq.n)))
 
 
 def is_split_sequence(seq: DegreeSequence) -> SplitVerdict:
@@ -151,11 +149,11 @@ class SplitWitness(Record):
         """The realization, built anew on each access (O(n^2) bits).
 
         No cross edge repeats: the c2 <= ell consecutive i of one
-        independent vertex are distinct mod ell.  Raises TooLarge when
-        n + ell(ell - 1)/2 + cross_edges exceeds ``WITNESS_MAX_SIZE``.
+        independent vertex are distinct mod ell.  Raises TooLarge when its
+        vertices plus edges exceed ``WITNESS_MAX_SIZE``.
         """
         n, ell, sigma = self.sequence.n, self.ell, self.cross_edges
-        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n + ell * (ell - 1) // 2 + sigma)
+        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n + self.sequence.sigma // 2)
         c2 = sigma // (n - ell)
         edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
         edges += [(i % ell, ell + i // c2) for i in range(sigma)]

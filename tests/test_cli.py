@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from degseq import DegreeSequence, __version__, cli, enumeration, mcmc, sweep
+from degseq import (DegreeSequence, __version__, cli, enumeration, graphicality, mcmc,
+                    splitgraph, sweep)
 from degseq.cli import build_parser, main
 from degseq.errors import DegseqError
 from degseq.graphicality import PREDICATE_NAMES, iter_sweep
@@ -180,6 +181,16 @@ class TestRegionCommands:
         assert envelope["result"]["holds"] is True
         assert envelope["result"]["exception_bound"] == pytest.approx(9 / 32)
 
+    def test_region_tiny_epsilon(self, capsys):
+        argv = ("--json", "region", "--n", "4", "--sigma", "6", "--c1", "3", "--c2", "0",
+                "--predicate", "phi_eps", "--epsilon")
+        code, out, err = run(capsys, *argv, "1e-17")
+        assert code == 0 and json.loads(out)["result"]["exception_bound"] == 5e33, err
+        # 1 / (2 eps^2) is above the largest float
+        code, out, err = run(capsys, *argv, "1e-400")
+        assert (code, out) == (1, "") and err.startswith("error: "), err
+        assert "Traceback" not in err
+
     def test_region_epsilon_usage_errors(self, capsys):
         for epsilon in ("abc", "1/0"):
             code, out, err = run(capsys, "region", "--n", "8", "--c1", "4", "--c2", "2",
@@ -317,6 +328,24 @@ class TestWitnessCommands:
         envelope = run_json(capsys, "tyshkevich", "2,1,1", "1,1", "--verify")
         assert envelope["result"]["multiplicative"] is True
         assert envelope["result"]["composed"] == "4,3,3,3,1"
+
+    def test_tyshkevich_runs_the_split_test_once(self, capsys, monkeypatch):
+        calls = {"hs_index": 0, "is_graphic": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(splitgraph, "hs_index")
+        counted(graphicality, "is_graphic")
+        envelope = run_json(capsys, "tyshkevich", "3,2,2,1", "2,1,1", "--verify")
+        assert envelope["result"]["multiplicative"] is True
+        # the split test, then the greedy start of each factor
+        assert calls["hs_index"] == 1 and calls["is_graphic"] <= 3, calls
 
     def test_nonstab_witness(self, capsys):
         envelope = run_json(
@@ -478,7 +507,7 @@ GOLDEN_STDOUT = [
     ('region --n 8 --c1 4 --c2 2 --sigma 20 --predicate phi_eps --epsilon 1/2',
      'phi_eps: fails\n',
      '{"command": "region", "inputs": {"c1": 4, "c2": 2, "n": 8, "predicate": "phi_eps", '
-     '"sigma": 20}, "result": {"epsilon": "1/2", "exception_bound": 1.457106781186548, '
+     '"sigma": 20}, "result": {"epsilon": "1/2", "exception_bound": 1.4571067811865475, '
      '"holds": false, "predicate": "phi_eps"}, "version": "0.1.0"}\n'),
     ('count 1,2,1,1,1',
      '6\n',

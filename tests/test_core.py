@@ -86,6 +86,12 @@ class TestDegreeSequence:
     def test_ordering_is_lexicographic(self):
         assert DegreeSequence([2, 2, 0]) > DegreeSequence([2, 1, 1])
 
+    def test_rejects_non_integer_entries(self):
+        for bad in ([1.5, 1], [2.0, 2, 2], ["1", 1]):
+            with pytest.raises(InvalidInput, match="must be integers"):
+                DegreeSequence(bad)
+        assert DegreeSequence([True, 1]).degrees == (1, 1)
+
 
 class TestRegions:
     def test_very_simple_validation(self):
@@ -93,6 +99,16 @@ class TestRegions:
         for bad in ((3, 3, 0), (3, 1, 2), (3, 1, -1), (0, 0, 0)):
             with pytest.raises(InvalidRegion):
                 VerySimpleRegion(*bad)
+
+    def test_very_simple_rejects_non_integer_fields(self):
+        for bad in ((4.5, 3, 1), ("4", 3, 1), (4, 3.0, 1), (4, 3, None)):
+            with pytest.raises(InvalidRegion, match="must be integers"):
+                VerySimpleRegion(*bad)
+
+    def test_simple_rejects_non_integer_fields(self):
+        for bad in ((8, 16.0, 4, 1), (8.5, 16, 4, 1), (8, 16, "4", 1)):
+            with pytest.raises(InvalidRegion, match="must be integers"):
+                SimpleRegion(*bad)
 
     def test_simple_validation(self):
         SimpleRegion(8, 16, 4, 1)

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import itertools
 import math
 import random
@@ -517,6 +518,22 @@ class TestPredicates:
         p = RegionPredicate("phi_eps", epsilon=Fraction(8, 9))
         assert p.exception_bound == pytest.approx(9 / 32)
         assert RegionPredicate("phi_JMS").exception_bound is None
+
+    def test_phi_eps_exception_bound_is_accurate(self):
+        # (1 + sqrt(1 - eps))^2 / (8 eps^2) = 1 / (8 (1 - sqrt(1 - eps))^2), to 50 digits
+        context = decimal.Context(prec=50)
+        for eps in map(Fraction, ("1e-17", "1e-10", "1/2", "8/9", "1")):
+            e = context.divide(eps.numerator, eps.denominator)
+            gap = context.subtract(1, context.sqrt(context.subtract(1, e)))
+            exact = context.divide(1, context.multiply(8, context.power(gap, 2)))
+            bound = RegionPredicate("phi_eps", epsilon=eps).exception_bound
+            assert abs(decimal.Decimal(bound) - exact) <= exact * decimal.Decimal("1e-15"), eps
+
+    def test_phi_eps_exception_bound_above_the_largest_float(self):
+        for eps in (Fraction(1, 10**400), Fraction(5, 10**156)):
+            with pytest.raises(InvalidInput, match="largest float"):
+                RegionPredicate("phi_eps", epsilon=eps).exception_bound
+        assert RegionPredicate("phi_eps", epsilon=Fraction(6, 10**155)).exception_bound > 1e308
 
     def test_phi_gs_matches_phi_eps_at_one_ninth(self):
         gs = RegionPredicate("phi_GS")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from degseq import (
     edges_to_text,
     enumerate_realizations,
     havel_hakimi_graph,
+    is_graphic,
     make_rng,
     sample,
     switch_connected,
@@ -127,7 +129,42 @@ def switch_component_oracle(seq):
     return len(seen), len(states)
 
 
+def key_sorted_greedy(seq) -> LabeledGraph:
+    """Reference greedy start: re-sort every residual by (-residual, label)
+    through a key function and keep each satisfied pivot in the list."""
+    residual = [(d, v) for v, d in enumerate(seq.degrees)]
+    adj = [0] * seq.n
+    while True:
+        residual.sort(key=lambda t: (-t[0], t[1]))
+        d, v = residual[0]
+        if d == 0:
+            break
+        residual[0] = (0, v)
+        for idx in range(1, d + 1):
+            r, u = residual[idx]
+            residual[idx] = (r - 1, u)
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+    return LabeledGraph(seq.n, tuple(adj))
+
+
 class TestHavelHakimi:
+    def test_equals_the_key_sorted_greedy_on_every_small_sequence(self):
+        for n in range(1, 8):
+            for degs in all_sorted_sequences(n):
+                seq = DegreeSequence(degs)
+                if is_graphic(seq).graphic:
+                    assert havel_hakimi_graph(seq) == key_sorted_greedy(seq), degs
+
+    def test_equals_the_key_sorted_greedy_on_random_sequences(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            p = rng.random()
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            seq = LabeledGraph.from_edges(n, edges).degree_sequence()
+            assert havel_hakimi_graph(seq) == key_sorted_greedy(seq), seq
+
     def test_positional_degrees_match(self):
         for degs in ((2, 2, 2), (4, 4, 3, 1, 1, 1, 1, 1), (3, 2, 2, 1), (0, 0)):
             g = havel_hakimi_graph(DegreeSequence(degs))
@@ -218,6 +255,11 @@ class TestSample:
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
             ChainConfig(seed=0, steps=-1)
+
+    def test_config_rejects_non_integer_counts(self):
+        for steps, burn_in in ((2.5, 0), ("2", 0), (2, 1.0), (2, None)):
+            with pytest.raises(InvalidInput, match="must be integers"):
+                ChainConfig(seed=1, steps=steps, burn_in=burn_in)
 
     def test_seed_domain(self):
         for seed in (-1, -(2**70), 1.0):
