@@ -15,7 +15,8 @@ A sweep's rows reach ``main`` as iterators over one pass of the grid, of their
 JSON text or of their text lines, written a batch or a line at a time, so a
 large sweep never holds all its rows, or all their text, in memory.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 over a limit of ``errors.LIMITS``.
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 over a limit of ``errors.LIMITS``,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
 import re
 import sys
 from collections.abc import Iterator
@@ -463,6 +465,12 @@ def main(argv=None) -> int:
             lines = iter((human,) if isinstance(human, str) else human)
             print(next(lines, ""))
             sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE shows: stdout now writes to
+        # os.devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,8 +13,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from functools import total_ordering
-from operator import attrgetter
+from functools import cached_property, total_ordering
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import DegseqError, InvalidInput, InvalidRegion, NegativeDegree
 
@@ -342,46 +343,52 @@ def apply_perturbation(seq: DegreeSequence, pert: Perturbation) -> DegreeSequenc
 
 
 class LabeledGraph(Record, frozen=True):
-    """A simple graph on labeled vertices 0 .. n-1.
+    """A simple graph on labeled vertices 0 .. n-1, stored as its sorted edge list.
 
-    Adjacency is stored as one neighbour bitset per vertex: bit j of
-    ``adj[i]`` is set iff {i, j} is an edge.  Instances are immutable.
+    ``pairs`` holds each edge once as (u, v), u < v, in increasing order; its
+    entries are read by ``operator.index``.  ``adj``, the neighbour bitsets
+    (bit j of ``adj[i]`` set iff {i, j} is an edge), is derived on first use
+    and cached outside the fields.  Instances are immutable.
     """
 
     n: int
-    adj: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
-            raise InvalidInput("adjacency length must equal n")
-        for i, bits in enumerate(self.adj):
-            if bits >> self.n:
-                raise InvalidInput(f"vertex {i} has neighbours outside 0..{self.n - 1}")
-            if bits >> i & 1:
-                raise InvalidInput(f"self-loop at vertex {i}")
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                if not self.adj[j] >> i & 1:
-                    raise InvalidInput(f"adjacency not symmetric at ({i}, {j})")
-                bits &= bits - 1
+        try:
+            n = operator.index(self.n)
+            pairs = tuple(map(tuple, self.pairs))
+            if set(map(type, chain.from_iterable(pairs))) - {int}:
+                pairs = tuple(map(tuple, map(map, repeat(operator.index), pairs)))
+        except TypeError as exc:
+            raise InvalidInput(f"a graph's n and edge entries must be integers ({exc})") from None
+        # At C speed; on a failure the loop names the first bad pair.
+        if not (n >= 0 and set(map(len, pairs)) <= {2} and all(map(operator.lt, pairs, pairs[1:]))
+                and all(map(operator.lt, map(itemgetter(0), pairs), map(itemgetter(1), pairs)))
+                and (not pairs or pairs[0][0] >= 0 and max(map(itemgetter(1), pairs)) < n)):
+            if n < 0:
+                raise InvalidInput(f"a graph needs n >= 0, got {n}")
+            for before, pair in zip(((-1, -1),) + pairs, pairs):
+                if len(pair) != 2 or not 0 <= pair[0] < pair[1] < n or pair <= before:
+                    raise InvalidInput(f"edge {pair} is not (u, v) with 0 <= u < v < {n}"
+                                       " above the edge before it")
+        vars(self).update(n=n, pairs=pairs)
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        adj = [0] * self.n
+        for u, v in self.pairs:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
 
     @classmethod
     def empty(cls, n: int) -> "LabeledGraph":
-        return cls(n, (0,) * n)
+        return cls(n, ())
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
-        adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInput(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InvalidInput(f"self-loop at vertex {u}")
-            if adj[u] >> v & 1:
-                raise InvalidInput(f"duplicate edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls(n, sorted(e if e[0] < e[1] else e[::-1] for e in edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -398,21 +405,14 @@ class LabeledGraph(Record, frozen=True):
 
     @property
     def edge_count(self) -> int:
-        return sum(bits.bit_count() for bits in self.adj) // 2
+        return len(self.pairs)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted edge list; also the canonical form of the labeled graph."""
-        out = []
-        for u in range(self.n):
-            bits = self.adj[u] >> (u + 1) << (u + 1)
-            while bits:
-                v = (bits & -bits).bit_length() - 1
-                out.append((u, v))
-                bits &= bits - 1
-        return tuple(out)
+        return self.pairs
 
     def __str__(self) -> str:
-        return edges_to_text(self.edges())
+        return edges_to_text(self.pairs)
 
 
 class _EdgeLabels(dict):

@@ -23,6 +23,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import os
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -98,7 +99,15 @@ class RealizationCounter:
         self._memo: dict[tuple[int, ...], int] = {}
 
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
-        degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
+        """The count of ``seq``, a DegreeSequence or a raw vector of integers
+        (read by ``operator.index``, so a float or a string raises
+        InvalidInput); an entry outside [0, n - 1] counts zero."""
+        try:
+            degrees = seq.degrees if isinstance(seq, DegreeSequence) else tuple(seq)
+            if set(map(type, degrees)) - {int}:
+                degrees = tuple(map(operator.index, degrees))
+        except TypeError as exc:
+            raise InvalidInput(f"degree sequence entries must be integers ({exc})") from None
         n = len(degrees)
         top = max(degrees, default=0)
         if n and (top > n - 1 or min(degrees) < 0):

@@ -48,7 +48,7 @@ try:
 except ImportError:
     from hashlib import shake_128
 
-from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, _read_integers, edges_to_text
+from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, _read_integers
 from .errors import LIMITS, InvalidInput, check_limit
 from .graphicality import require_graphic
 
@@ -107,18 +107,17 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
     require_graphic(seq)
     # (-residual, label) sorts largest residual first, lowest label among ties.
     residual = [(-d, v) for v, d in enumerate(seq.degrees)]
-    adj = [0] * n
+    edges = []
     while residual:
         residual.sort()
         d, v = residual.pop(0)
         if not d:
             break
-        for idx in range(-d):
-            r, u = residual[idx]
-            residual[idx] = (r + 1, u)
-            adj[v] |= 1 << u
-            adj[u] |= 1 << v
-    return LabeledGraph(n, tuple(adj))
+        taken = residual[:-d]
+        residual[:-d] = [(r + 1, u) for r, u in taken]
+        edges += [(u, v) if u < v else (v, u) for _, u in taken]
+    edges.sort()
+    return LabeledGraph(n, edges)
 
 
 def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> tuple:
@@ -154,20 +153,21 @@ def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: 
     return i, j, p, q
 
 
-def _run(adj: list[int], edges: list[tuple[int, int]], words: Iterator[int],
-         burn_in: int, steps: int) -> tuple[Counter, int]:
-    """Walk ``burn_in + steps`` steps in place, drawing from ``words``.
+def _run(graph: LabeledGraph, labels: list[str], words: Iterator[int],
+         burn_in: int, steps: int) -> tuple[list[tuple[int, int]], Counter, int]:
+    """Walk ``burn_in + steps`` steps from ``graph``, drawing from ``words``.
 
-    Returns the histogram of the ``steps`` recorded states, keyed on edge
-    text, and the number of moves made.  A list of edge labels follows the
-    edge list, and a state's key is joined once, when it is left or at the
-    end, and only if some recorded step saw it.
+    Returns the final sorted edge list, the histogram of the ``steps``
+    recorded states, keyed on edge text, and the number of moves made.  The
+    edge labels ``labels`` follow the edge list, and a state's key is joined
+    once, when it is left or at the end, and only if some step recorded it.
     """
-    labels = list(map(_EDGE_LABELS.__getitem__, edges))
+    edges = list(graph.edges())
     histogram: Counter = Counter()
     m = len(edges)
     accepted, entered = 0, 0  # the state has been recorded since step entered
-    if m >= 2:
+    if m >= 2 and burn_in + steps:
+        adj = list(graph.adj)
         m1 = m - 1
         moves = m * m1
         limit = _WORDS - _WORDS % moves
@@ -187,7 +187,7 @@ def _run(adj: list[int], edges: list[tuple[int, int]], words: Iterator[int],
                 entered = step if step > 0 else 0
     if steps > entered:
         histogram[",".join(labels)] += steps - entered
-    return histogram, accepted
+    return edges, histogram, accepted
 
 
 def switch_step(graph: LabeledGraph, rng: Iterator[int]) -> LabeledGraph:
@@ -195,10 +195,9 @@ def switch_step(graph: LabeledGraph, rng: Iterator[int]) -> LabeledGraph:
     :func:`make_rng`.  Returns the input graph unchanged on a lazy step or
     when fewer than two edges exist (the chain is then trivially stationary,
     and no word is drawn)."""
-    edges, adj = list(graph.edges()), list(graph.adj)
-    if not _run(adj, edges, rng, 0, 1)[1]:
-        return graph
-    return LabeledGraph(graph.n, tuple(adj))
+    labels = list(map(_EDGE_LABELS.__getitem__, graph.edges()))
+    edges, _, accepted = _run(graph, labels, rng, 0, 1)
+    return LabeledGraph(graph.n, edges) if accepted else graph
 
 
 class SampleResult(Record):
@@ -222,18 +221,19 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     work = (config.burn_in + config.steps) * (seq.sigma // 2 + 4) + seq.n * seq.n
     check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, work)
     start = havel_hakimi_graph(seq)
-    edges, adj = list(start.edges()), list(start.adj)
-    need = config.burn_in + config.steps  # words, unless a draw is rejected
-    histogram, accepted = _run(adj, edges, _words(config.seed, need), config.burn_in, config.steps)
+    labels = list(map(_EDGE_LABELS.__getitem__, start.edges()))
+    start_text = ",".join(labels)  # before the walk edits the labels
+    words = _words(config.seed, config.burn_in + config.steps)  # one a step, unless rejected
+    edges, histogram, accepted = _run(start, labels, words, config.burn_in, config.steps)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,
         "steps": config.steps,
         "burn_in": config.burn_in,
         "accepted": accepted,
-        "start": edges_to_text(start.edges()),
+        "start": start_text,
     }
-    final = LabeledGraph(seq.n, tuple(adj))
+    final = LabeledGraph(seq.n, edges) if accepted else start
     return SampleResult(final=final, histogram=histogram, metadata=metadata)
 
 

@@ -21,6 +21,18 @@ from degseq import LabeledGraph, RealizationCounter, havel_hakimi_graph
 from degseq import mcmc
 
 
+# Edge lists that no graph on vertices 0..3 has; the graph's constructor and
+# the CLI's own check in ``cmd_enumerate`` must refuse each one.
+MALFORMED_EDGE_LISTS = [
+    [(0, 1), (2, 4)],  # a vertex outside 0..3
+    [(1, 0), (2, 3)],  # u > v
+    [(0, 0), (2, 3)],  # a self-loop
+    [(-1, 1), (2, 3)],  # a negative label
+    [(0, 1), (0, 1)],  # an edge twice
+    [(2, 3), (0, 1)],  # out of order
+]
+
+
 @lru_cache(maxsize=None)
 def degree_census(n: int) -> dict[tuple[int, ...], int]:
     """Positional degree vector -> number of labeled graphs, for all graphs on n vertices."""

@@ -19,6 +19,7 @@ from degseq import (DegreeSequence, __version__, cli, enumeration, graphicality,
 from degseq.cli import build_parser, main
 from degseq.errors import DegseqError
 from degseq.graphicality import PREDICATE_NAMES, iter_sweep
+from conftest import MALFORMED_EDGE_LISTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "output.json").read_text())
@@ -125,14 +126,7 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "--json", "enumerate", *argv)
         assert code == 0 and out == envelope + "\n"
 
-    @pytest.mark.parametrize("edges", [
-        [(0, 1), (2, 4)],  # a vertex outside 0..3
-        [(1, 0), (2, 3)],  # u > v
-        [(0, 0), (2, 3)],  # a self-loop
-        [(-1, 1), (2, 3)],  # a negative label
-        [(0, 1), (0, 1)],  # an edge twice
-        [(2, 3), (0, 1)],  # out of order
-    ])
+    @pytest.mark.parametrize("edges", MALFORMED_EDGE_LISTS)
     def test_enumerate_prints_no_unchecked_edge_list(self, capsys, monkeypatch, edges):
         monkeypatch.setattr(cli, "realization_edge_lists", lambda seq, limit: iter([edges]))
         code, out, err = run(capsys, "--json", "enumerate", "1,1,1,1")

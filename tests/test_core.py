@@ -20,6 +20,7 @@ from degseq import (
     parse_region,
 )
 from degseq.core import LabeledGraph, edges_to_text
+from conftest import MALFORMED_EDGE_LISTS
 
 
 def parse_per_part(text: str) -> DegreeSequence:
@@ -263,24 +264,70 @@ class TestLabeledGraph:
         with pytest.raises(InvalidInput):
             LabeledGraph.from_edges(3, [(0, 3)])
         with pytest.raises(InvalidInput):
-            LabeledGraph(2, (1, 0))  # asymmetric
+            LabeledGraph(2, (1, 0))  # neighbour bitsets, not pairs
 
-    def test_validation_against_every_matrix(self):
-        # Oracle: the constructor accepts exactly the symmetric, loop-free
-        # bit matrices, checked entry by entry over all of them for n <= 3.
+    def test_validation_against_every_short_list(self):
+        # Oracle: for n <= 3, every list of up to three pairs with entries in
+        # -1..n is accepted exactly when each pair is (u, v) with
+        # 0 <= u < v < n above the pair before it; a refusal names the first
+        # pair that is not.
         for n in range(4):
-            for adj in itertools.product(range(1 << n), repeat=n):
-                simple = all(
-                    (adj[i] >> j & 1) == (adj[j] >> i & 1) and not adj[i] >> i & 1
-                    for i in range(n)
-                    for j in range(n)
-                )
-                try:
-                    LabeledGraph(n, adj)
-                    accepted = True
-                except InvalidInput:
-                    accepted = False
-                assert accepted == simple, adj
+            pairs = list(itertools.product(range(-1, n + 1), repeat=2))
+            for k in range(4):
+                for edges in itertools.product(pairs, repeat=k):
+                    bad = [i for i, (u, v) in enumerate(edges)
+                           if not 0 <= u < v < n or i and edges[i - 1] >= (u, v)]
+                    try:
+                        LabeledGraph(n, edges)
+                        refusal = None
+                    except InvalidInput as exc:
+                        refusal = str(exc)
+                    if not bad:
+                        assert refusal is None, (n, edges)
+                    else:
+                        assert refusal.startswith(f"edge {edges[bad[0]]} "), (n, edges, refusal)
+
+    @pytest.mark.parametrize("pairs", MALFORMED_EDGE_LISTS)
+    def test_refuses_each_malformed_edge_list(self, pairs):
+        with pytest.raises(InvalidInput):
+            LabeledGraph(4, pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, 1)], [(0, 1.5)], [(0, 1), (2.0, 3.0)], [("0", "1")], [(0, 1), (2, "3")], ["01"],
+    ])
+    def test_refuses_float_and_string_entries(self, pairs):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            LabeledGraph(4, pairs)
+
+    def test_entries_are_read_as_integers(self):
+        g = LabeledGraph(True + 2, [[False, True], (1, 2)])
+        assert g == LabeledGraph(3, ((0, 1), (1, 2)))
+        assert repr(g) == "LabeledGraph(n=3, pairs=((0, 1), (1, 2)))"
+        assert all(type(x) is int for pair in g.pairs for x in pair)
+
+    def test_bitsets_and_degrees_agree_on_every_small_graph(self):
+        for n in range(6):
+            slots = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(slots)):
+                pairs = [e for k, e in enumerate(slots) if mask >> k & 1]
+                g = LabeledGraph(n, pairs)
+                bits = [0] * n
+                for u, v in pairs:
+                    bits[u] |= 1 << v
+                    bits[v] |= 1 << u
+                assert g.adj == tuple(bits)
+                assert g.degrees() == tuple(bin(b).count("1") for b in bits)
+                assert all(g.has_edge(u, v) == bool(bits[u] >> v & 1)
+                           for u in range(n) for v in range(n))
+                assert g.edge_count == len(pairs) == sum(g.degrees()) // 2
+
+    def test_bitsets_are_cached_outside_the_fields(self):
+        g = LabeledGraph.from_edges(3, [(0, 1)])
+        assert g.adj is g.adj == (2, 1, 0)
+        assert g == LabeledGraph(3, [(0, 1)]) and hash(g) == hash((3, ((0, 1),)))
+        assert repr(g) == "LabeledGraph(n=3, pairs=((0, 1),))"
+        with pytest.raises(AttributeError, match="frozen"):
+            g.adj = (0, 0, 0)
 
     def test_canonical_key_is_sorted_edges(self):
         g = LabeledGraph.from_edges(4, [(2, 3), (0, 1)])

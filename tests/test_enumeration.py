@@ -119,7 +119,8 @@ def oracle_enumerate(seq, limit=None):
     def backtrack():
         live = [v for v in active if residual[v] > 0]
         if not live:
-            yield LabeledGraph(n, tuple(adj))
+            yield LabeledGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if adj[u] >> v & 1])
             return
         pivot = max(live, key=lambda v: residual[v])
         need = residual[pivot]
@@ -264,6 +265,16 @@ class TestCountRealizations:
     def test_out_of_range_entries_count_zero(self):
         assert count_realizations(DegreeSequence([4, 1, 1])).count == 0
         assert count_realizations(DegreeSequence([5, 5, 5])).count == 0
+        assert RealizationCounter().count([-1, 1]).count == 0
+        assert RealizationCounter().count([3, 1]).count == 0
+
+    def test_raw_float_entries_are_refused(self):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            RealizationCounter().count([1.5, 0.5])
+
+    def test_raw_string_entries_are_refused(self):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            RealizationCounter().count(["1", "1"])
 
     def test_too_large(self):
         # 200,000 entries: the step budget stops both, 1^200000 on the
@@ -416,7 +427,7 @@ class TestEnumerateRealizations:
         for n in range(1, 6):
             for seq in all_sorted_sequences(n):
                 for g in enumerate_realizations(DegreeSequence(seq)):
-                    assert LabeledGraph(g.n, g.adj) == g
+                    assert LabeledGraph(g.n, list(g.edges())) == g
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -28,7 +28,7 @@ from degseq import (
     switch_step,
     tv_distance_to_uniform,
 )
-from degseq import enumeration, mcmc
+from degseq import core, enumeration, mcmc
 from conftest import all_sorted_sequences, switch_component
 
 
@@ -133,7 +133,7 @@ def key_sorted_greedy(seq) -> LabeledGraph:
     """Reference greedy start: re-sort every residual by (-residual, label)
     through a key function and keep each satisfied pivot in the list."""
     residual = [(d, v) for v, d in enumerate(seq.degrees)]
-    adj = [0] * seq.n
+    edges = []
     while True:
         residual.sort(key=lambda t: (-t[0], t[1]))
         d, v = residual[0]
@@ -143,9 +143,8 @@ def key_sorted_greedy(seq) -> LabeledGraph:
         for idx in range(1, d + 1):
             r, u = residual[idx]
             residual[idx] = (r - 1, u)
-            adj[v] |= 1 << u
-            adj[u] |= 1 << v
-    return LabeledGraph(seq.n, tuple(adj))
+            edges.append((v, u))
+    return LabeledGraph.from_edges(seq.n, edges)
 
 
 class TestHavelHakimi:
@@ -300,6 +299,27 @@ class TestSample:
             sample(DegreeSequence([1] * 16_000), ChainConfig(seed=0, steps=1))
         assert time.perf_counter() - start < 1
         assert exc.value.requested == 1 * (8_000 + 4) + 16_000 ** 2
+
+    def test_a_zero_step_chain_labels_each_edge_once(self, monkeypatch):
+        # 250^300 has 37,500 edges, more than the label memo holds, so each
+        # pass over the edges would format every label anew.
+        seq = DegreeSequence([250] * 300)
+        looked_up = Counter()
+        missing = core._EdgeLabels.__missing__
+
+        def counted(labels, edge):
+            looked_up[edge] += 1
+            return missing(labels, edge)
+
+        core._EDGE_LABELS.clear()
+        monkeypatch.setattr(core._EdgeLabels, "__missing__", counted)
+        run = sample(seq, ChainConfig(seed=1, steps=0))
+        monkeypatch.undo()
+        start = havel_hakimi_graph(seq)
+        assert len(looked_up) == start.edge_count == 37_500
+        assert set(looked_up.values()) == {1}
+        assert run.metadata["start"] == edges_to_text(start.edges())
+        assert run.final == start
 
     def test_zero_steps_record_nothing(self):
         seq = DegreeSequence([1, 1, 1, 1])

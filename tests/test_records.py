@@ -54,7 +54,7 @@ CASES = [
     (lambda: SimpleRegion(4, 6, 2, 1), "SimpleRegion(n=4, sigma=6, c1=2, c2=1)"),
     (lambda: Perturbation(K.PLUS_MINUS, 1, 2),
      "Perturbation(kind=<PerturbationKind.PLUS_MINUS: '+-'>, i=1, j=2)"),
-    (graph, "LabeledGraph(n=3, adj=(2, 1, 0))"),
+    (graph, "LabeledGraph(n=3, pairs=((0, 1),))"),
     (lambda: CountResult(6, 5, False),
      "CountResult(count=6, nodes_explored=5, from_cache=False)"),
     (lambda: PerturbationFamilyCount(K.MINUS_MINUS, 3, 2),
@@ -70,10 +70,10 @@ CASES = [
      "RegionPredicate(name='phi_eps', epsilon=Fraction(1, 2))"),
     (lambda: ChainConfig(seed=1, steps=2), "ChainConfig(seed=1, steps=2, burn_in=0)"),
     (lambda: SampleResult(graph(), Counter({"1-2": 2}), {"seed": 1}),
-     "SampleResult(final=LabeledGraph(n=3, adj=(2, 1, 0)), histogram=Counter({'1-2': 2}), "
+     "SampleResult(final=LabeledGraph(n=3, pairs=((0, 1),)), histogram=Counter({'1-2': 2}), "
      "metadata={'seed': 1})"),
     (lambda: SplitVerdict(True, 2, 2, 2), "SplitVerdict(is_split=True, m=2, lhs=2, rhs=2)"),
-    (split, "SplitGraph(graph=LabeledGraph(n=3, adj=(6, 1, 1)), clique=frozenset({0}), "
+    (split, "SplitGraph(graph=LabeledGraph(n=3, pairs=((0, 1), (0, 2))), clique=frozenset({0}), "
             "independent=frozenset({1, 2}))"),
     (witness, "SplitWitness(sequence=DegreeSequence(degrees=(2, 1, 1)), ell=1, cross_edges=2, "
               "c=2, alpha=0)"),

@@ -72,6 +72,20 @@ def test_every_subcommand_prints_one_json_line(argv):
     json.loads(done.stdout)
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # The reader takes 100 bytes of a 2 MB sweep and closes the pipe, as
+    # `| head -c 100` does; the exit is a shell's code for SIGPIPE.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-S", "-m", "degseq.cli", "--json", "sweep", "--n-min", "1",
+            "--n-max", "60"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path}) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=20) == 141
+
+
 def test_human_mode():
     done = degseq("check", "4,4,3,1,1,1,1,1")
     assert (done.returncode, done.stdout) == (0, "graphic\n")
