@@ -41,7 +41,6 @@ from .core import (
     parse_region,
 )
 from .enumeration import (
-    ENUMERATE_MAX_N,
     count_realizations,
     count_staircase_family,
     bumped_staircase_sequence,
@@ -53,7 +52,6 @@ from .enumeration import (
 from .errors import LIMITS, ConstructionError, DegseqError, TooLarge, check_limit
 from .graphicality import (
     PREDICATE_NAMES,
-    WITNESS_MAX_SIZE,
     RegionPredicate,
     _sweep_rows,
     is_graphic,
@@ -89,8 +87,6 @@ try:
 except ImportError:
     from json import JSONEncoder
     _encode = JSONEncoder(sort_keys=True).iterencode
-
-ENUMERATE_MAX_GRAPHS = LIMITS["ENUMERATE_MAX_GRAPHS"][0]
 
 # Sweep rows written at once, and so held in memory at once as text.
 _ROWS_PER_WRITE = 256
@@ -161,8 +157,8 @@ def cmd_count(args) -> tuple[dict, str]:
 def cmd_enumerate(args) -> tuple[dict, str]:
     seq = args.degrees
     edge_lists = realization_edge_lists(seq, args.limit)
-    if args.limit is None or args.limit > ENUMERATE_MAX_GRAPHS:  # then the count decides
-        check_limit("ENUMERATE_MAX_GRAPHS", ENUMERATE_MAX_GRAPHS, count_realizations(seq).count)
+    if args.limit is None or args.limit > LIMITS["ENUMERATE_MAX_GRAPHS"][0]:  # the count decides
+        check_limit("ENUMERATE_MAX_GRAPHS", count_realizations(seq).count)
     # The checks LabeledGraph makes: an edge (u, v) has text only if 0 <= u < v < n,
     # and an increasing list repeats no edge.
     labels = {(u, v): _EDGE_LABELS[u, v] for u in range(seq.n) for v in range(u + 1, seq.n)}
@@ -245,7 +241,7 @@ def cmd_tyshkevich(args) -> tuple[dict, str]:
     # clique is labels 0..m-1.  The composition is bounded before any graph is built.
     m = _require_split(first).m
     composed = _composed_degrees(first.degrees, range(m), second)
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, composed.n + composed.sigma // 2)
+    check_limit("WITNESS_MAX_SIZE", composed.n + composed.sigma // 2)
     split = SplitGraph(havel_hakimi_graph(first), frozenset(range(m)), frozenset(range(m, first.n)))
     other = havel_hakimi_graph(second)
     human = str(composed)
@@ -287,7 +283,7 @@ def cmd_mcmc(args) -> tuple[dict, str]:
         "final": edges_to_text(run.final.edges()),
     }
     try:  # no exact-space report above ENUMERATE_MAX_N, where a count may take seconds
-        total = count_realizations(seq).count if seq.n <= ENUMERATE_MAX_N else 0
+        total = count_realizations(seq).count if seq.n <= LIMITS["ENUMERATE_MAX_N"][0] else 0
     except TooLarge:
         total = 0  # sampling still fine; just skip the exact-space report
     human = f"visited {len(run.histogram)} states in {config.steps} steps"

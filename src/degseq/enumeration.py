@@ -37,27 +37,28 @@ from .core import (
     apply_perturbation,
 )
 from .errors import LIMITS, InvalidInput, TooLarge, check_limit
-from .graphicality import WITNESS_MAX_SIZE, is_graphic, require_graphic
+from .graphicality import is_graphic, require_graphic
 
 # A query empties a counter's memo first when it holds more entries than this.
 MEMO_MAX_ENTRIES = 1 << 18
 
-# The backtracker's dead ends escape the step budget, so it has a length bound of its own.
-ENUMERATE_MAX_N = LIMITS["ENUMERATE_MAX_N"][0]
 
-
-@functools.cache
-def _default_step_budget() -> int:
-    """DEGSEQ_STEP_BUDGET (default in ``errors.LIMITS``), read on first use rather
-    than at import, so a bad value raises InvalidInput where a count needs it."""
-    text = os.environ.get("DEGSEQ_STEP_BUDGET", str(LIMITS["DEGSEQ_STEP_BUDGET"][0]))
+def _step_budget(value: int | None) -> int:
+    """``value`` by ``operator.index``, or if None DEGSEQ_STEP_BUDGET (default in
+    ``errors.LIMITS``) by ``int``, read on the call; InvalidInput unless >= 0."""
+    name, shown = "step_budget", value
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise InvalidInput(f"DEGSEQ_STEP_BUDGET must be a non-negative integer, got {text!r}")
-    return value
+        if value is None:
+            name = "DEGSEQ_STEP_BUDGET"
+            shown = os.environ.get(name)
+            budget = LIMITS[name][0] if shown is None else int(shown)
+        else:
+            budget = operator.index(value)
+    except (TypeError, ValueError):
+        budget = -1
+    if budget < 0:
+        raise InvalidInput(f"{name} must be a non-negative integer, got {shown!r}")
+    return budget
 
 
 class CountResult(Record):
@@ -82,7 +83,7 @@ class RealizationCounter:
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
     Results are deterministic and independent of call order.
-    ``step_budget`` (default DEGSEQ_STEP_BUDGET) is a query's one limit, in
+    ``step_budget`` (an int >= 0, default DEGSEQ_STEP_BUDGET) is a query's one limit, in
     steps: the child histograms it tries, times 1 + high**2 // 2**14 when a
     class may give up to high picks (big binomials), plus d // 32 per class
     and d per node on a length-d histogram (scans and copies), plus one per
@@ -95,7 +96,7 @@ class RealizationCounter:
     """
 
     def __init__(self, step_budget: int | None = None):
-        self.step_budget = _default_step_budget() if step_budget is None else step_budget
+        self.step_budget = _step_budget(step_budget)
         self._memo: dict[tuple[int, ...], int] = {}
 
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
@@ -241,42 +242,45 @@ def realization_edge_lists(
     possible neighbourhoods, which partitions the realization set, so no
     graph is produced twice.  At most ``limit`` lists are yielded (none for
     0).  A negative limit raises InvalidInput and a length above
-    ``ENUMERATE_MAX_N`` raises TooLarge, both at the call.  Only a graphic
-    root has a leaf, so a non-graphic ``seq`` yields nothing without a search.
+    ``ENUMERATE_MAX_N`` raises TooLarge, both at the call; the search's dead
+    ends escape the step budget, so it has a length bound of its own.  Only a
+    graphic root has a leaf, so a non-graphic ``seq`` yields nothing without
+    a search.
     """
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be >= 0, got {limit}")
     degrees = seq.degrees
     n = len(degrees)
-    check_limit("ENUMERATE_MAX_N", ENUMERATE_MAX_N, n)
+    check_limit("ENUMERATE_MAX_N", n)
     if not is_graphic(seq).graphic:
         return iter(())
-    residual = list(degrees)
-    active = [v for v in range(n) if residual[v] > 0]
-    edges: list[tuple[int, int]] = []
+    active = [v for v in range(n) if degrees[v] > 0]
+    return itertools.islice(_backtrack(list(degrees), active, []), limit)
 
-    def backtrack() -> Iterator[list[tuple[int, int]]]:
-        live = [v for v in active if residual[v] > 0]
-        if not live:
-            yield sorted(edges)
-            return
-        pivot = max(live, key=residual.__getitem__)
-        need = residual[pivot]
-        others = [v for v in live if v != pivot]
-        if need > len(others):
-            return
-        residual[pivot] = 0
-        for nbrs in itertools.combinations(others, need):
-            for v in nbrs:
-                residual[v] -= 1
-                edges.append((pivot, v) if pivot < v else (v, pivot))
-            yield from backtrack()
-            for v in nbrs:
-                residual[v] += 1
-            del edges[-need:]
-        residual[pivot] = need
 
-    return itertools.islice(backtrack(), limit)
+def _backtrack(residual: list[int], active: list[int],
+               edges: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
+    """The search of :func:`realization_edge_lists` below ``edges``; its lists are
+    arguments, not closure cells, so a dropped search holds no reference cycle."""
+    live = [v for v in active if residual[v] > 0]
+    if not live:
+        yield sorted(edges)
+        return
+    pivot = max(live, key=residual.__getitem__)
+    need = residual[pivot]
+    others = [v for v in live if v != pivot]
+    if need > len(others):
+        return
+    residual[pivot] = 0
+    for nbrs in itertools.combinations(others, need):
+        for v in nbrs:
+            residual[v] -= 1
+            edges.append((pivot, v) if pivot < v else (v, pivot))
+        yield from _backtrack(residual, active, edges)
+        for v in nbrs:
+            residual[v] += 1
+        del edges[-need:]
+    residual[pivot] = need
 
 
 def enumerate_realizations(
@@ -452,7 +456,7 @@ def staircase_sequence(m: int) -> DegreeSequence:
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * m)
+    check_limit("WITNESS_MAX_SIZE", 2 * m)
     values = list(range(2 * m - 1, m, -1)) + [m, m] + list(range(m - 1, 0, -1))
     return DegreeSequence(values)
 
@@ -478,7 +482,7 @@ def staircase_realization(m: int) -> LabeledGraph:
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * m + m * m)
+    check_limit("WITNESS_MAX_SIZE", 2 * m + m * m)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     edges += [(i, m + t) for t in range(m) for i in range(m - t)]
     return LabeledGraph.from_edges(2 * m, edges)

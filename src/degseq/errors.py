@@ -29,7 +29,8 @@ class NotSplit(DegseqError):
     """The operation requires a split graph or split degree sequence."""
 
 
-# Each refusal's limit: name -> (value, unit, what it bounds).  Modules bind their constants here.
+# Each refusal's limit: name -> (value, unit, what it bounds).  Every check reads the value
+# here when it runs (a counter its default budget when it is made); no module keeps a copy.
 LIMITS = {
     "DEGSEQ_STEP_BUDGET": (3_000_000, "steps", "in one count (set the variable to change it)"),
     "ENUMERATE_MAX_N": (16, "entries", "in a sequence to enumerate"),
@@ -59,7 +60,9 @@ class ConstructionError(DegseqError):
     """A witness construction could not be completed as specified."""
 
 
-def check_limit(limit: str, allowed: int, requested: int) -> None:
-    """Raise ``TooLarge(limit, allowed, requested)`` if ``requested > allowed``."""
+def check_limit(limit: str, requested: int) -> None:
+    """Raise ``TooLarge(limit, allowed, requested)`` if ``requested`` is over
+    ``allowed = LIMITS[limit][0]``, read at the check."""
+    allowed = LIMITS[limit][0]
     if requested > allowed:
         raise TooLarge(limit, allowed, requested)

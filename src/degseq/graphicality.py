@@ -28,9 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
-from .errors import LIMITS, InvalidInput, MissingSigma, NotGraphic, check_limit
-
-WITNESS_MAX_SIZE = LIMITS["WITNESS_MAX_SIZE"][0]
+from .errors import InvalidInput, MissingSigma, NotGraphic, check_limit
 
 
 class EGReport(Record):
@@ -136,7 +134,7 @@ def leg(region: SimpleRegion) -> DegreeSequence:
     TooLarge before any entry is built.
     """
     n, sigma, c1, c2 = region.n, region.sigma, region.c1, region.c2
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n)
+    check_limit("WITNESS_MAX_SIZE", n)
     if c1 == c2:
         return DegreeSequence((c1,) * n)
     alpha = (sigma - n * c2) // (c1 - c2)
@@ -209,9 +207,6 @@ def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
-SWEEP_MAX_ROWS = LIMITS["SWEEP_MAX_ROWS"][0]
-
-
 def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
     """The grid as runs (n, sigma, c1, c2_lo, c2_hi, label) in (n, sigma, c1, c2)
     order, sigma None in the plain grid, counted on the call.  At fixed n (and
@@ -224,7 +219,7 @@ def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
     for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
         # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
         total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
-        check_limit("SWEEP_MAX_ROWS", SWEEP_MAX_ROWS, total)
+        check_limit("SWEEP_MAX_ROWS", total)
     return _staircase(range(max(n_min, 1), n_max + 1), with_sigma)  # n <= 0 has no c1 < n
 
 

@@ -49,14 +49,13 @@ except ImportError:
     from hashlib import shake_128
 
 from .core import _EDGE_LABELS, DegreeSequence, LabeledGraph, Record, _read_integers
-from .errors import LIMITS, InvalidInput, check_limit
+from .errors import InvalidInput, check_limit
 from .graphicality import require_graphic
 
 RNG_ALGORITHM = "shake128"
 # 64-bit words per block of the move stream; part of the stream's definition.
 DRAW_BLOCK = 4096
 _WORDS = 1 << 64
-MCMC_MAX_WORK = LIMITS["MCMC_MAX_WORK"][0]
 
 
 def _block(seed: int, index: int, start: int, stop: int) -> array:
@@ -103,7 +102,7 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
     """A deterministic realization with vertex i carrying degree d_i.  Raises
     TooLarge for n * n above ``MCMC_MAX_WORK``, then NotGraphic, before any build."""
     n = seq.n
-    check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, n * n)
+    check_limit("MCMC_MAX_WORK", n * n)
     require_graphic(seq)
     # (-residual, label) sorts largest residual first, lowest label among ties.
     residual = [(-d, v) for v, d in enumerate(seq.degrees)]
@@ -219,7 +218,7 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     above ``MCMC_MAX_WORK`` raises TooLarge before the start graph is built.
     """
     work = (config.burn_in + config.steps) * (seq.sigma // 2 + 4) + seq.n * seq.n
-    check_limit("MCMC_MAX_WORK", MCMC_MAX_WORK, work)
+    check_limit("MCMC_MAX_WORK", work)
     start = havel_hakimi_graph(seq)
     labels = list(map(_EDGE_LABELS.__getitem__, start.edges()))
     start_text = ",".join(labels)  # before the walk edits the labels

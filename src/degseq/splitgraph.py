@@ -28,8 +28,7 @@ from .enumeration import (
     staircase_sequence,
 )
 from .errors import ConstructionError, InvalidInput, NotSplit, check_limit
-from .graphicality import (WITNESS_MAX_SIZE, _slack, require_graphic,
-                           very_simple_region_fully_graphic)
+from .graphicality import _slack, require_graphic, very_simple_region_fully_graphic
 
 
 class SplitVerdict(Record):
@@ -153,7 +152,7 @@ class SplitWitness(Record):
         vertices plus edges exceed ``WITNESS_MAX_SIZE``.
         """
         n, ell, sigma = self.sequence.n, self.ell, self.cross_edges
-        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, n + self.sequence.sigma // 2)
+        check_limit("WITNESS_MAX_SIZE", n + self.sequence.sigma // 2)
         c2 = sigma // (n - ell)
         edges = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
         edges += [(i % ell, ell + i // c2) for i in range(sigma)]
@@ -188,7 +187,7 @@ def split_witness(region: VerySimpleRegion) -> SplitWitness | None:
     sum ell(ell - 1) + 2*sigma is even, so the sequence is a member.
     An n above ``WITNESS_MAX_SIZE`` raises TooLarge.
     """
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, region.n)
+    check_limit("WITNESS_MAX_SIZE", region.n)
     if very_simple_region_fully_graphic(region):
         return None
     n, c1, c2 = region.n, region.c1, region.c2
@@ -282,7 +281,7 @@ class NonstabilityWitness(Record):
 
         Raises TooLarge when its vertices plus edges exceed ``WITNESS_MAX_SIZE``.
         """
-        check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, self.base.n + self.base.sigma // 2)
+        check_limit("WITNESS_MAX_SIZE", self.base.n + self.base.sigma // 2)
         return tyshkevich_compose(self.witness.graph, staircase_realization(self.m))
 
 
@@ -321,7 +320,7 @@ def nonstability_witness(
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:
         raise InvalidInput(f"n_prime must exceed n, got {n_prime} <= {n}")
-    check_limit("WITNESS_MAX_SIZE", WITNESS_MAX_SIZE, 2 * n_prime - n)
+    check_limit("WITNESS_MAX_SIZE", 2 * n_prime - n)
     if very_simple_region_fully_graphic(region):
         return None
     m = n_prime - n

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from degseq import (DegreeSequence, __version__, cli, enumeration, graphicality, mcmc,
+from degseq import (DegreeSequence, __version__, cli, enumeration, graphicality,
                     splitgraph, sweep)
 from degseq.cli import build_parser, main
-from degseq.errors import DegseqError
+from degseq.errors import LIMITS, DegseqError
 from degseq.graphicality import PREDICATE_NAMES, iter_sweep
 from conftest import MALFORMED_EDGE_LISTS
 
@@ -89,7 +89,7 @@ class TestBasicCommands:
         refusal = ("error: ENUMERATE_MAX_GRAPHS exceeded: 50262958713792825 > 100000"
                    " realizations to list (pass a --limit up to it)\n")
         assert (code, out, err) == (3, "", refusal)
-        over = str(cli.ENUMERATE_MAX_GRAPHS + 1)
+        over = str(LIMITS["ENUMERATE_MAX_GRAPHS"][0] + 1)
         code, _, err = run(capsys, "--json", "enumerate", ",".join(["3"] * 16), "--limit", over)
         assert (code, err) == (3, refusal)
         result = run_json(capsys, "enumerate", ",".join(["2"] * 9))["result"]
@@ -102,7 +102,7 @@ class TestBasicCommands:
         monkeypatch.setattr(cli, "count_realizations", no_count)
         result = run_json(capsys, "enumerate", ",".join(["3"] * 16), "--limit", "5")["result"]
         assert result["yielded"] == 5
-        at_cap = str(cli.ENUMERATE_MAX_GRAPHS)
+        at_cap = str(LIMITS["ENUMERATE_MAX_GRAPHS"][0])
         assert run_json(capsys, "enumerate", "1,1,1,1", "--limit", at_cap)["result"]["yielded"] == 3
 
     def test_enumerate_limit(self, capsys):
@@ -433,7 +433,8 @@ class TestMcmcCommand:
         assert time.perf_counter() - start < 1
         work = (steps + burn_in) * (3 + 4) + 3 * 3
         assert code == 3 and out == ""
-        assert err == (f"error: MCMC_MAX_WORK exceeded: {work} > {mcmc.MCMC_MAX_WORK} units of"
+        cap = LIMITS["MCMC_MAX_WORK"][0]
+        assert err == (f"error: MCMC_MAX_WORK exceeded: {work} > {cap} units of"
                        " work for one chain, (burn_in + steps) * (m + 4) + n * n, or a greedy"
                        " start, n * n\n")
 

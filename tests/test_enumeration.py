@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from degseq import enumeration
 from degseq.cli import main
+from degseq.errors import LIMITS
 from degseq import (
     DegreeSequence,
     InvalidInput,
@@ -347,10 +349,16 @@ class TestCounterLimits:
         assert str(exc.value) == ("ENUMERATE_MAX_N exceeded: 18 > 16 entries in a sequence"
                                   " to enumerate")
 
+    @pytest.mark.parametrize("budget", ["5", -1, 1.5])
+    def test_a_bad_budget_is_refused_when_the_counter_is_made(self, budget):
+        with pytest.raises(InvalidInput) as exc:
+            RealizationCounter(step_budget=budget)
+        assert str(exc.value) == f"step_budget must be a non-negative integer, got {budget!r}"
+
     def test_enumeration_bound_is_the_benchmark_count_limit(self, monkeypatch):
         # perfbench's mcmc oracle wants no exact-space report above COUNT_LIMIT.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        assert enumeration.ENUMERATE_MAX_N == importlib.import_module("workloads").COUNT_LIMIT
+        assert LIMITS["ENUMERATE_MAX_N"][0] == importlib.import_module("workloads").COUNT_LIMIT
 
     def test_default_memo_limit_is_far_above_a_benchmark_round(self):
         assert enumeration.MEMO_MAX_ENTRIES >= 1 << 18
@@ -440,6 +448,23 @@ class TestEnumerateRealizations:
             assert exc.value.args == ("ENUMERATE_MAX_N", 16, 18)
             with pytest.raises(InvalidInput, match="limit must be >= 0"):
                 enumerate_(DegreeSequence([1, 1]), limit=-1)
+
+    def test_a_search_leaves_no_reference_cycle(self):
+        # Whole, partial (one list taken, the rest dropped) and validated: each
+        # search is freed by reference counting, with nothing left for the
+        # cyclic collector.
+        seq = DegreeSequence([3, 3, 2, 2, 2, 1, 1])
+        searches = (lambda: list(enumeration.realization_edge_lists(seq)),
+                    lambda: next(enumeration.realization_edge_lists(seq, 3)),
+                    lambda: list(enumerate_realizations(seq, 5)))
+        gc.collect()
+        gc.disable()
+        try:
+            for search in searches:
+                search()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_library_and_cli_follow_the_oracle_order(self, capsys):
         for n in range(1, 8):
@@ -663,7 +688,7 @@ class TestStaircase:
             count_staircase_family(1)
 
     def test_size_cap(self):
-        cap = enumeration.WITNESS_MAX_SIZE
+        cap = LIMITS["WITNESS_MAX_SIZE"][0]
         start = time.perf_counter()
         for build in (staircase_sequence, bumped_staircase_sequence, staircase_realization):
             with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):

@@ -40,7 +40,8 @@ from degseq import (
 )
 from degseq import graphicality
 from degseq.cli import main
-from degseq.graphicality import SWEEP_MAX_ROWS, _leg_graphic, _sweep_rows, iter_sweep
+from degseq.errors import LIMITS
+from degseq.graphicality import _leg_graphic, _sweep_rows, iter_sweep
 from conftest import all_sorted_sequences, brute_force_count
 
 
@@ -386,17 +387,18 @@ class TestSweep:
                 assert len(sweep(n, n, with_sigma=with_sigma)) == self.rows(n, with_sigma)
 
     def test_size_limit(self):
+        cap = LIMITS["SWEEP_MAX_ROWS"][0]
         # the largest grids of the desk-scale sweeps stay well inside the limit
-        assert sum(self.rows(n, True) for n in range(1, 13)) < SWEEP_MAX_ROWS // 10
-        with pytest.raises(TooLarge, match=str(SWEEP_MAX_ROWS)):
+        assert sum(self.rows(n, True) for n in range(1, 13)) < cap // 10
+        with pytest.raises(TooLarge, match=str(cap)):
             sweep(2, 200, with_sigma=True)
         with pytest.raises(TooLarge):
             sweep(1, 10**12)
         # the limit is on the whole grid: the last n that fits, then one more
         top = 1
-        while sum(self.rows(n, True) for n in range(1, top + 2)) <= SWEEP_MAX_ROWS:
+        while sum(self.rows(n, True) for n in range(1, top + 2)) <= cap:
             top += 1
-        assert sum(self.rows(n, True) for n in range(1, top + 1)) <= SWEEP_MAX_ROWS
+        assert sum(self.rows(n, True) for n in range(1, top + 1)) <= cap
         with pytest.raises(TooLarge):
             sweep(1, top + 1, with_sigma=True)
 

@@ -3,7 +3,9 @@
 and builds its message from them and the table's text."""
 
 import ast
+import json
 import time
+import traceback
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,12 +20,14 @@ from degseq import (
     VerySimpleRegion,
     cli,
     enumeration,
-    graphicality,
     leg,
     mcmc,
+    nonstability_witness,
     region_fully_graphic,
     sample,
-    splitgraph,
+    split_witness,
+    staircase_realization,
+    staircase_sequence,
     sweep,
     very_simple_region_fully_graphic,
 )
@@ -88,24 +92,6 @@ def test_limit_from_the_library_and_the_cli(limit, capsys):
     assert (code, *capsys.readouterr()) == (3, "", f"error: {message}\n")
 
 
-def test_module_constants_are_the_table_values():
-    assert enumeration.ENUMERATE_MAX_N == LIMITS["ENUMERATE_MAX_N"][0]
-    assert cli.ENUMERATE_MAX_GRAPHS == LIMITS["ENUMERATE_MAX_GRAPHS"][0]
-    assert mcmc.MCMC_MAX_WORK == LIMITS["MCMC_MAX_WORK"][0]
-    assert graphicality.SWEEP_MAX_ROWS == LIMITS["SWEEP_MAX_ROWS"][0]
-    for module in (graphicality, enumeration, splitgraph):
-        assert module.WITNESS_MAX_SIZE == LIMITS["WITNESS_MAX_SIZE"][0]
-    assert RealizationCounter().step_budget == LIMITS["DEGSEQ_STEP_BUDGET"][0]
-
-
-def test_the_check_reads_the_module_constant(monkeypatch):
-    # ``allowed`` is the value at the check, so a patched constant shows in it.
-    monkeypatch.setattr(graphicality, "SWEEP_MAX_ROWS", 10)
-    with pytest.raises(TooLarge) as exc:
-        sweep(1, 4)  # 1 + 3 + 6 rows for n <= 3, then 10 for n = 4
-    assert (exc.value.allowed, exc.value.requested) == (10, 20)
-
-
 def _calls(tree, names):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
@@ -118,7 +104,9 @@ def test_every_refusal_names_a_table_entry_and_builds_no_message():
         tree = ast.parse(path.read_text())
         for call in _calls(tree, {"TooLarge", "check_limit"}):
             where = f"{path.name}:{call.lineno}"
-            assert len(call.args) == 3 and not call.keywords, where
+            # check_limit reads ``allowed`` from the table itself
+            assert len(call.args) == (3 if call.func.id == "TooLarge" else 2), where
+            assert not call.keywords, where
             first, *values = call.args
             if isinstance(first, ast.Name):  # check_limit's own raise passes its arguments on
                 assert path.name == "errors.py" and first.id == "limit", where
@@ -128,13 +116,139 @@ def test_every_refusal_names_a_table_entry_and_builds_no_message():
             for node in (node for value in values for node in ast.walk(value)):
                 assert not isinstance(node, ast.JoinedStr), where  # counts, not text
                 assert not (isinstance(node, ast.Constant) and isinstance(node.value, str)), where
-        # a module-level constant of a limit's name is bound from the table
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in LIMITS:
-                name = node.targets[0].id
-                assert ast.unparse(node.value) == f"LIMITS['{name}'][0]", f"{path.name}:{name}"
+        # the table is a limit's one home: no other module binds a name of a limit
+        if path.name != "errors.py":
+            bound = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            bound |= {alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+            assert not bound & set(LIMITS), path.name
     assert named == set(LIMITS)  # and every limit is checked somewhere
     assert not hasattr(enumeration, "_check_witness_size")
+
+
+def _lower(monkeypatch, limit, value):
+    monkeypatch.setitem(LIMITS, limit, (value, *LIMITS[limit][1:]))
+
+
+# limit: (a lower value, calls that answer at the table's value and are refused at the
+# lower one; together they reach each of the limit's checks)
+LOWERED = {
+    "DEGSEQ_STEP_BUDGET": (50, [lambda: RealizationCounter().count([2] * 6)]),
+    "ENUMERATE_MAX_N": (3, [lambda: realization_edge_lists(DegreeSequence([1] * 4))]),
+    "ENUMERATE_MAX_GRAPHS": (2, [
+        lambda: cli.cmd_enumerate(SimpleNamespace(degrees=DegreeSequence([1] * 4), limit=None))]),
+    "MCMC_MAX_WORK": (15, [
+        lambda: mcmc.havel_hakimi_graph(DegreeSequence([1] * 4)),  # 16 for the start
+        lambda: sample(DegreeSequence([1, 1]), ChainConfig(seed=0, steps=3))]),  # 19
+    "SWEEP_MAX_ROWS": (10, [lambda: sweep(1, 4)]),  # 20 rows
+    "WITNESS_MAX_SIZE": (10, [
+        lambda: leg(SimpleRegion(11, 0, 1, 0)),
+        lambda: split_witness(VerySimpleRegion(11, 5, 0)),
+        lambda: split_witness(VerySimpleRegion(10, 9, 1)).graph,  # 10 entries, 9 edges
+        lambda: nonstability_witness(4, 8, 3, 0),  # a base of 12 entries
+        lambda: nonstability_witness(4, 7, 3, 0).composed_graph,  # 10 entries, 15 edges
+        lambda: staircase_sequence(6),
+        lambda: staircase_realization(3),  # 6 entries, 9 edges
+        lambda: cli.cmd_tyshkevich(SimpleNamespace(  # 7 entries, 8 edges
+            split_degrees=DegreeSequence([2, 1, 1]), other_degrees=DegreeSequence([1] * 4),
+            verify=False))]),
+}
+
+
+def _check_sites(limit):
+    """(file name, line) of each ``check_limit`` call on ``limit`` in the package."""
+    return {(path.name, call.lineno) for path in sorted(SRC.glob("*.py"))
+            for call in _calls(ast.parse(path.read_text()), {"check_limit"})
+            if getattr(call.args[0], "value", None) == limit}
+
+
+@pytest.mark.parametrize("limit", LOWERED)
+def test_every_check_reads_the_table_when_it_runs(limit, monkeypatch):
+    value, calls = LOWERED[limit]
+    for call in calls:
+        call()
+    _lower(monkeypatch, limit, value)
+    reached = set()
+    for call in calls:
+        with pytest.raises(TooLarge) as exc:
+            call()
+        assert (exc.value.limit, exc.value.allowed) == (limit, value)
+        assert exc.value.requested > value
+        *_, site, last = traceback.extract_tb(exc.value.__traceback__)
+        if last.name == "check_limit":
+            reached.add((Path(site.filename).name, site.lineno))
+    assert reached == _check_sites(limit)
+
+
+def test_the_cli_reads_the_table(monkeypatch, capsys):
+    chain = ["--json", "mcmc", "1,1,1,1", "--steps", "5", "--seed", "1"]
+    listing = ["--json", "enumerate", "1,1,1,1", "--limit", "3"]
+    assert main(chain) == 0 and "state_space" in json.loads(capsys.readouterr().out)["result"]
+    assert main(listing) == 0 and json.loads(capsys.readouterr().out)["result"]["yielded"] == 3
+    # a --limit above ENUMERATE_MAX_GRAPHS leaves the count to decide
+    _lower(monkeypatch, "ENUMERATE_MAX_GRAPHS", 2)
+    assert main(listing) == 3
+    assert capsys.readouterr().err.startswith("error: ENUMERATE_MAX_GRAPHS exceeded: 3 > 2 ")
+    # no exact-space report above ENUMERATE_MAX_N
+    _lower(monkeypatch, "ENUMERATE_MAX_N", 3)
+    assert main(chain) == 0 and "state_space" not in json.loads(capsys.readouterr().out)["result"]
+
+
+# limit: (a lower value, an input it admits at or near the line, that input's size, and one
+# just over the line); the limit bounds the time, so each answers well within a second.
+ADMITTED = {
+    # 13 entries that need 29,628 steps; the 24 entries over the line need about 3 million
+    "DEGSEQ_STEP_BUDGET": (
+        30_000, lambda: RealizationCounter().count([8, 8, 8] + [7] * 4 + [6] * 4 + [5, 5]).count,
+        190_094_382_726_269, lambda: RealizationCounter().count(
+            [14] * 7 + [13, 12, 12] + [11] * 7 + [10, 9, 9] + [8] * 4)),
+    # 4^8 has the most realizations of any 8 entries
+    "ENUMERATE_MAX_N": (
+        8, lambda: _listed([4] * 8, None), 19_355, lambda: _listed([4] * 9, 1)),
+    "ENUMERATE_MAX_GRAPHS": (
+        1_000, lambda: _listed([8] * 16, 1_000), 1_000, lambda: _listed([8] * 16, 1_001)),
+    # a greedy start of n * n = 99,856 with 24,964 edges, then 317 * 317
+    "MCMC_MAX_WORK": (
+        10**5, lambda: _chain([158] * 316), 24_964, lambda: _chain([158] * 317)),
+    "SWEEP_MAX_ROWS": (
+        10**4, lambda: len(sweep(1, 11, with_sigma=True)), 6_864,
+        lambda: sweep(1, 12, with_sigma=True)),  # 10,374 rows
+    # 300 entries plus 19,650 edges, then 301 plus 19,725
+    "WITNESS_MAX_SIZE": (
+        20_000, lambda: _split_witness(300, 299, 75), 19_950, lambda: _split_witness(301, 300, 75)),
+}
+
+
+def _listed(degrees, limit):
+    args = SimpleNamespace(degrees=DegreeSequence(degrees), limit=limit)
+    return cli.cmd_enumerate(args)[0]["yielded"]
+
+
+def _chain(degrees):
+    args = SimpleNamespace(degrees=DegreeSequence(degrees), steps=0, seed=1, burn_in=0)
+    return len(cli.cmd_mcmc(args)[0]["final"].split(","))
+
+
+def _split_witness(n, c1, c2):
+    result = cli.cmd_split_witness(SimpleNamespace(n=n, c1=c1, c2=c2))[0]
+    return n + len(result["edges"].split(","))
+
+
+def test_every_limit_has_an_admitted_case():
+    assert set(ADMITTED) == set(LOWERED) == set(LIMITS)
+
+
+@pytest.mark.parametrize("limit", ADMITTED)
+def test_a_lowered_limit_admits_up_to_its_line_quickly(limit, monkeypatch):
+    value, admitted, size, over = ADMITTED[limit]
+    _lower(monkeypatch, limit, value)
+    start = time.perf_counter()
+    assert admitted() == size
+    with pytest.raises(TooLarge) as exc:
+        over()
+    assert time.perf_counter() - start < 1
+    assert (exc.value.limit, exc.value.allowed) == (limit, value)
 
 
 def test_readme_limits_table_is_the_table():

@@ -29,6 +29,7 @@ from degseq import (
     tv_distance_to_uniform,
 )
 from degseq import core, enumeration, mcmc
+from degseq.errors import LIMITS
 from conftest import all_sorted_sequences, switch_component
 
 
@@ -273,7 +274,7 @@ class TestSample:
     def test_work_cap_is_checked_before_the_start_graph(self, monkeypatch):
         # (burn_in + steps) * (m + 4) + n * n with m = 1, n = 2: 14 at the cap
         # runs, and one over it does not.
-        monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", 14)
+        monkeypatch.setitem(LIMITS, "MCMC_MAX_WORK", (14, *LIMITS["MCMC_MAX_WORK"][1:]))
         seq = DegreeSequence([1, 1])
         assert sum(sample(seq, ChainConfig(seed=0, steps=1, burn_in=1)).histogram.values()) == 1
 
@@ -282,7 +283,7 @@ class TestSample:
 
         monkeypatch.setattr(mcmc, "havel_hakimi_graph", no_start)
         for cap, steps, burn_in in ((13, 1, 1), (14, 3, 0), (14, 0, 3), (14, 2, 1)):
-            monkeypatch.setattr(mcmc, "MCMC_MAX_WORK", cap)
+            monkeypatch.setitem(LIMITS, "MCMC_MAX_WORK", (cap, *LIMITS["MCMC_MAX_WORK"][1:]))
             work = (steps + burn_in) * 5 + 4
             with pytest.raises(TooLarge) as exc:
                 sample(seq, ChainConfig(seed=0, steps=steps, burn_in=burn_in))

@@ -33,6 +33,7 @@ from degseq import (
     verify_multiplicativity,
 )
 from degseq import splitgraph
+from degseq.errors import LIMITS
 from degseq.graphicality import _slack
 from conftest import _threshold, all_sorted_sequences, degree_census, has_split_partition
 
@@ -206,7 +207,7 @@ class TestSplitWitness:
         assert w.ell == 4 and g.degrees() == w.sequence.degrees
 
     def test_witness_size_cap(self):
-        cap = splitgraph.WITNESS_MAX_SIZE
+        cap = LIMITS["WITNESS_MAX_SIZE"][0]
         assert split_witness(VerySimpleRegion(cap, 5, 0)).sequence.n == cap
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
@@ -411,7 +412,7 @@ class TestNonstabilityWitness:
 
     def test_witness_size_cap(self):
         # base has 2 n_prime - n entries; composed_graph checks its edges too.
-        cap = splitgraph.WITNESS_MAX_SIZE
+        cap = LIMITS["WITNESS_MAX_SIZE"][0]
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
             nonstability_witness(4, (cap + 4) // 2 + 1, 3, 0)
