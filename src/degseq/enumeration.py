@@ -5,10 +5,16 @@ vertex v_i has degree d_i for the given positional vector D; permuting the
 vector permutes the realizations bijectively, so the count depends only on
 the degree multiset.  The counter exploits this: it keys its state on the
 residual-degree histogram (how many vertices have each residual value),
-eliminates a vertex of maximum residual degree d, sums over the ways to
-choose its d neighbours class by class (a product of binomials per choice,
-each mapping straight to the child histogram), and memoizes on the
-histogram.  Counts are exact big integers.
+eliminates one vertex, sums over the ways to choose its neighbours class by
+class (a product of binomials per choice, each mapping straight to the
+child histogram), and memoizes on the histogram.  The eliminated vertex is
+a pendant one (residual 1) when there is one and the top residual d obeys
+5d < 3N, N the vertices left; otherwise it is one of residual d.  A pendant
+vertex has at most d children where a top one has one per class composition
+of d; but once 5d >= 3N a top vertex misses fewer than 2d/3 others, so its
+compositions are few and it removes d edges at once.  (At 3d < 2N the
+counter ran about 5% faster still but kept up to 9% more memo entries.)
+Counts are exact big integers.
 
 On top of the counter sit the perturbation-family totals, the local
 stability measure p(D), the family-bound verifier relating the totals of
@@ -82,8 +88,11 @@ class RealizationCounter:
     trailing zeros stripped) and is shared across calls, so related
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
-    Results are deterministic and independent of call order.
-    ``step_budget`` (an int >= 0, default DEGSEQ_STEP_BUDGET) is a query's one limit, in
+    Results are deterministic and independent of call order.  Each node
+    eliminates a pendant vertex while its top residual d is under three fifths
+    of the vertices left, and a top vertex otherwise (see the module docstring).
+    ``step_budget`` (an int >= 0, fixed when given; if not, DEGSEQ_STEP_BUDGET read at
+    each cold query) is a query's one limit, in
     steps: the child histograms it tries, times 1 + high**2 // 2**14 when a
     class may give up to high picks (big binomials), plus d // 32 per class
     and d per node on a length-d histogram (scans and copies), plus one per
@@ -96,8 +105,14 @@ class RealizationCounter:
     """
 
     def __init__(self, step_budget: int | None = None):
-        self.step_budget = _step_budget(step_budget)
+        self._budget = None if step_budget is None else _step_budget(step_budget)
         self._memo: dict[tuple[int, ...], int] = {}
+
+    @property
+    def step_budget(self) -> int:
+        """The budget given when the counter was made, or else DEGSEQ_STEP_BUDGET,
+        read now, so a cold query honours the variable and the table as they stand."""
+        return _step_budget(self._budget)
 
     def count(self, seq: DegreeSequence | Iterable[int]) -> CountResult:
         """The count of ``seq``, a DegreeSequence or a raw vector of integers
@@ -127,8 +142,9 @@ class RealizationCounter:
     def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
 
-        A node takes k_r of the h[r] vertices of residual r, top class first,
-        in comb(h[r], k_r) ways; ``()`` is never stored, so each visit is a node.
+        A node's pivot, of residual p, takes k_r of the h[r] other vertices of
+        residual r, top class first, in comb(h[r], k_r) ways, with the k_r
+        summing to p; ``()`` is never stored, so each visit is a node.
         Each node is a generator that yields the child keys it finds unmemoized
         and reads each one's count from ``done`` when resumed, so no call
         nests per node or per class.
@@ -156,16 +172,19 @@ class RealizationCounter:
             scan = d >> 5  # a class's pass over empty classes and its leaf key
             o, base, total = len(hist), len(paused), 0
             hist.extend((0, *key))  # hist[o] takes class 1's picks
-            hist[o + d] -= 1  # the eliminated vertex
+            left = sum(key)
+            # the pivot p: a pendant vertex, unless the top vertex is nearly full
+            p = 1 if key[0] and 5 * d < 3 * left else d
+            hist[o + p] -= 1  # the eliminated vertex
             # ``avail``: the vertices of residual 1..r, all still pickable
-            r, need, ways, avail = d, d, 1, sum(key) - 1
-            opening = avail >= d
+            r, need, ways, avail = d, p, 1, left - 1
+            opening = avail >= p
             while opening or len(paused) > base:
                 if opening:  # class r: take k of its hr vertices, high k first
-                    hr = key[r - 1] - (r == d)
+                    hr = key[r - 1] - (r == p)
                     while not hr:  # an empty class gives no neighbour
                         r -= 1
-                        hr = key[r - 1]
+                        hr = key[r - 1] - (r == p)
                     # ``own``: hr plus the picks from class r + 1
                     own, below = hist[o + r], hist[o + r - 1]
                     k = hr if hr < need else need

@@ -30,7 +30,8 @@ class NotSplit(DegseqError):
 
 
 # Each refusal's limit: name -> (value, unit, what it bounds).  Every check reads the value
-# here when it runs (a counter its default budget when it is made); no module keeps a copy.
+# here when it runs (a counter made without a budget, at each cold query); no module keeps
+# a copy.
 LIMITS = {
     "DEGSEQ_STEP_BUDGET": (3_000_000, "steps", "in one count (set the variable to change it)"),
     "ENUMERATE_MAX_N": (16, "entries", "in a sequence to enumerate"),

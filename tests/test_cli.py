@@ -507,7 +507,7 @@ GOLDEN_STDOUT = [
     ('count 1,2,1,1,1',
      '6\n',
      '{"command": "count", "inputs": {"degrees": "2,1,1,1,1"}, "result": {"count": 6, '
-     '"from_cache": false, "nodes_explored": 3}, "version": "0.1.0"}\n'),
+     '"from_cache": false, "nodes_explored": 6}, "version": "0.1.0"}\n'),
     ('enumerate 1,1,1,1',
      '1-2,3-4\n1-3,2-4\n1-4,2-3\n',
      '{"command": "enumerate", "inputs": {"degrees": "1,1,1,1", "limit": null}, '

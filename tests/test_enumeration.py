@@ -96,6 +96,33 @@ class TestSparseOracle:
                     counter = RealizationCounter()
                 assert counter.count(seq).count == oracle_count(seq), seq
 
+    def test_random_sequences_on_both_pivots(self):
+        # Degrees of random graphs on n <= 14 vertices.  Odd draws are sparse and
+        # have pendant vertices, so their root eliminates one; even draws join a
+        # hub to every other vertex, some of them only to the hub, so a pendant
+        # vertex is there but 5d >= 3N keeps the top pivot.
+        rng = random.Random(20261019)
+        branches = {"pendant": 0, "top": 0}
+        for i in range(300):
+            n = rng.randint(3, 14)
+            degrees = [0] * n
+            if i % 2:
+                p, rest = rng.choice((0.1, 0.2, 0.3)), range(n)
+            else:
+                p, rest = rng.choice((0.2, 0.4, 0.6)), range(rng.randint(2, n), n)
+                degrees[0] = n - 1
+                for v in range(1, n):
+                    degrees[v] = 1
+            for u, v in itertools.combinations(rest, 2):
+                if rng.random() < p:
+                    degrees[u] += 1
+                    degrees[v] += 1
+            if 1 in degrees:
+                left = sum(1 for d in degrees if d)
+                branches["pendant" if 5 * max(degrees) < 3 * left else "top"] += 1
+            assert RealizationCounter().count(degrees).count == oracle_count(degrees), degrees
+        assert min(branches.values()) >= 100, branches
+
     def test_oracle_against_the_census(self):
         for n in range(1, 7):
             census = degree_census(n)
@@ -184,9 +211,9 @@ def count_concurrently(counter, sequences):
 
 class TestCounterDiagnostics:
     @pytest.mark.parametrize("degrees, count, nodes", [
-        ((7,) * 16, 15138592322753242235338875, 2202),
-        ((3,) * 16, 50262958713792825, 108),
-        ((5,) * 14, 283097260184159421, 415),
+        ((7,) * 16, 15138592322753242235338875, 2356),
+        ((3,) * 16, 50262958713792825, 142),
+        ((5,) * 14, 283097260184159421, 544),
     ])
     def test_regular_cold_then_cached(self, degrees, count, nodes):
         counter = RealizationCounter()
@@ -205,12 +232,24 @@ class TestCounterDiagnostics:
         counter = RealizationCounter()
         got = [diagnostics(counter.count(DegreeSequence(d))) for d in
                ([3, 3, 2, 2, 2, 2], [3, 3, 2, 2, 2, 2], [2] * 8, [3, 3, 2, 2, 2, 2])]
-        assert got == [(54, 10, False), (54, 0, True), (3507, 4, False), (54, 0, True)]
+        assert got == [(54, 11, False), (54, 0, True), (3507, 5, False), (54, 0, True)]
 
     def test_vertex_order_does_not_matter(self):
         counter = RealizationCounter()
         assert diagnostics(counter.count([2, 1, 3, 1, 3])) == (2, 5, False)
         assert diagnostics(counter.count([3, 3, 2, 1, 1])) == (2, 0, True)
+
+    def test_a_pendant_pivot(self):
+        # 5 * 5 < 3 * 10 with three pendant vertices: the root eliminates one
+        # of them (45 nodes when the top vertex went first).
+        counter = RealizationCounter()
+        assert diagnostics(counter.count([5, 4, 3, 3, 2, 2, 2, 1, 1, 1])) == (25101, 82, False)
+
+    def test_a_hub_pivot(self):
+        # A star on 6 of 8 pendants: 5 * 6 >= 3 * 9, so the hub goes first and
+        # its every child is one edge, C(8, 6) ways.
+        counter = RealizationCounter()
+        assert diagnostics(counter.count([6] + [1] * 8)) == (28, 3, False)
 
     def test_concurrent_cold_queries_on_one_counter(self):
         # Sums of opposite parity: every residual state of one query has an
@@ -220,7 +259,7 @@ class TestCounterDiagnostics:
         for _ in range(3):
             got = count_concurrently(RealizationCounter(), [even, odd])
             assert [diagnostics(r) for r in got] == [
-                (15138592322753242235338875, 2202, False), (0, 1191, False)]
+                (15138592322753242235338875, 2356, False), (0, 1310, False)]
 
     def test_concurrent_queries_sharing_memo_entries(self):
         # Both sums are even, so the queries meet each other's residual
@@ -299,13 +338,14 @@ class TestCountRealizations:
         assert counter.count([4] * 40).count == oracle_count([4] * 40)
 
     def test_node_budget(self):
-        # 3 steps stop this query; 400 let it finish, in at most 200 nodes.
-        tight = RealizationCounter(step_budget=3)
+        # 3 steps stop this query; 410 is the least budget that lets it finish.
+        degrees = DegreeSequence([3, 3, 2, 2, 2, 2])
         with pytest.raises(TooLarge):
-            tight.count(DegreeSequence([3, 3, 2, 2, 2, 2]))
-        res = RealizationCounter(step_budget=400).count(DegreeSequence([3, 3, 2, 2, 2, 2]))
-        assert res.count == oracle_count([3, 3, 2, 2, 2, 2])
-        assert 0 < res.nodes_explored <= 200
+            RealizationCounter(step_budget=3).count(degrees)
+        res = RealizationCounter(step_budget=410).count(degrees)
+        assert diagnostics(res) == (oracle_count(degrees.degrees), 11, False)
+        with pytest.raises(TooLarge):
+            RealizationCounter(step_budget=409).count(degrees)
 
     def test_open_nodes_are_charged_for_their_frames(self):
         # 1^2000 opens 1,000 nodes at once, each charged its one-entry
@@ -354,6 +394,29 @@ class TestCounterLimits:
         with pytest.raises(InvalidInput) as exc:
             RealizationCounter(step_budget=budget)
         assert str(exc.value) == f"step_budget must be a non-negative integer, got {budget!r}"
+
+    @pytest.mark.parametrize("how", ["table", "variable"])
+    def test_the_shared_counter_reads_the_budget_at_each_cold_query(self, monkeypatch, how):
+        monkeypatch.delenv("DEGSEQ_STEP_BUDGET", raising=False)
+        counter = enumeration.default_counter()
+        monkeypatch.setattr(counter, "_memo", {})
+        assert count_realizations(DegreeSequence([2] * 6)).count == 70
+        if how == "table":
+            monkeypatch.setitem(LIMITS, "DEGSEQ_STEP_BUDGET",
+                                (50, *LIMITS["DEGSEQ_STEP_BUDGET"][1:]))
+        else:
+            monkeypatch.setenv("DEGSEQ_STEP_BUDGET", "50")
+        assert counter.step_budget == 50
+        with pytest.raises(TooLarge) as exc:
+            count_realizations(DegreeSequence([2] * 7))
+        assert (exc.value.limit, exc.value.allowed) == ("DEGSEQ_STEP_BUDGET", 50)
+        # a bad value is refused at the query, and a budget given stays fixed
+        monkeypatch.setenv("DEGSEQ_STEP_BUDGET", "-1")
+        with pytest.raises(InvalidInput, match="DEGSEQ_STEP_BUDGET must be"):
+            count_realizations(DegreeSequence([2] * 7))
+        fixed = RealizationCounter(step_budget=10**6)
+        assert fixed.step_budget == 10**6
+        assert fixed.count([2] * 7).count == 465
 
     def test_enumeration_bound_is_the_benchmark_count_limit(self, monkeypatch):
         # perfbench's mcmc oracle wants no exact-space report above COUNT_LIMIT.
