@@ -154,7 +154,7 @@ def cmd_count(args) -> tuple[dict, str]:
     return vars(res), str(res.count)
 
 
-def cmd_enumerate(args) -> tuple[dict, str]:
+def cmd_enumerate(args) -> tuple[dict, list[str] | tuple[str]]:
     seq = args.degrees
     edge_lists = realization_edge_lists(seq, args.limit)
     if args.limit is None or args.limit > LIMITS["ENUMERATE_MAX_GRAPHS"][0]:  # the count decides
@@ -171,7 +171,7 @@ def cmd_enumerate(args) -> tuple[dict, str]:
         except KeyError as exc:
             raise ConstructionError(f"edge {exc} is out of range for {seq}") from None
     result = {"realizations": graphs, "yielded": len(graphs)}
-    return result, "\n".join(graphs) if graphs else "(no realizations)"
+    return result, graphs or ("(no realizations)",)
 
 
 def cmd_pmeasure(args) -> tuple[dict, str]:
@@ -456,8 +456,8 @@ def main(argv=None) -> int:
                         "result": result, "version": __version__}
             _print_envelope(envelope)
         else:
-            # A string, or a sweep's lines written as they come: either way
-            # the text of print("\n".join(lines)).
+            # A string, or lines (enumerate's graphs, a sweep's rows written
+            # as they come): either way the text of print("\n".join(lines)).
             lines = iter((human,) if isinstance(human, str) else human)
             print(next(lines, ""))
             sys.stdout.writelines(line + "\n" for line in lines)

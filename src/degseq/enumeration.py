@@ -49,6 +49,14 @@ from .graphicality import is_graphic, require_graphic
 MEMO_MAX_ENTRIES = 1 << 18
 
 
+def _histogram_key(counts: list[int]) -> bytes | tuple[int, ...]:
+    """The memo key of a residual histogram (``counts[v]`` vertices of residual
+    v + 1, no trailing zero): ``bytes`` below 256 vertices, where every entry
+    fits a byte, else a tuple.  The kind depends on the histogram alone, so
+    each histogram has one key whichever query reaches it."""
+    return bytes(counts) if sum(counts) < 256 else tuple(counts)
+
+
 def _step_budget(value: int | None) -> int:
     """``value`` by ``operator.index``, or if None DEGSEQ_STEP_BUDGET (default in
     ``errors.LIMITS``) by ``int``, read on the call; InvalidInput unless >= 0."""
@@ -85,7 +93,9 @@ class RealizationCounter:
 
     A single counter may serve many queries; the memo table is keyed by
     residual-degree histograms (``key[v]`` vertices of residual v + 1,
-    trailing zeros stripped) and is shared across calls, so related
+    trailing zeros stripped), as ``bytes`` (33 + d bytes for d entries) when
+    they hold fewer than 256 vertices and as tuples (40 + 8d) otherwise, and
+    is shared across calls, so related
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
     Results are deterministic and independent of call order.  Each node
@@ -106,7 +116,8 @@ class RealizationCounter:
 
     def __init__(self, step_budget: int | None = None):
         self._budget = None if step_budget is None else _step_budget(step_budget)
-        self._memo: dict[tuple[int, ...], int] = {}
+        # histogram key (``_histogram_key``) -> count; ``b""`` is never stored
+        self._memo: dict[bytes | tuple[int, ...], int] = {}
 
     @property
     def step_budget(self) -> int:
@@ -131,20 +142,24 @@ class RealizationCounter:
         hist = [0] * (top + 1)
         for d in degrees:
             hist[d] += 1
-        key = tuple(hist[1:])
+        return CountResult(*self._query(_histogram_key(hist[1:])))
+
+    def _query(self, key: bytes | tuple[int, ...]) -> tuple[int, int, bool]:
+        """(count, nodes expanded, from cache) for a key of ``_histogram_key``:
+        the memo's entry, or else a cold ``_count``."""
         if len(self._memo) > MEMO_MAX_ENTRIES:
             self._memo.clear()
         hit = self._memo.get(key)
         if hit is not None:
-            return CountResult(count=hit, nodes_explored=0, from_cache=True)
-        return CountResult(*self._count(key), from_cache=False)
+            return hit, 0, True
+        return *self._count(key), False
 
-    def _count(self, key: tuple[int, ...]) -> tuple[int, int]:
+    def _count(self, key: bytes | tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
 
         A node's pivot, of residual p, takes k_r of the h[r] other vertices of
         residual r, top class first, in comb(h[r], k_r) ways, with the k_r
-        summing to p; ``()`` is never stored, so each visit is a node.
+        summing to p; ``b""`` is never stored, so each visit is a node.
         Each node is a generator that yields the child keys it finds unmemoized
         and reads each one's count from ``done`` when resumed, so no call
         nests per node or per class.
@@ -161,7 +176,7 @@ class RealizationCounter:
         hist: list[int] = []
         paused: list[tuple[int, ...]] = []
 
-        def node(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        def node(key: bytes | tuple[int, ...]) -> Iterator[bytes | tuple[int, ...]]:
             nonlocal nodes, steps, done
             nodes += 1
             d = len(key)
@@ -173,6 +188,7 @@ class RealizationCounter:
             o, base, total = len(hist), len(paused), 0
             hist.extend((0, *key))  # hist[o] takes class 1's picks
             left = sum(key)
+            cut = left - 256  # a child is under 256 vertices iff hist[o] >= cut
             # the pivot p: a pendant vertex, unless the top vertex is nearly full
             p = 1 if key[0] and 5 * d < 3 * left else d
             hist[o + p] -= 1  # the eliminated vertex
@@ -209,7 +225,9 @@ class RealizationCounter:
                     top = d
                     while top and not hist[o + top]:
                         top -= 1
-                    state = tuple(hist[o + 1:o + top + 1])
+                    # _histogram_key, the child's vertices being left - 1 - hist[o]
+                    state = hist[o + 1:o + top + 1]
+                    state = bytes(state) if hist[o] >= cut else tuple(state)
                     value = lookup(state)
                     if value is None:
                         yield state
@@ -345,9 +363,10 @@ def family_count(
     A pick gives each delta slot a degree value.  With h[a] entries equal to
     a and k slots on a, it stands for the product of comb(h[a], k) vectors,
     or perm(h[a], k) when the deltas differ (``+-``: its slots are ordered).
-    Its representative moves the first positions of its values; picks are
-    grouped by the representative's multiset (every ``+-`` pick (a, a + 1)
-    gives the multiset of ``seq``) and each in-range one is counted once.
+    Its multiset is the degree histogram with one entry moved from a to
+    a + delta per slot; picks are grouped by that histogram's memo key (every
+    ``+-`` pick (a, a + 1) gives the histogram of ``seq``) and each in-range
+    one is counted once, through the counter's histogram entry.
     Out-of-range multisets count zero unqueried, so raise no TooLarge.
     """
     counter = counter or default_counter()
@@ -357,17 +376,26 @@ def family_count(
         picks, ways = itertools.combinations_with_replacement(hist, len(deltas)), math.comb
     else:
         picks, ways = itertools.product(hist, repeat=len(deltas)), math.perm
-    groups: collections.Counter[tuple[int, ...]] = collections.Counter()
+    # ``counts[a + 2]`` entries equal to a: room for two steps down and up
+    counts = [0] * (max(degrees) + 5)
+    for a, h in hist.items():
+        counts[a + 2] = h
+    groups: collections.Counter[bytes | tuple[int, ...]] = collections.Counter()
     for pick in picks:
-        size = math.prod(ways(hist[a], pick.count(a)) for a in set(pick))
-        if not size:
+        child = counts.copy()
+        for a, delta in zip(pick, deltas):
+            child[a + 2] -= 1
+            child[a + 2 + delta] += 1
+        # an entry below 0, or a value picked more often than it occurs (size 0)
+        if child[0] or child[1] or min(child) < 0:
             continue
-        vec = list(degrees)
-        for slot, (a, delta) in enumerate(zip(pick, deltas)):
-            vec[degrees.index(a) + pick[:slot].count(a)] += delta
-        if 0 <= min(vec) and max(vec) < n:
-            groups[tuple(sorted(vec))] += size
-    total = sum(size * counter.count(key).count for key, size in groups.items())
+        top = len(child) - 1
+        while not child[top]:
+            top -= 1
+        if top < n + 2:
+            size = math.prod(ways(hist[a], pick.count(a)) for a in set(pick))
+            groups[_histogram_key(child[3:top + 1])] += size
+    total = sum(size * counter._query(key)[0] for key, size in groups.items())
     return PerturbationFamilyCount(
         family=kind, total=total, distinct_vectors=ways(n, len(deltas))
     )

@@ -126,6 +126,16 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "--json", "enumerate", *argv)
         assert code == 0 and out == envelope + "\n"
 
+    @pytest.mark.parametrize("argv, text", [
+        (["2,2,2,1,1", "--limit", "3"], "1-2,1-3,2-3,4-5\n1-2,1-3,2-4,3-5\n1-2,1-3,2-5,3-4\n"),
+        (["1,1"], "1-2\n"),
+        (["1,1", "--limit", "0"], "(no realizations)\n"),
+        (["3,3,1,1"], "(no realizations)\n"),
+    ])
+    def test_enumerate_text_is_one_line_per_graph(self, capsys, argv, text):
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0 and out == text
+
     @pytest.mark.parametrize("edges", MALFORMED_EDGE_LISTS)
     def test_enumerate_prints_no_unchecked_edge_list(self, capsys, monkeypatch, edges):
         monkeypatch.setattr(cli, "realization_edge_lists", lambda seq, limit: iter([edges]))

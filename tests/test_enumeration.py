@@ -444,6 +444,75 @@ class TestCounterLimits:
         assert clears > 10
 
 
+def two_regular(k):
+    """Labeled 2-regular graphs on k vertices: a(k) = (k-1) a(k-1) + C(k-1, 2) a(k-3)."""
+    a = [1, 0, 0]
+    for m in range(3, k + 1):
+        a.append((m - 1) * a[m - 1] + math.comb(m - 1, 2) * a[m - 3])
+    return a[k]
+
+
+def paths_and_cycles(ones, twos):
+    """Labeled graphs with degrees 1^ones 2^twos: the ones pair up as the ends
+    of p = ones / 2 paths in (ones - 1)!! ways, j of the twos are their
+    interiors in j! C(j + p - 1, p - 1) ways, and the rest form cycles."""
+    if ones % 2:
+        return 0
+    if not ones:
+        return two_regular(twos)
+    p = ones // 2
+    interiors = sum(math.comb(twos, j) * math.factorial(j) * math.comb(j + p - 1, p - 1)
+                    * two_regular(twos - j) for j in range(twos + 1))
+    return math.prod(range(1, ones, 2)) * interiors
+
+
+def hub_missing_one(twos, ones):
+    """Count of (N - 2, 2^twos, 1^ones), N = 1 + twos + ones, twos odd: the hub
+    misses a one, leaving 1^(twos + 1), or a two, leaving (2, 1^(twos - 1))."""
+    return (ones * math.prod(range(1, twos + 1, 2))
+            + twos * math.comb(twos - 1, 2) * math.prod(range(1, twos - 3, 2)))
+
+
+class TestHistogramKeys:
+    def test_closed_forms_against_the_oracle(self):
+        for ones in range(8):
+            for twos in range(8 - ones):
+                assert paths_and_cycles(ones, twos) == oracle_count([1] * ones + [2] * twos)
+        for twos in (1, 3, 5):
+            for ones in range(4):
+                degrees = [twos + ones - 1] + [2] * twos + [1] * ones
+                assert hub_missing_one(twos, ones) == oracle_count(degrees), degrees
+
+    def test_counts_across_the_byte_boundary(self):
+        # Keys below 256 vertices are bytes and the rest tuples, at the root and
+        # in the node loop alike: 1^300 (299!!) passes from tuples to bytes at
+        # 254 vertices, 2^256 has a tuple root and byte children, and the hub
+        # (a top pivot on 257 vertices) has byte children only.
+        counter = RealizationCounter()
+        assert counter.count([1] * 300).count == math.prod(range(1, 300, 2))
+        for n in range(250, 262):
+            assert counter.count([1] * n).count == paths_and_cycles(n, 0), n
+            assert counter.count([2] * n).count == two_regular(n), n
+            assert counter.count([1] * 8 + [2] * (n - 8)).count == paths_and_cycles(8, n - 8), n
+        assert counter.count([255] + [2] * 101 + [1] * 155).count == hub_missing_one(101, 155)
+        keys = list(counter._memo)
+        assert all(isinstance(key, bytes) == (sum(key) < 256) for key in keys)
+        assert {type(key) for key in keys} == {bytes, tuple}
+        assert counter.count([2] * 256).from_cache
+
+    def test_families_across_the_byte_boundary(self):
+        # The -- family of 1^258 queries 1^256 once, a tuple key, for all pairs;
+        # the ++ family of 1^256 queries the byte key of 2^2 1^254.
+        counter = RecordingCounter(258)
+        total = family_count(DegreeSequence([1] * 258), PerturbationKind.MINUS_MINUS, counter).total
+        assert total == math.comb(258, 2) * math.prod(range(1, 256, 2))
+        assert counter.queries == [(1,) * 256 + (0, 0)]
+        counter = RecordingCounter(256)
+        total = family_count(DegreeSequence([1] * 256), PerturbationKind.PLUS_PLUS, counter).total
+        assert total == math.comb(256, 2) * paths_and_cycles(254, 2)
+        assert counter.queries == [(2, 2) + (1,) * 254]
+
+
 class TestEnumerateRealizations:
     def test_triangle(self):
         graphs = list(enumerate_realizations(DegreeSequence([2, 2, 2])))
@@ -576,15 +645,19 @@ def family_union_census(degrees, kind):
 
 
 class RecordingCounter(RealizationCounter):
-    """A counter that records the multiset of every sequence it is asked for."""
+    """A counter that records, for every histogram key its memo entry is asked
+    for, the multiset of n degrees the key stands for."""
 
-    def __init__(self, **kwargs):
+    def __init__(self, n, **kwargs):
         super().__init__(**kwargs)
+        self.n = n
         self.queries = []
 
-    def count(self, seq):
-        self.queries.append(tuple(sorted(seq, reverse=True)))
-        return super().count(seq)
+    def _query(self, key):
+        assert isinstance(key, bytes) == (sum(key) < 256) and (not key or key[-1]), key
+        degrees = sorted((v + 1 for v, c in enumerate(key) for _ in range(c)), reverse=True)
+        self.queries.append(tuple(degrees) + (0,) * (self.n - len(degrees)))
+        return super()._query(key)
 
 
 class TestFamilyCount:
@@ -619,7 +692,7 @@ class TestFamilyCount:
             for seq in all_sorted_sequences(n):
                 d = DegreeSequence(seq)
                 for kind in PerturbationKind:
-                    counter = RecordingCounter()
+                    counter = RecordingCounter(n)
                     got = family_count(d, kind, counter)
                     assert got.total == family_union_census(seq, kind), (seq, kind)
                     vectors = family_vectors(seq, kind)
@@ -641,7 +714,7 @@ class TestFamilyCount:
         for seq in cases:
             n = len(seq)
             for kind in PerturbationKind:
-                counter = RecordingCounter()
+                counter = RecordingCounter(n)
                 got = family_count(DegreeSequence(seq), kind, counter)
                 vectors = family_vectors(seq, kind)
                 in_range = [v for v in vectors if 0 <= min(v) and max(v) < n]

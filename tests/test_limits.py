@@ -62,7 +62,7 @@ CASES = {
         " (burn_in + steps) * (m + 4) + n * n, or a greedy start, n * n",
         ["mcmc", "2,2,2", "--steps", str(10**11), "--seed", "1"]),
     "SWEEP_MAX_ROWS": (
-        # the grid of n = 2..24 is the first past the limit
+        # n = 2..30 (882,383 rows) is the largest grid admitted; n = 2..31 is the first refused
         lambda: sweep(2, 200, with_sigma=True), 1_000_000, 1_036_639,
         "SWEEP_MAX_ROWS exceeded: 1036639 > 1000000 rows in one sweep (narrow the n range)",
         ["sweep", "--n-min", "2", "--n-max", "200", "--with-sigma"]),
