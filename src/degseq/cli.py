@@ -11,9 +11,11 @@ parser ``build_parser`` builds from it, and runs the command it names.  Each
 ``cmd_*`` returns ``(result, human)`` and prints nothing; ``main`` alone
 writes output.  ``inputs`` echoes the parsed arguments, each degree sequence
 in canonical text; ``region`` echoes the region it decided instead.
+The result's one large member (a sweep's rows, enumerate's graphs or the
+chain's histogram, see ``_streamed``) is written as JSON text a batch of
+entries at a time, so the envelope's whole text is never held in memory.
 A sweep's rows reach ``main`` as iterators over one pass of the grid, of their
-JSON text or of their text lines, written a batch or a line at a time, so a
-large sweep never holds all its rows, or all their text, in memory.
+JSON text or of their text lines, so a large sweep never holds all its rows.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 over a limit of ``errors.LIMITS``,
 141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
@@ -23,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
-import re
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
@@ -44,7 +45,7 @@ from .enumeration import (
     count_realizations,
     count_staircase_family,
     bumped_staircase_sequence,
-    p_measure,
+    _p_measure_terms,
     realization_edge_lists,
     staircase_sequence,
     verify_family_bounds,
@@ -88,11 +89,14 @@ except ImportError:
     from json import JSONEncoder
     _encode = JSONEncoder(sort_keys=True).iterencode
 
-# Sweep rows written at once, and so held in memory at once as text.
+# Entries of a streamed member (``_streamed``) written at once, and so held
+# in memory at once as text.
 _ROWS_PER_WRITE = 256
 
-# An argument every argparse version reads as a value, not as an option.
-_is_value = re.compile(r"(?!-)|-\d+\Z").match
+
+def _is_value(arg: str) -> bool:
+    """Whether every argparse version reads ``arg`` as a value, not as an option."""
+    return not arg.startswith("-") or arg[1:].isdecimal()
 
 
 def cmd_check(args) -> tuple[dict, str]:
@@ -120,10 +124,13 @@ def cmd_region(args) -> tuple[dict, str]:
     n, c1, c2 = region.n, region.c1, region.c2
     sigma = region.sigma if isinstance(region, SimpleRegion) else None
     if args.predicate:
-        try:
-            epsilon = Fraction(args.epsilon) if args.epsilon else None
-        except ZeroDivisionError:
-            raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
+        epsilon = None
+        if args.epsilon:
+            from fractions import Fraction
+            try:
+                epsilon = Fraction(args.epsilon)
+            except ZeroDivisionError:
+                raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
         pred = RegionPredicate(args.predicate, epsilon=epsilon)
         holds = pred.evaluate(n, c1, c2, sigma=sigma)
         result = {"predicate": args.predicate, "holds": holds}
@@ -175,13 +182,12 @@ def cmd_enumerate(args) -> tuple[dict, list[str] | tuple[str]]:
 
 
 def cmd_pmeasure(args) -> tuple[dict, str]:
-    value = p_measure(args.degrees)
-    result = {
-        "p": f"{value.numerator}/{value.denominator}",
-        "p_float": float(value),
-        "base_count": count_realizations(args.degrees).count,
-    }
-    return result, str(value)
+    # p_measure's Fraction in lowest terms, and its correctly rounded float.
+    total, base = _p_measure_terms(args.degrees)
+    gcd = math.gcd(total, base)
+    numerator, denominator = total // gcd, base // gcd
+    result = {"p": f"{numerator}/{denominator}", "p_float": total / base, "base_count": base}
+    return result, result["p"] if denominator > 1 else str(numerator)
 
 
 def cmd_family_bounds(args) -> tuple[dict, str]:
@@ -425,22 +431,40 @@ def _parse(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**namespace)
 
 
+def _streamed(result: dict) -> tuple[str, list | dict, Iterator[str]] | None:
+    """The result's one member that can be large, as (its key, its empty value,
+    an iterator of its entries' JSON text), or None.  A sweep's rows come as
+    their JSON text.  Graphs and chain states are edge text, digits, '-' and
+    ',', which JSON quotes unchanged, so a %-template mapped in C gives the
+    text of json.dumps: '"G"' for a graph, '"S": N' for a histogram item."""
+    if "rows" in result:
+        return "rows", [], result["rows"]
+    if "realizations" in result:
+        return "realizations", [], map('"%s"'.__mod__, result["realizations"])
+    if "histogram" in result:
+        return "histogram", {}, map('"%s": %d'.__mod__, sorted(result["histogram"].items()))
+    return None
+
+
 def _print_envelope(envelope: dict) -> None:
-    """Print ``json.dumps(envelope, sort_keys=True)``; rows in the result come
-    as an iterator of their JSON text, written ``_ROWS_PER_WRITE`` at a time."""
-    rows = envelope["result"].get("rows")
-    if not isinstance(rows, Iterator):
+    """Print ``json.dumps(envelope, sort_keys=True)``; the result's large
+    member (``_streamed``) is written ``_ROWS_PER_WRITE`` entries at a time."""
+    streamed = _streamed(envelope["result"])
+    if streamed is None:
         print("".join(_encode(envelope, 0)))
         return
-    # A sweep's inputs are numbers and a flag, so this is the one '"rows": []'.
-    envelope["result"]["rows"] = []
-    head, tail = "".join(_encode(envelope, 0)).split('"rows": []')
-    sys.stdout.write(head + '"rows": [')
+    # The envelope is encoded with the member emptied.  Only the result has its
+    # key, and a string's text holds no unescaped '"', so the marker is found once.
+    key, empty, entries = streamed
+    envelope["result"][key] = empty
+    brackets = "".join(_encode(empty, 0))  # "[]" or "{}"
+    head, tail = "".join(_encode(envelope, 0)).split(f'"{key}": {brackets}')
+    sys.stdout.write(f'{head}"{key}": {brackets[0]}')
     sep = ""
-    while batch := ", ".join(itertools.islice(rows, _ROWS_PER_WRITE)):
+    while batch := ", ".join(itertools.islice(entries, _ROWS_PER_WRITE)):
         sys.stdout.write(sep + batch)
         sep = ", "
-    print("]" + tail)
+    print(brackets[1] + tail)
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,6 @@ import math
 import operator
 import os
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 from .core import (
     DegreeSequence,
@@ -412,10 +411,18 @@ def p_measure(
     and the family total agree.  Vectors with a negative entry count zero.
     A sequence that is not graphic raises NotGraphic before any count.
     """
+    from fractions import Fraction
+    return Fraction(*_p_measure_terms(seq, counter))
+
+
+def _p_measure_terms(
+    seq: DegreeSequence, counter: RealizationCounter | None = None
+) -> tuple[int, int]:
+    """p(D) unreduced, as (the -- family total, |G(D)|), without importing fractions."""
     require_graphic(seq)
     counter = counter or default_counter()
     base = counter.count(seq).count
-    return Fraction(family_count(seq, PerturbationKind.MINUS_MINUS, counter).total, base)
+    return family_count(seq, PerturbationKind.MINUS_MINUS, counter).total, base
 
 
 # ---------------------------------------------------------------------------

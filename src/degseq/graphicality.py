@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import accumulate
 
 from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
@@ -353,6 +352,7 @@ class RegionPredicate(Record, frozen=True):
         if self.name != "phi_eps":
             return None
         # 1 / (8 (1 - sqrt(1 - eps))^2), without the cancellation, in one exact quotient.
+        from fractions import Fraction
         eps = Fraction(self.epsilon)
         bound = Fraction((1 + math.sqrt(1 - eps)) ** 2) / (8 * eps * eps)
         try:

@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
@@ -491,6 +492,72 @@ class TestMcmcCommand:
         assert exc.value.code == 2
 
 
+def dumped(argv):
+    """``json.dumps`` of the envelope of a ``--json`` run of ``argv``, built from
+    the command's own result, not through the CLI's writer."""
+    args = cli._parse(argv.split())
+    result, _ = cli.COMMANDS[args.command][0](args)
+    inputs = {key: str(value) if isinstance(value, DegreeSequence) else value
+              for key, value in vars(args).items() if key not in ("json", "command")}
+    return json.dumps({"command": args.command, "inputs": inputs, "result": result,
+                       "version": __version__}, sort_keys=True) + "\n"
+
+
+class Writes(io.StringIO):
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestStreamedEnvelopes:
+    """A sweep's rows, enumerate's graphs and the chain's histogram are written
+    a batch at a time; the envelope is still json.dumps of the result."""
+
+    @pytest.mark.parametrize("argv", [
+        "mcmc 1,1,1,1 --steps 0 --seed 3",  # the empty histogram, {}
+        "mcmc 2,2,2,1,1 --steps 3000 --seed 7",  # with state_space
+        "mcmc " + ",".join(["1"] * 18) + " --steps 600 --seed 1",  # without it
+        "enumerate 1,1 --limit 0",
+        "enumerate 3,3,1,1",  # not graphic: the empty list
+        "enumerate 2,2,2,2,2,2,2 --limit 300",  # 300 of its 465 graphs
+    ])
+    def test_streamed_envelope_is_json_dumps(self, capsys, argv):
+        expected = dumped(argv)
+        assert run(capsys, "--json", *argv.split()) == (0, expected, "")
+
+    @pytest.mark.parametrize("states", [255, 256, 257, 513])
+    def test_histogram_batches(self, monkeypatch, states):
+        # The first `states` graphs of 2^9, each with its own count, as the
+        # chain's histogram: _ROWS_PER_WRITE items a write, the rest in one.
+        seq = DegreeSequence([2] * 9)
+        texts = [cli.edges_to_text(edges)
+                 for edges in enumeration.realization_edge_lists(seq, states)]
+        real_sample = cli.sample
+
+        def sample(seq, config):
+            run = real_sample(seq, config)
+            hist = Counter({text: i % 7 + 1 for i, text in enumerate(texts)})
+            return type(run)(final=run.final, histogram=hist, metadata=run.metadata)
+
+        monkeypatch.setattr(cli, "sample", sample)
+        argv = "mcmc 2,2,2,2,2,2,2,2,2 --steps 10 --seed 1"
+        expected = dumped(argv)
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["--json", *argv.split()]) == 0
+        assert out.getvalue() == expected and f'"distinct_states": {states},' in expected
+        items = [len(re.findall(r'"[\d,-]+": \d', text)) for text in out.writes]
+        size = cli._ROWS_PER_WRITE
+        assert [count for count in items if count] == [size] * (states // size) + (
+            [states % size] if states % size else [])
+
+
 # Stdout of every subcommand in both modes.  ``inputs`` echoes the parsed
 # arguments, degree text in canonical form (the unsorted arguments come back
 # sorted); ``region`` echoes the region it decided, not how it was named.
@@ -527,6 +594,19 @@ GOLDEN_STDOUT = [
      '3\n',
      '{"command": "pmeasure", "inputs": {"degrees": "2,2,2"}, "result": {"base_count": 1, '
      '"p": "3/1", "p_float": 3.0}, "version": "0.1.0"}\n'),
+    # p = 0, an integer p = 6/3 in lowest terms, and a p that is not an integer
+    ('pmeasure 0,0,0',
+     '0\n',
+     '{"command": "pmeasure", "inputs": {"degrees": "0,0,0"}, "result": {"base_count": 1, '
+     '"p": "0/1", "p_float": 0.0}, "version": "0.1.0"}\n'),
+    ('pmeasure 1,1,1,1',
+     '2\n',
+     '{"command": "pmeasure", "inputs": {"degrees": "1,1,1,1"}, "result": {"base_count": 3, '
+     '"p": "2/1", "p_float": 2.0}, "version": "0.1.0"}\n'),
+    ('pmeasure 2,2,1,1',
+     '7/2\n',
+     '{"command": "pmeasure", "inputs": {"degrees": "2,2,1,1"}, "result": {"base_count": 2, '
+     '"p": "7/2", "p_float": 3.5}, "version": "0.1.0"}\n'),
     ('family-bounds 1,1,1,1',
      'pair_bound: 12 <= 240 ok\ndouble_bound: 4 <= 192 ok\nmixed_bound: 12 <= 1632 ok\n',
      '{"command": "family-bounds", "inputs": {"degrees": "1,1,1,1"}, '
@@ -715,20 +795,27 @@ class TestImportCost:
         # dataclasses pulls in inspect, ast and dis; typing is annotations only;
         # hashlib loads OpenSSL, and the chain's SHAKE comes from _sha3; argv is
         # read without argparse (and its gettext), and envelopes are encoded
-        # without json.  -I -S: no site packages, no environment, so nothing
-        # else loads them, on import or in a successful command.
+        # without json.  fractions (with decimal, numbers and re) loads only
+        # where a Fraction is made: p_measure, an epsilon, its exception bound.
+        # -I -S: no site packages, no environment, so nothing else loads them,
+        # on import or in a successful command.
+        argv = [["check", "1,1"], ["sweep", "--n-min", "2", "--n-max", "30"],
+                ["pmeasure", "3,3,2,2,2"], ["count", "3,3,2,2,2"],
+                ["mcmc", "2,2,2,1,1", "--steps", "300", "--seed", "1"],
+                ["enumerate", "2,2,2,2,2,2,2", "--limit", "300"],
+                ["region", "n=8,sigma=16,c1=4,c2=1"],
+                ["region", "--n", "8", "--c1", "4", "--c2", "2", "--predicate", "phi_JMS"]]
         code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import degseq.cli\n"
                 "heavy = {'dataclasses', 'inspect', 'typing', 'hashlib', '_hashlib',"
-                " 'argparse', 'gettext', 'json'}\n"
+                " 'argparse', 'gettext', 'json', 'fractions', 'decimal', 'numbers', 're'}\n"
                 "print(sorted(heavy & set(sys.modules)))\n"
                 "out, sys.stdout = sys.stdout, io.StringIO()\n"
-                "codes = [degseq.cli.main(['--json', 'check', '1,1']),"
-                " degseq.cli.main(['--json', 'sweep', '--n-min', '2', '--n-max', '30'])]\n"
+                f"codes = [degseq.cli.main(['--json', *argv]) for argv in {argv!r}]\n"
                 "sys.stdout = out; print(codes, sorted(heavy & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n[0, 0] []\n"
+        assert done.stdout == f"[]\n{[0] * len(argv)} []\n"
 
     def test_envelopes_without_the_c_encoder(self):
         # Where _json is missing, json's own encoder writes the same bytes.
@@ -737,7 +824,10 @@ class TestImportCost:
                 "import degseq.cli\n"
                 "for argv in sys.argv[3:]: degseq.cli.main(['--json', *argv.split()])\n"
                 "print('json' in sys.modules)")
-        argv = [argv for argv, _, _ in GOLDEN_STDOUT] + ["sweep --n-min 2 --n-max 10 --with-sigma"]
+        argv = [argv for argv, _, _ in GOLDEN_STDOUT] + [
+            "sweep --n-min 2 --n-max 10 --with-sigma",
+            "mcmc 2,2,2,2,2,2,2,2,2 --steps 1000 --seed 1",  # 615 states
+            "enumerate 2,2,2,2,2,2,2 --limit 300"]
         on, off = (subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), mode,
                                    *argv], capture_output=True, text=True, timeout=60)
                    for mode in ("on", "off"))
@@ -846,6 +936,21 @@ class TestParser:
         "region --predicate phi_X", "check 1,x", "count -1,2"])
     def test_everything_else_goes_to_argparse(self, argv):
         assert cli._parse(argv.split()) is None
+
+    @given(st.one_of(st.text(), st.text().map("-".__add__),
+                     st.from_regex(r"-\d+", fullmatch=True)))
+    @example("-٣")
+    @example("-")
+    @example("")
+    @example("--json")
+    @example("-1a")
+    @example("-12")
+    @example("-1\n")
+    @example("-²")  # a digit, but not a decimal digit
+    def test_is_value_agrees_with_the_regex(self, arg):
+        # The regex it replaced: an argument not led by "-", or "-" and one or
+        # more Unicode decimal digits (category Nd) to the end.
+        assert cli._is_value(arg) is bool(re.compile(r"(?!-)|-\d+\Z").match(arg))
 
     def test_predicate_choices_are_the_library_names(self, capsys):
         for name in PREDICATE_NAMES:

@@ -75,9 +75,18 @@ def test_every_subcommand_prints_one_json_line(argv):
 def test_a_closed_stdout_exits_141_without_a_traceback():
     # The reader takes 100 bytes of a 2 MB sweep and closes the pipe, as
     # `| head -c 100` does; the exit is a shell's code for SIGPIPE.
+    closed_after_100_bytes("sweep", "--n-min", "1", "--n-max", "60")
+
+
+def test_a_closed_stdout_mid_histogram_exits_141():
+    # 2,282 states, 750 KB of histogram written in batches
+    closed_after_100_bytes("mcmc", ",".join(["4"] * 30), "--steps", "3000", "--seed", "1")
+
+
+def closed_after_100_bytes(*argv):
+    """Run ``--json *argv``, read 100 bytes of stdout and close it: exit 141, no stderr."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-S", "-m", "degseq.cli", "--json", "sweep", "--n-min", "1",
-            "--n-max", "60"]
+    argv = [sys.executable, "-S", "-m", "degseq.cli", "--json", *argv]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": path}) as proc:
         assert len(proc.stdout.read(100)) == 100
