@@ -26,7 +26,6 @@ from .enumeration import (
     enumerate_realizations,
     family_count,
     p_measure,
-    staircase_realization,
     staircase_sequence,
     verify_family_bounds,
 )
@@ -46,7 +45,6 @@ from .graphicality import (
     RegionPredicate,
     is_graphic,
     is_graphic_tv,
-    is_primitive,
     jms_star_sigma_margin,
     leg,
     region_fully_graphic,
@@ -63,7 +61,6 @@ from .mcmc import (
     make_rng,
     sample,
     switch_connected,
-    switch_step,
     tv_distance_to_uniform,
 )
 from .splitgraph import (
@@ -75,7 +72,6 @@ from .splitgraph import (
     hs_index,
     is_split_sequence,
     nonstability_witness,
-    split_partition,
     split_witness,
     tyshkevich_compose,
     verify_multiplicativity,

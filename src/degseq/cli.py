@@ -283,10 +283,12 @@ def cmd_mcmc(args) -> tuple[dict, str]:
     seq = args.degrees
     config = ChainConfig(seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     run = sample(seq, config)
+    # With no move made, the final state is the start, whose text is kept.
+    moved = run.metadata["accepted"]
     result = {
         **vars(run),
         "distinct_states": len(run.histogram),
-        "final": edges_to_text(run.final.edges()),
+        "final": edges_to_text(run.final.edges()) if moved else run.metadata["start"],
     }
     try:  # no exact-space report above ENUMERATE_MAX_N, where a count may take seconds
         total = count_realizations(seq).count if seq.n <= LIMITS["ENUMERATE_MAX_N"][0] else 0

@@ -289,10 +289,6 @@ class PerturbationKind(Enum):
     def pairwise(self) -> bool:
         return len(self.deltas) == 2
 
-    @property
-    def sigma_delta(self) -> int:
-        return sum(self.deltas)
-
 
 class Perturbation(Record, frozen=True):
     """A perturbation applied at 1-based positions of a sorted sequence.
@@ -318,10 +314,6 @@ class Perturbation(Record, frozen=True):
                 )
         elif self.j is not None:
             raise InvalidInput(f"{self.kind.value} takes a single position")
-
-    @property
-    def sigma_delta(self) -> int:
-        return self.kind.sigma_delta
 
 
 def apply_perturbation(seq: DegreeSequence, pert: Perturbation) -> DegreeSequence:
@@ -383,18 +375,8 @@ class LabeledGraph(Record, frozen=True):
         return tuple(adj)
 
     @classmethod
-    def empty(cls, n: int) -> "LabeledGraph":
-        return cls(n, ())
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
         return cls(n, sorted(e if e[0] < e[1] else e[::-1] for e in edges))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         """Positional degree vector, indexed by vertex label."""
@@ -403,16 +385,9 @@ class LabeledGraph(Record, frozen=True):
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees())
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.pairs)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted edge list; also the canonical form of the labeled graph."""
         return self.pairs
-
-    def __str__(self) -> str:
-        return edges_to_text(self.pairs)
 
 
 class _EdgeLabels(dict):

@@ -504,9 +504,9 @@ def verify_family_bounds(
 def staircase_sequence(m: int) -> DegreeSequence:
     """(2m-1, 2m-2, ..., m+1, m, m, m-1, ..., 2, 1); length 2m, m >= 1.
 
-    Uniquely realizable: its one realization is the half graph returned by
-    :func:`staircase_realization`.  A length 2m above ``WITNESS_MAX_SIZE``
-    raises TooLarge.
+    Uniquely realizable: its one realization is the half graph, a clique on
+    the m largest entries with the t-th smallest entry joined to the first t
+    of them.  A length 2m above ``WITNESS_MAX_SIZE`` raises TooLarge.
     """
     if m < 1:
         raise InvalidInput(f"staircase index must be >= 1, got {m}")
@@ -524,22 +524,6 @@ def bumped_staircase_sequence(m: int) -> DegreeSequence:
     return apply_perturbation(
         staircase_sequence(m), Perturbation(PerturbationKind.PLUS_PLUS, m, 2 * m)
     )
-
-
-def staircase_realization(m: int) -> LabeledGraph:
-    """The unique realization of the staircase sequence, degree-sorted labels.
-
-    A half graph: a clique on 0..m-1 (clique vertex i has degree 2m-1-i) and
-    vertex m+t of the independent half joined to clique vertices 0..m-t-1
-    (degree m-t).  Its 2m vertices plus m^2 edges above ``WITNESS_MAX_SIZE``
-    raise TooLarge.
-    """
-    if m < 1:
-        raise InvalidInput(f"staircase index must be >= 1, got {m}")
-    check_limit("WITNESS_MAX_SIZE", 2 * m + m * m)
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges += [(i, m + t) for t in range(m) for i in range(m - t)]
-    return LabeledGraph.from_edges(2 * m, edges)
 
 
 def count_staircase_family(

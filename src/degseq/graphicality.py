@@ -102,27 +102,6 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
     return _eg_scan(degs, descents)
 
 
-def is_primitive(seq: DegreeSequence, c1: int, c2: int) -> bool:
-    """Whether ``seq`` is (c1,...,c1, a, c2,...,c2) with c2 <= a <= c1."""
-    if c1 < c2:
-        return False
-    degs = seq.degrees
-    n = len(degs)
-    k = 0
-    while k < n and degs[k] == c1:
-        k += 1
-    tail = n
-    while tail > k and degs[tail - 1] == c2:
-        tail -= 1
-    middle = degs[k:tail]
-    if len(middle) > 1:
-        return False
-    if middle:
-        return c2 <= middle[0] <= c1
-    # Two pure blocks: the boundary entry on either side can play the role of a.
-    return True
-
-
 def leg(region: SimpleRegion) -> DegreeSequence:
     """The least Erdos-Gallai sequence of the region.
 
@@ -338,10 +317,6 @@ class RegionPredicate(Record, frozen=True):
                 raise InvalidInput("phi_eps needs a rational epsilon in (0, 1]")
         elif self.epsilon is not None:
             raise InvalidInput(f"{self.name} takes no epsilon")
-
-    @property
-    def needs_sigma(self) -> bool:
-        return _PREDICATES[self.name][0]
 
     @property
     def exception_bound(self) -> float | None:

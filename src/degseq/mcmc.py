@@ -8,9 +8,9 @@ sequence exactly, and the stationary distribution is uniform over the
 labeled realizations.
 
 One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
-sorted edge list, for :func:`sample` and :func:`switch_step`; :func:`sample`
-replays its list edits on the edges' text.  These moves are the 2-switches,
-which join all realizations (see :func:`switch_connected`).
+sorted edge list, and :func:`sample` replays its list edits on the edges'
+text.  These moves are the 2-switches, which join all realizations (see
+:func:`switch_connected`).
 
 The moves come from a standard stream, the same on every platform and
 Python version.  Block b of seed s is the first ``8 * DRAW_BLOCK`` bytes of
@@ -187,16 +187,6 @@ def _run(graph: LabeledGraph, labels: list[str], words: Iterator[int],
     if steps > entered:
         histogram[",".join(labels)] += steps - entered
     return edges, histogram, accepted
-
-
-def switch_step(graph: LabeledGraph, rng: Iterator[int]) -> LabeledGraph:
-    """One chain step, drawing from ``rng``, a move stream from
-    :func:`make_rng`.  Returns the input graph unchanged on a lazy step or
-    when fewer than two edges exist (the chain is then trivially stationary,
-    and no word is drawn)."""
-    labels = list(map(_EDGE_LABELS.__getitem__, graph.edges()))
-    edges, _, accepted = _run(graph, labels, rng, 0, 1)
-    return LabeledGraph(graph.n, edges) if accepted else graph
 
 
 class SampleResult(Record):

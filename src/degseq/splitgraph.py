@@ -24,7 +24,6 @@ from .enumeration import (
     RealizationCounter,
     bumped_staircase_sequence,
     default_counter,
-    staircase_realization,
     staircase_sequence,
 )
 from .errors import ConstructionError, InvalidInput, NotSplit, check_limit
@@ -43,8 +42,8 @@ class SplitVerdict(Record):
 class SplitGraph(Record, frozen=True):
     """A labeled graph with one chosen clique/independent partition.
 
-    The partition need not be unique; equality of split graphs compares the
-    underlying graphs only.
+    The partition need not be unique, and equality compares it too: two split
+    graphs are equal when their graphs, cliques and independent sets are.
     """
 
     graph: LabeledGraph
@@ -73,14 +72,6 @@ class SplitGraph(Record, frozen=True):
                 v = (extra & -extra).bit_length() - 1
                 raise InvalidInput(f"independent part contains edge ({u}, {v})")
 
-    def __eq__(self, other):
-        if not isinstance(other, SplitGraph):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.graph)
-
 
 def hs_index(seq: DegreeSequence) -> int:
     """The largest index m with d_m >= m - 1 (1-based): d_i falls as i - 1
@@ -108,19 +99,6 @@ def _require_split(seq: DegreeSequence) -> SplitVerdict:
     if not verdict.is_split:
         raise NotSplit(f"degree sequence {seq} is not split")
     return verdict
-
-
-def split_partition(graph: LabeledGraph) -> SplitGraph:
-    """Extract a clique/independent partition from a split graph.
-
-    The m highest-degree vertices (any tie-break) form a clique and the rest
-    an independent set whenever the Hammer-Simeone equality holds.
-    """
-    verdict = _require_split(graph.degree_sequence())
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-    clique = frozenset(order[: verdict.m])
-    independent = frozenset(order[verdict.m :])
-    return SplitGraph(graph=graph, clique=clique, independent=independent)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +252,6 @@ class NonstabilityWitness(Record):
     unique_verified: bool
     base_count: int | None = None
     perturbed_count: int | None = None
-
-    @property
-    def composed_graph(self) -> LabeledGraph:
-        """The realization of ``base``, built anew on each access (O(n'^2) edges).
-
-        Raises TooLarge when its vertices plus edges exceed ``WITNESS_MAX_SIZE``.
-        """
-        check_limit("WITNESS_MAX_SIZE", self.base.n + self.base.sigma // 2)
-        return tyshkevich_compose(self.witness.graph, staircase_realization(self.m))
 
 
 def nonstability_witness(

@@ -5,9 +5,10 @@ arbitrate them: the census walks every edge subset of the complete graph
 (Gray code, one edge toggled per step) and tallies positional degree
 vectors, and the split oracle tries all 2^n clique/independent partitions.
 ``_threshold`` is the textbook peeling test for threshold sequences.
-``switch_component`` is the one helper that runs package code: it searches
-the realizations that the chain's own move engine reaches, for comparison
-with the exact count.
+``switch_component`` searches the realizations that the chain's own move
+engine reaches, for comparison with the exact count.  ``greedy_split_graph``
+and ``half_graph`` build test inputs: a split graph with its partition, and
+the staircase sequence's one realization.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from functools import lru_cache
 
 import pytest
 
-from degseq import LabeledGraph, RealizationCounter, havel_hakimi_graph
+from degseq import (
+    LabeledGraph,
+    RealizationCounter,
+    SplitGraph,
+    havel_hakimi_graph,
+    is_split_sequence,
+)
 from degseq import mcmc
 
 
@@ -127,6 +134,22 @@ def has_split_partition(graph: LabeledGraph) -> bool:
         if ok:
             return True
     return False
+
+
+def greedy_split_graph(seq) -> SplitGraph:
+    """The greedy realization of a split ``seq`` with its partition, as
+    ``cli.cmd_tyshkevich`` builds it: vertex v has the v-th largest entry, so
+    the clique is labels 0..m-1, m the Hammer-Simeone index."""
+    m = is_split_sequence(seq).m
+    return SplitGraph(havel_hakimi_graph(seq), frozenset(range(m)), frozenset(range(m, seq.n)))
+
+
+def half_graph(m: int) -> LabeledGraph:
+    """The one realization of ``staircase_sequence(m)``: a clique on 0..m-1,
+    and vertex m + t joined to clique vertices 0..m-t-1."""
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges += [(i, m + t) for t in range(m) for i in range(m - t)]
+    return LabeledGraph(2 * m, sorted(edges))
 
 
 def _threshold(degs) -> bool:

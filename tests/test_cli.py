@@ -394,6 +394,16 @@ class TestWitnessCommands:
         assert len(result["base"].split(",")) == 2004
         assert (result["m"], result["base_count"], result["perturbed_count"]) == (2, 1, 1)
 
+    def test_nonstab_witness_bump_counts_as_the_bumped_staircase(self, capsys):
+        # Tyshkevich multiplicativity through two commands: the split part's one
+        # realization leaves the staircase's counts, 1 and F(2m - 3).
+        for m in range(2, 8):
+            family = run_json(capsys, "staircase-family", str(m))["result"]
+            witness = run_json(capsys, "nonstab-witness", "--n", "5", "--n-prime", str(5 + m),
+                               "--c1", "4", "--c2", "1", "--verify")["result"]
+            assert (witness["base_count"], witness["perturbed_count"]) == (
+                family["count"], family["bumped_count"]) == (1, [1, 2, 5, 13, 34, 89][m - 2])
+
     def test_staircase_family(self, capsys):
         envelope = run_json(capsys, "staircase-family", "4")
         assert envelope["result"]["count"] == 1
@@ -472,6 +482,32 @@ class TestMcmcCommand:
         assert result["histogram"] == {} and result["distinct_states"] == 0
         code, out, _ = run(capsys, "mcmc", "1,1,1,1", "--steps", "0", "--seed", "3")
         assert code == 0 and "TV" not in out
+
+    # The envelopes of the parent commit, which labelled the final edges again:
+    # no step, and a sequence with one realization, where every step is lazy.
+    START = "1-2,1-3,1-4,1-5,1-6,2-3,2-4,2-5,3-4"
+    NO_MOVE = {
+        "0": '{"command": "mcmc", "inputs": {"burn_in": 0, "degrees": "5,4,3,3,2,1", "seed": 1, '
+             '"steps": 0}, "result": {"distinct_states": 0, "final": "%s", "histogram": {}, '
+             '"metadata": {"accepted": 0, "burn_in": 0, "rng": "shake128", "seed": 1, '
+             '"start": "%s", "steps": 0}, "state_space": 1, "switch_connected": true}, '
+             '"version": "0.1.0"}\n' % (START, START),
+        "5": '{"command": "mcmc", "inputs": {"burn_in": 0, "degrees": "5,4,3,3,2,1", "seed": 1, '
+             '"steps": 5}, "result": {"distinct_states": 1, "final": "%s", '
+             '"histogram": {"%s": 5}, "metadata": {"accepted": 0, "burn_in": 0, '
+             '"rng": "shake128", "seed": 1, "start": "%s", "steps": 5}, "state_space": 1, '
+             '"switch_connected": true, "tv_to_uniform": 0.0}, "version": "0.1.0"}\n'
+             % (START, START, START),
+    }
+
+    @pytest.mark.parametrize("steps", NO_MOVE)
+    def test_final_without_a_move_is_the_start_text(self, capsys, monkeypatch, steps):
+        def no_labels(edges):
+            raise AssertionError("the final state was labelled again")
+
+        monkeypatch.setattr(cli, "edges_to_text", no_labels)
+        argv = ["--json", "mcmc", "5,4,3,3,2,1", "--steps", steps, "--seed", "1"]
+        assert run(capsys, *argv) == (0, self.NO_MOVE[steps], "")
 
     def test_seed_domain(self, capsys):
         code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "-1")

@@ -216,7 +216,7 @@ class TestPerturbation:
         else:
             p = Perturbation(kind, i)
         out = apply_perturbation(d, p)
-        assert out.sigma - d.sigma == kind.sigma_delta
+        assert out.sigma - d.sigma == sum(kind.deltas)
 
 
 class TestIterRegion:
@@ -317,9 +317,7 @@ class TestLabeledGraph:
                     bits[v] |= 1 << u
                 assert g.adj == tuple(bits)
                 assert g.degrees() == tuple(bin(b).count("1") for b in bits)
-                assert all(g.has_edge(u, v) == bool(bits[u] >> v & 1)
-                           for u in range(n) for v in range(n))
-                assert g.edge_count == len(pairs) == sum(g.degrees()) // 2
+                assert len(g.edges()) == len(pairs) == sum(g.degrees()) // 2
 
     def test_bitsets_are_cached_outside_the_fields(self):
         g = LabeledGraph.from_edges(3, [(0, 1)])
@@ -332,7 +330,12 @@ class TestLabeledGraph:
     def test_canonical_key_is_sorted_edges(self):
         g = LabeledGraph.from_edges(4, [(2, 3), (0, 1)])
         assert g.edges() == ((0, 1), (2, 3))
-        assert str(g) == "1-2,3-4"
+        assert edges_to_text(g.edges()) == "1-2,3-4"
+
+    def test_str_is_the_record_repr(self):
+        # A graph's edge text is edges_to_text's; str falls back to the repr.
+        g = LabeledGraph.from_edges(3, [(0, 1)])
+        assert str(g) == repr(g) == "LabeledGraph(n=3, pairs=((0, 1),))"
 
     def test_edges_to_text_past_the_label_memo(self):
         # 44,850 distinct edges, more than the label memo holds, twice over.

@@ -32,11 +32,10 @@ from degseq import (
     family_count,
     is_graphic,
     p_measure,
-    staircase_realization,
     staircase_sequence,
     verify_family_bounds,
 )
-from conftest import all_sorted_sequences, brute_force_count, degree_census
+from conftest import all_sorted_sequences, brute_force_count, degree_census, half_graph
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +528,7 @@ class TestEnumerateRealizations:
 
     def test_complete_graph(self):
         graphs = list(enumerate_realizations(DegreeSequence([3, 3, 3, 3])))
-        assert len(graphs) == 1 and graphs[0].edge_count == 6
+        assert len(graphs) == 1 and len(graphs[0].edges()) == 6
 
     def test_yield_matches_count_exhaustively_small(self, counter):
         for n in range(1, 7):
@@ -802,20 +801,10 @@ class TestStaircase:
         assert count_staircase_family(40, RealizationCounter()) == (1, 5527939700884757)
         assert fib[77] == 5527939700884757
 
-    def test_realization_is_the_unique_one(self):
+    def test_half_graph_is_the_unique_realization(self):
         for m in range(1, 6):
-            built = staircase_realization(m)
-            seq = staircase_sequence(m)
-            assert built.degrees() == seq.degrees
-            graphs = list(enumerate_realizations(seq))
-            assert len(graphs) == 1
-            assert graphs[0].adj == built.adj
-
-    def test_half_graph_structure(self):
-        g = staircase_realization(2)
-        # one clique pair dominating, plus cross edges thinning out
-        assert g.degrees() == (3, 2, 2, 1)
-        assert g.has_edge(0, 1)
+            graphs = list(enumerate_realizations(staircase_sequence(m)))
+            assert len(graphs) == 1 and graphs[0] == half_graph(m)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -826,7 +815,7 @@ class TestStaircase:
     def test_size_cap(self):
         cap = LIMITS["WITNESS_MAX_SIZE"][0]
         start = time.perf_counter()
-        for build in (staircase_sequence, bumped_staircase_sequence, staircase_realization):
+        for build in (staircase_sequence, bumped_staircase_sequence):
             with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
                 build(10**12)
         assert time.perf_counter() - start < 1
@@ -837,12 +826,6 @@ class TestStaircase:
             staircase_sequence(m + 1)
         assert str(exc.value) == (f"WITNESS_MAX_SIZE exceeded: {cap + 2} > {cap} entries plus"
                                   " edges that leg or a witness builder lays out")
-        # the realization has 2m vertices plus m^2 edges
-        m = math.isqrt(cap + 1) - 1
-        assert staircase_realization(m).edge_count == m * m
-        with pytest.raises(TooLarge) as exc:
-            staircase_realization(m + 1)
-        assert exc.value.requested == 2 * (m + 1) + (m + 1) ** 2 > cap
 
 
 class TestCrossChecks:

@@ -23,7 +23,6 @@ from degseq import (
     havel_hakimi_graph,
     is_graphic,
     is_graphic_tv,
-    is_primitive,
     is_split_sequence,
     iter_region,
     jms_star_sigma_margin,
@@ -251,21 +250,6 @@ class TestLeg:
         region = SimpleRegion(5, 12, 3, 2)
         members = list(iter_region(region))
         assert max(members) == leg(region)
-
-
-class TestIsPrimitive:
-    def test_examples(self):
-        assert is_primitive(DegreeSequence([4, 4, 3, 1, 1, 1, 1, 1]), 4, 1)
-        assert is_primitive(DegreeSequence([3, 3, 3]), 3, 3)
-        assert not is_primitive(DegreeSequence([4, 3, 3, 1, 1]), 4, 1)
-
-    def test_two_block_shapes(self):
-        assert is_primitive(DegreeSequence([3, 3, 1, 1]), 3, 1)
-        assert is_primitive(DegreeSequence([1, 1, 1]), 3, 1)
-        assert is_primitive(DegreeSequence([3, 3, 3]), 3, 1)
-
-    def test_out_of_band_value(self):
-        assert not is_primitive(DegreeSequence([5, 3, 1]), 4, 1)
 
 
 class TestFullyGraphic:

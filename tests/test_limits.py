@@ -26,7 +26,6 @@ from degseq import (
     region_fully_graphic,
     sample,
     split_witness,
-    staircase_realization,
     staircase_sequence,
     sweep,
     very_simple_region_fully_graphic,
@@ -147,9 +146,7 @@ LOWERED = {
         lambda: split_witness(VerySimpleRegion(11, 5, 0)),
         lambda: split_witness(VerySimpleRegion(10, 9, 1)).graph,  # 10 entries, 9 edges
         lambda: nonstability_witness(4, 8, 3, 0),  # a base of 12 entries
-        lambda: nonstability_witness(4, 7, 3, 0).composed_graph,  # 10 entries, 15 edges
         lambda: staircase_sequence(6),
-        lambda: staircase_realization(3),  # 6 entries, 9 edges
         lambda: cli.cmd_tyshkevich(SimpleNamespace(  # 7 entries, 8 edges
             split_degrees=DegreeSequence([2, 1, 1]), other_degrees=DegreeSequence([1] * 4),
             verify=False))]),

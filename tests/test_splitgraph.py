@@ -10,7 +10,6 @@ from degseq import (
     InvalidInput,
     LabeledGraph,
     NotGraphic,
-    NotSplit,
     Perturbation,
     PerturbationKind,
     RealizationCounter,
@@ -26,7 +25,6 @@ from degseq import (
     is_split_sequence,
     membership,
     nonstability_witness,
-    split_partition,
     split_witness,
     tyshkevich_compose,
     very_simple_region_fully_graphic,
@@ -35,7 +33,14 @@ from degseq import (
 from degseq import splitgraph
 from degseq.errors import LIMITS
 from degseq.graphicality import _slack
-from conftest import _threshold, all_sorted_sequences, degree_census, has_split_partition
+from conftest import (
+    _threshold,
+    all_sorted_sequences,
+    degree_census,
+    greedy_split_graph,
+    half_graph,
+    has_split_partition,
+)
 
 
 def non_fully_graphic_regions(n_max):
@@ -57,12 +62,13 @@ def qualifying_candidates(region):
 
 
 def pairwise_split_error(g, clique, independent):
-    """The message SplitGraph gives for a partition, from has_edge pair by pair."""
+    """The message SplitGraph gives for a partition, from the edge list pair by pair."""
+    edges = set(g.edges())
     for u, v in itertools.combinations(sorted(clique), 2):
-        if not g.has_edge(u, v):
+        if (u, v) not in edges:
             return f"clique part misses edge ({u}, {v})"
     for u, v in itertools.combinations(sorted(independent), 2):
-        if g.has_edge(u, v):
+        if (u, v) in edges:
             return f"independent part contains edge ({u}, {v})"
     return None
 
@@ -101,17 +107,6 @@ class TestSplitSequence:
 
 
 class TestSplitPartition:
-    def test_partition_from_realization(self):
-        g = havel_hakimi_graph(DegreeSequence([3, 3, 1, 1, 1, 1]))
-        sg = split_partition(g)
-        assert sg.clique == frozenset({0, 1})
-        assert sg.independent == frozenset(range(2, 6))
-
-    def test_rejects_non_split(self):
-        g = havel_hakimi_graph(DegreeSequence([1, 1, 1, 1]))
-        with pytest.raises(NotSplit):
-            split_partition(g)
-
     def test_split_graph_validation(self):
         g = LabeledGraph.from_edges(3, [(0, 1)])
         SplitGraph(graph=g, clique=frozenset({0, 1}), independent=frozenset({2}))
@@ -194,9 +189,9 @@ class TestSplitWitness:
             g, ell = split.graph, w.ell
             assert split.clique == frozenset(range(ell)), region
             assert split.independent == frozenset(range(ell, region.n)), region
-            assert all(g.has_edge(u, v) for u, v in itertools.combinations(range(ell), 2))
-            assert not any(g.has_edge(u, v)
-                           for u, v in itertools.combinations(range(ell, region.n), 2))
+            edges = set(g.edges())
+            assert edges >= set(itertools.combinations(range(ell), 2)), region
+            assert not edges & set(itertools.combinations(range(ell, region.n), 2)), region
             assert g.degrees() == w.sequence.degrees, region
 
     def test_large_region_in_bounded_time(self):
@@ -228,12 +223,12 @@ class TestTyshkevichCompose:
         edge = LabeledGraph.from_edges(2, [(0, 1)])
         composed = tyshkevich_compose(split, edge)
         assert composed.degree_sequence().degrees == (3, 3, 3, 3)
-        assert composed.edge_count == 6
+        assert len(composed.edges()) == 6
 
     def test_single_vertex_composition(self):
-        k1 = LabeledGraph.empty(1)
+        k1 = LabeledGraph(1, ())
         split = SplitGraph(graph=k1, clique=frozenset({0}), independent=frozenset())
-        one = LabeledGraph.empty(1)
+        one = LabeledGraph(1, ())
         assert tyshkevich_compose(split, one).degree_sequence().degrees == (1, 1)
 
     def test_witness_composed_with_triangle(self):
@@ -271,11 +266,12 @@ class TestTyshkevichCompose:
             composed = tyshkevich_compose(split, h)
             assert splitgraph._composed_degrees(
                 g.degrees(), split.clique, h.degree_sequence()) == composed.degree_sequence()
+            degrees = composed.degrees()
             for v in range(n_split):
                 gain = n_h if v in split.clique else 0
-                assert composed.degree(v) == g.degree(v) + gain
+                assert degrees[v] == g.degrees()[v] + gain
             for v in range(n_h):
-                assert composed.degree(n_split + v) == h.degree(v) + ell
+                assert degrees[n_split + v] == h.degrees()[v] + ell
 
 
 class TestMultiplicativity:
@@ -287,8 +283,7 @@ class TestMultiplicativity:
         assert report.holds and report.composed_count == 1
 
     def test_path_factor(self, counter):
-        path = havel_hakimi_graph(DegreeSequence([2, 1, 1]))
-        split = split_partition(path)
+        split = greedy_split_graph(DegreeSequence([2, 1, 1]))
         other = havel_hakimi_graph(DegreeSequence([2, 1, 1]))
         report = verify_multiplicativity(split, other, counter)
         assert report.holds
@@ -330,7 +325,8 @@ class TestNonstabilityWitness:
         assert witness.witness.ell == 5  # the smaller clique witnesses repeat
         assert witness.base_count == 1
         assert witness.base.n == 6 + 2 * witness.m
-        assert witness.composed_graph.degree_sequence() == witness.base
+        composed = tyshkevich_compose(witness.witness.graph, half_graph(witness.m))
+        assert composed.degree_sequence() == witness.base
 
     def test_base_is_the_degree_sequence_of_the_composition(self):
         # The ranges of the counting benchmark's nonstab-witness ops: n 4..8,
@@ -345,7 +341,8 @@ class TestNonstabilityWitness:
                     case = (n, n_prime, c1, c2)
                     assert witness.unique_verified is True, case
                     assert _threshold(witness.base.degrees), case
-                    assert witness.composed_graph.degree_sequence() == witness.base, case
+                    composed = tyshkevich_compose(witness.witness.graph, half_graph(witness.m))
+                    assert composed.degree_sequence() == witness.base, case
                     degs, ell, m = witness.base.degrees, witness.witness.ell, witness.m
                     i = degs.index(m + ell)
                     j = degs.index(1 + ell, i + 1 if m == 1 else 0)
@@ -411,18 +408,15 @@ class TestNonstabilityWitness:
             assert witness.base.degrees[:3] == (n + 3,) * 3 and witness.base.degrees[-1] == 3
 
     def test_witness_size_cap(self):
-        # base has 2 n_prime - n entries; composed_graph checks its edges too.
+        # base has 2 n_prime - n entries.
         cap = LIMITS["WITNESS_MAX_SIZE"][0]
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
             nonstability_witness(4, (cap + 4) // 2 + 1, 3, 0)
         with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
             nonstability_witness(4, 1_000_004, 3, 0)
-        witness = nonstability_witness(4, 1004, 3, 0)
-        with pytest.raises(TooLarge, match="WITNESS_MAX_SIZE"):
-            witness.composed_graph
         assert time.perf_counter() - start < 1
-        assert nonstability_witness(4, 204, 3, 0).composed_graph.n == 404
+        assert nonstability_witness(4, (cap + 4) // 2, 3, 0).base.n == cap
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
