@@ -31,6 +31,7 @@ import itertools
 import math
 import operator
 import os
+import struct
 from collections.abc import Iterable, Iterator
 
 from .core import (
@@ -48,12 +49,19 @@ from .graphicality import is_graphic, require_graphic
 MEMO_MAX_ENTRIES = 1 << 18
 
 
-def _histogram_key(counts: list[int]) -> bytes | tuple[int, ...]:
+def _histogram_key(counts: list[int]) -> int | tuple[int, ...]:
     """The memo key of a residual histogram (``counts[v]`` vertices of residual
-    v + 1, no trailing zero): ``bytes`` below 256 vertices, where every entry
-    fits a byte, else a tuple.  The kind depends on the histogram alone, so
-    each histogram has one key whichever query reaches it."""
-    return bytes(counts) if sum(counts) < 256 else tuple(counts)
+    v + 1, no trailing zero): below 256 vertices, where every entry fits a
+    byte, the int with ``counts[v]`` in its byte v, else a tuple.  The kind
+    depends on the histogram alone, so each histogram has one key whichever
+    query reaches it."""
+    return int.from_bytes(bytes(counts), "little") if sum(counts) < 256 else tuple(counts)
+
+
+def _wide_key(packed: int) -> int | tuple[int, ...]:
+    """``_histogram_key`` of a histogram packed in 64-bit fields, low first."""
+    fields = (packed.bit_length() + 63) >> 6
+    return _histogram_key(struct.unpack(f"<{fields}Q", packed.to_bytes(8 * fields, "little")))
 
 
 def _step_budget(value: int | None) -> int:
@@ -91,10 +99,10 @@ class RealizationCounter:
     """Memoized exact counter for labeled realizations.
 
     A single counter may serve many queries; the memo table is keyed by
-    residual-degree histograms (``key[v]`` vertices of residual v + 1,
-    trailing zeros stripped), as ``bytes`` (33 + d bytes for d entries) when
-    they hold fewer than 256 vertices and as tuples (40 + 8d) otherwise, and
-    is shared across calls, so related
+    residual-degree histograms (h[v] vertices of residual v + 1, trailing
+    zeros stripped), packed into an int, h[v] in byte v (24 + 4 * ceil(8d / 30)
+    bytes for d entries), when they hold fewer than 256 vertices and as
+    tuples (40 + 8d) otherwise, and is shared across calls, so related
     sequences (perturbation families, region sweeps) reuse each other's
     subproblems (up to ``MEMO_MAX_ENTRIES`` of them plus those of one query).
     Results are deterministic and independent of call order.  Each node
@@ -115,8 +123,8 @@ class RealizationCounter:
 
     def __init__(self, step_budget: int | None = None):
         self._budget = None if step_budget is None else _step_budget(step_budget)
-        # histogram key (``_histogram_key``) -> count; ``b""`` is never stored
-        self._memo: dict[bytes | tuple[int, ...], int] = {}
+        # histogram key (``_histogram_key``) -> count; key 0 is never stored
+        self._memo: dict[int | tuple[int, ...], int] = {}
 
     @property
     def step_budget(self) -> int:
@@ -143,7 +151,7 @@ class RealizationCounter:
             hist[d] += 1
         return CountResult(*self._query(_histogram_key(hist[1:])))
 
-    def _query(self, key: bytes | tuple[int, ...]) -> tuple[int, int, bool]:
+    def _query(self, key: int | tuple[int, ...]) -> tuple[int, int, bool]:
         """(count, nodes expanded, from cache) for a key of ``_histogram_key``:
         the memo's entry, or else a cold ``_count``."""
         if len(self._memo) > MEMO_MAX_ENTRIES:
@@ -153,55 +161,55 @@ class RealizationCounter:
             return hit, 0, True
         return *self._count(key), False
 
-    def _count(self, key: bytes | tuple[int, ...]) -> tuple[int, int]:
+    def _count(self, key: int | tuple[int, ...]) -> tuple[int, int]:
         """(count, nodes expanded) for a histogram key that is not memoized.
 
         A node's pivot, of residual p, takes k_r of the h[r] other vertices of
         residual r, top class first, in comb(h[r], k_r) ways, with the k_r
-        summing to p; ``b""`` is never stored, so each visit is a node.
-        Each node is a generator that yields the child keys it finds unmemoized
-        and reads each one's count from ``done`` when resumed, so no call
-        nests per node or per class.
+        summing to p; key 0 is never stored, so each visit is a node.  A node
+        packs its histogram in w-bit fields (w = 8 for an int key, 64 for a
+        tuple), so k picks from class r add k * delta_r to a running child key,
+        delta_r = 2^(w(r - 2)) - 2^(w(r - 1)) (-1 for r = 1).  Each node is a
+        generator that yields the child keys it finds unmemoized and reads each
+        one's count from ``done`` when resumed, so no call nests per node or per
+        class; it holds no list, as a deep elimination keeps 10^5 open for the GC.
         """
         memo = self._memo
         lookup = memo.get
         comb = math.comb
         budget = self.step_budget
         nodes = steps = done = 0  # ``done``: the count of the node that finished last
-        # Shared by the open nodes, so that none allocates a list (a deep
-        # elimination keeps 10^5 open for the GC to scan): their child
-        # histograms end to end (a node's residual r at hist[o + r]) and their
-        # classes paused at a pick.
-        hist: list[int] = []
-        paused: list[tuple[int, ...]] = []
+        paused: list[tuple[int, ...]] = []  # the open nodes' classes paused at a pick
 
-        def node(key: bytes | tuple[int, ...]) -> Iterator[bytes | tuple[int, ...]]:
+        def node(key: int | tuple[int, ...]) -> Iterator[int | tuple[int, ...]]:
             nonlocal nodes, steps, done
             nodes += 1
-            d = len(key)
-            if not d:
+            if not key:
                 done = 1
                 return
-            steps += d + _NODE_FRAME_STEPS  # the entries it copies and holds, and its frame
+            wide = type(key) is tuple  # then 64-bit fields, else 8-bit ones
+            width = 64 if wide else 8
+            h = key if wide else key.to_bytes((key.bit_length() + 7) >> 3, "little")
+            ck = int.from_bytes(struct.pack(f"<{len(h)}Q", *h), "little") if wide else key
+            d = len(h)
+            steps += d + _NODE_FRAME_STEPS  # its histogram's entries, and its frame
             scan = d >> 5  # a class's pass over empty classes and its leaf key
-            o, base, total = len(hist), len(paused), 0
-            hist.extend((0, *key))  # hist[o] takes class 1's picks
-            left = sum(key)
-            cut = left - 256  # a child is under 256 vertices iff hist[o] >= cut
+            base, total = len(paused), 0
+            left = sum(h)
             # the pivot p: a pendant vertex, unless the top vertex is nearly full
-            p = 1 if key[0] and 5 * d < 3 * left else d
-            hist[o + p] -= 1  # the eliminated vertex
+            p = 1 if h[0] and 5 * d < 3 * left else d
+            ck -= 1 << width * (p - 1)  # the eliminated vertex
             # ``avail``: the vertices of residual 1..r, all still pickable
             r, need, ways, avail = d, p, 1, left - 1
             opening = avail >= p
             while opening or len(paused) > base:
                 if opening:  # class r: take k of its hr vertices, high k first
-                    hr = key[r - 1] - (r == p)
+                    hr = h[r - 1] - (r == p)
                     while not hr:  # an empty class gives no neighbour
                         r -= 1
-                        hr = key[r - 1] - (r == p)
-                    # ``own``: hr plus the picks from class r + 1
-                    own, below = hist[o + r], hist[o + r - 1]
+                        hr = h[r - 1] - (r == p)
+                    unit = 1 << width * (r - 1)
+                    delta = (unit >> width) - unit  # a pick's move to class r - 1
                     k = hr if hr < need else need
                     # the picks the classes below cannot supply
                     low = need - avail + hr if need + hr > avail else 0
@@ -210,30 +218,22 @@ class RealizationCounter:
                         raise TooLarge("DEGSEQ_STEP_BUDGET", budget, steps)
                     opening = False
                 else:  # class r is done: the class above takes its next pick
-                    hist[o + r], hist[o + r - 1] = own, below
-                    r, need, ways, avail, hr, own, below, k, low = paused.pop()
+                    r, need, ways, avail, hr, ck, delta, k, low = paused.pop()
                     k -= 1
                 while k >= low:
-                    hist[o + r] = own - k
-                    hist[o + r - 1] = below + k
                     w = ways * comb(hr, k)
                     if k < need:
-                        paused.append((r, need, ways, avail, hr, own, below, k, low))
-                        r, need, ways, avail, opening = r - 1, need - k, w, avail - hr, True
+                        paused.append((r, need, ways, avail, hr, ck, delta, k, low))
+                        r, need, ways, avail, ck = r - 1, need - k, w, avail - hr, ck + k * delta
+                        opening = True
                         break
-                    top = d
-                    while top and not hist[o + top]:
-                        top -= 1
-                    # _histogram_key, the child's vertices being left - 1 - hist[o]
-                    state = hist[o + 1:o + top + 1]
-                    state = bytes(state) if hist[o] >= cut else tuple(state)
+                    state = _wide_key(ck + k * delta) if wide else ck + k * delta
                     value = lookup(state)
                     if value is None:
                         yield state
                         value = done
                     total += w * value
                     k -= 1
-            del hist[o:]
             # the big integers the memo holds; the frame is freed
             steps += (total.bit_length() >> 6) - _NODE_FRAME_STEPS
             if steps > budget:
@@ -379,7 +379,7 @@ def family_count(
     counts = [0] * (max(degrees) + 5)
     for a, h in hist.items():
         counts[a + 2] = h
-    groups: collections.Counter[bytes | tuple[int, ...]] = collections.Counter()
+    groups: collections.Counter[int | tuple[int, ...]] = collections.Counter()
     for pick in picks:
         child = counts.copy()
         for a, delta in zip(pick, deltas):

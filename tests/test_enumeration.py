@@ -472,6 +472,13 @@ def hub_missing_one(twos, ones):
             + twos * math.comb(twos - 1, 2) * math.prod(range(1, twos - 3, 2)))
 
 
+def histogram(key):
+    """The residual histogram a memo key stands for: an int key's bytes, low first."""
+    if isinstance(key, int):
+        return list(key.to_bytes((key.bit_length() + 7) // 8, "little"))
+    return list(key)
+
+
 class TestHistogramKeys:
     def test_closed_forms_against_the_oracle(self):
         for ones in range(8):
@@ -483,10 +490,10 @@ class TestHistogramKeys:
                 assert hub_missing_one(twos, ones) == oracle_count(degrees), degrees
 
     def test_counts_across_the_byte_boundary(self):
-        # Keys below 256 vertices are bytes and the rest tuples, at the root and
-        # in the node loop alike: 1^300 (299!!) passes from tuples to bytes at
-        # 254 vertices, 2^256 has a tuple root and byte children, and the hub
-        # (a top pivot on 257 vertices) has byte children only.
+        # Keys below 256 vertices are ints and the rest tuples, at the root and
+        # in the node loop alike: 1^300 (299!!) passes from tuples to ints at
+        # 254 vertices, 2^256 has a tuple root and int children, and the hub
+        # (a top pivot on 257 vertices) has int children only.
         counter = RealizationCounter()
         assert counter.count([1] * 300).count == math.prod(range(1, 300, 2))
         for n in range(250, 262):
@@ -495,13 +502,14 @@ class TestHistogramKeys:
             assert counter.count([1] * 8 + [2] * (n - 8)).count == paths_and_cycles(8, n - 8), n
         assert counter.count([255] + [2] * 101 + [1] * 155).count == hub_missing_one(101, 155)
         keys = list(counter._memo)
-        assert all(isinstance(key, bytes) == (sum(key) < 256) for key in keys)
-        assert {type(key) for key in keys} == {bytes, tuple}
+        assert all(isinstance(key, int) == (sum(histogram(key)) < 256) for key in keys)
+        assert all(key == enumeration._histogram_key(histogram(key)) for key in keys)
+        assert {type(key) for key in keys} == {int, tuple}
         assert counter.count([2] * 256).from_cache
 
     def test_families_across_the_byte_boundary(self):
         # The -- family of 1^258 queries 1^256 once, a tuple key, for all pairs;
-        # the ++ family of 1^256 queries the byte key of 2^2 1^254.
+        # the ++ family of 1^256 queries the int key of 2^2 1^254.
         counter = RecordingCounter(258)
         total = family_count(DegreeSequence([1] * 258), PerturbationKind.MINUS_MINUS, counter).total
         assert total == math.comb(258, 2) * math.prod(range(1, 256, 2))
@@ -653,8 +661,10 @@ class RecordingCounter(RealizationCounter):
         self.queries = []
 
     def _query(self, key):
-        assert isinstance(key, bytes) == (sum(key) < 256) and (not key or key[-1]), key
-        degrees = sorted((v + 1 for v, c in enumerate(key) for _ in range(c)), reverse=True)
+        counts = histogram(key)
+        assert isinstance(key, int) == (sum(counts) < 256) and (not counts or counts[-1]), key
+        assert key == enumeration._histogram_key(counts), key
+        degrees = sorted((v + 1 for v, c in enumerate(counts) for _ in range(c)), reverse=True)
         self.queries.append(tuple(degrees) + (0,) * (self.n - len(degrees)))
         return super()._query(key)
 
