@@ -4,12 +4,10 @@ split-graph witnesses, and switch-chain sampling."""
 from .core import (
     DegreeSequence,
     LabeledGraph,
-    Perturbation,
     PerturbationKind,
     Region,
     SimpleRegion,
     VerySimpleRegion,
-    apply_perturbation,
     edges_to_text,
     iter_region,
     membership,

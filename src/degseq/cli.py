@@ -113,6 +113,8 @@ def cmd_leg(args) -> tuple[dict, str]:
 
 
 def cmd_region(args) -> tuple[dict, str]:
+    if args.epsilon is not None and not args.predicate:
+        raise ValueError("--epsilon needs --predicate phi_eps")
     if args.params:
         region = parse_region(args.params)
     elif None in (args.n, args.c1, args.c2):

@@ -1,5 +1,5 @@
 """Core domain types: degree sequences, parameter regions, labeled graphs,
-and single-entry perturbations.
+and the five one-step perturbation kinds.
 
 All types here are immutable after construction and safe to share between
 threads.  Degree sequences are kept sorted non-increasing; a region is a pair
@@ -269,8 +269,9 @@ def iter_region(region: Region) -> Iterator[DegreeSequence]:
 class PerturbationKind(Enum):
     """The five single-step degree perturbations and their delta table.
 
-    ``deltas`` are the amounts added at positions i and j (i != j) for the
-    pairwise kinds, or at position i alone for the doubled kinds.
+    ``deltas`` are the amounts added at two distinct positions for the
+    pairwise kinds, or at one position for the doubled kinds;
+    ``enumeration.family_count`` reads them.
     """
 
     MINUS_MINUS = "--", (-1, -1)
@@ -284,54 +285,6 @@ class PerturbationKind(Enum):
         kind._value_ = value
         kind.deltas = deltas
         return kind
-
-    @property
-    def pairwise(self) -> bool:
-        return len(self.deltas) == 2
-
-
-class Perturbation(Record, frozen=True):
-    """A perturbation applied at 1-based positions of a sorted sequence.
-
-    ``j`` is unused for the single-position kinds.  The doubled kinds model
-    the i = j case of the pairwise operations, so the pairwise kinds always
-    require i != j.
-    """
-
-    kind: PerturbationKind
-    i: int
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise InvalidInput(f"position i must be >= 1, got {self.i}")
-        if self.kind.pairwise:
-            if self.j is None or self.j < 1:
-                raise InvalidInput(f"{self.kind.value} needs a position j >= 1")
-            if self.i == self.j:
-                raise InvalidInput(
-                    f"{self.kind.value} needs i != j; use the doubled kinds for i = j"
-                )
-        elif self.j is not None:
-            raise InvalidInput(f"{self.kind.value} takes a single position")
-
-
-def apply_perturbation(seq: DegreeSequence, pert: Perturbation) -> DegreeSequence:
-    """Apply ``pert`` to ``seq`` and return the re-sorted result.
-
-    Raises NegativeDegree if an entry would drop below zero, as a
-    DegreeSequence cannot represent it.  An entry above n - 1 is returned as
-    it is: such a sequence simply has no realization.
-    """
-    n = seq.n
-    if pert.i > n or (pert.j is not None and pert.j > n):
-        raise InvalidInput(f"positions out of range for length {n}")
-    values = list(seq.degrees)
-    for pos, delta in zip((pert.i, pert.j), pert.kind.deltas):
-        values[pos - 1] += delta
-    if min(values) < 0:
-        raise NegativeDegree(f"{pert.kind.value} at {pert.i},{pert.j} drops below zero")
-    return DegreeSequence(values)
 
 
 class LabeledGraph(Record, frozen=True):

@@ -34,14 +34,7 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 
-from .core import (
-    DegreeSequence,
-    LabeledGraph,
-    Perturbation,
-    PerturbationKind,
-    Record,
-    apply_perturbation,
-)
+from .core import DegreeSequence, LabeledGraph, PerturbationKind, Record
 from .errors import LIMITS, InvalidInput, TooLarge, check_limit
 from .graphicality import is_graphic, require_graphic
 
@@ -516,14 +509,16 @@ def staircase_sequence(m: int) -> DegreeSequence:
 
 
 def bumped_staircase_sequence(m: int) -> DegreeSequence:
-    """The staircase sequence with +1 at positions m and 2m (one double step).
+    """The staircase sequence with +1 at positions m and 2m (one ``++`` step).
 
-    Unlike the staircase itself this sequence has many realizations, and the
-    count grows exponentially in m.
+    Unlike the staircase itself this sequence has many realizations from
+    m = 2 on, F(2m - 3) with F the Fibonacci numbers; at m = 1 it is 2,2,
+    which is not graphic.
     """
-    return apply_perturbation(
-        staircase_sequence(m), Perturbation(PerturbationKind.PLUS_PLUS, m, 2 * m)
-    )
+    degrees = list(staircase_sequence(m).degrees)
+    degrees[m - 1] += 1
+    degrees[-1] += 1
+    return DegreeSequence(degrees)
 
 
 def count_staircase_family(

@@ -241,8 +241,11 @@ class NonstabilityWitness(Record):
     ``base`` is the degree sequence of (split witness) o (staircase m), a
     threshold sequence with exactly one realization (``unique_verified`` is
     always True).  ``perturbed`` adds 1 to the images of the staircase's two
-    bump positions; its count grows exponentially in m, defeating any
-    polynomial stability bound along the family.  Counts only with ``verify``.
+    bump positions.  Its count is 0 at m = 1, where the bumped staircase is
+    2,2 and not graphic; from m = 2 on it is ``count_staircase_family(m)[1]``,
+    F(2m - 3) with F the Fibonacci numbers (1, 2, 5, 13, ..., 89 at m = 7).
+    That grows exponentially in m, defeating any polynomial stability bound
+    along the family.  Counts only with ``verify``.
     """
 
     base: DegreeSequence

@@ -203,6 +203,17 @@ class TestRegionCommands:
                                  "--epsilon", epsilon)
             assert code == 2 and out == "" and err.startswith("error: "), epsilon
 
+    def test_region_epsilon_without_predicate_is_a_usage_error(self, capsys):
+        for mode in ((), ("--json",)):
+            for region in (["--n", "8", "--c1", "4", "--c2", "1"], ["n=8,sigma=16,c1=4,c2=1"]):
+                code, out, err = run(capsys, *mode, "region", *region, "--epsilon", "1/2")
+                assert (code, out) == (2, ""), (mode, region)
+                assert err == "error: --epsilon needs --predicate phi_eps\n", (mode, region)
+        # with a predicate other than phi_eps, the predicate refuses it
+        code, out, err = run(capsys, "region", "--n", "8", "--c1", "4", "--c2", "1",
+                             "--predicate", "phi_JMS", "--epsilon", "1/2")
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
     def test_predicate_on_invalid_region_exits_1(self, capsys):
         for argv in (["--n", "5", "--c1", "5", "--c2", "1", "--predicate", "phi_FG"],
                      ["--n", "5", "--c1", "9", "--c2", "-3", "--predicate", "phi_JMS"],

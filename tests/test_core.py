@@ -9,11 +9,9 @@ from degseq import (
     InvalidInput,
     InvalidRegion,
     NegativeDegree,
-    Perturbation,
     PerturbationKind,
     SimpleRegion,
     VerySimpleRegion,
-    apply_perturbation,
     iter_region,
     leg,
     membership,
@@ -164,59 +162,11 @@ class TestMembership:
 
 
 class TestPerturbation:
-    def test_minus_minus_sorted_result(self):
-        d = DegreeSequence([1, 1, 1, 1])
-        p = Perturbation(PerturbationKind.MINUS_MINUS, 1, 2)
-        assert apply_perturbation(d, p).degrees == (1, 1, 0, 0)
-
-    def test_plus_plus_matches_staircase_bump(self):
-        d = DegreeSequence([3, 2, 2, 1])
-        p = Perturbation(PerturbationKind.PLUS_PLUS, 4, 2)
-        assert apply_perturbation(d, p).degrees == (3, 3, 2, 2)
-
-    def test_negative_degree_error(self):
-        d = DegreeSequence([0, 0])
-        p = Perturbation(PerturbationKind.MINUS_MINUS, 1, 2)
-        with pytest.raises(NegativeDegree):
-            apply_perturbation(d, p)
-
-    def test_entry_above_n_minus_1_is_returned(self):
-        d = DegreeSequence([1, 1])
-        p = Perturbation(PerturbationKind.PLUS_PLUS, 1, 2)
-        assert apply_perturbation(d, p).degrees == (2, 2)
-
     def test_delta_table(self):
         assert {k.value: k.deltas for k in PerturbationKind} == {
             "--": (-1, -1), "++": (1, 1), "+-": (1, -1), "-2": (-2,), "+2": (2,),
         }
         assert PerturbationKind("+-") is PerturbationKind.PLUS_MINUS
-
-    def test_position_validation(self):
-        with pytest.raises(InvalidInput):
-            Perturbation(PerturbationKind.MINUS_MINUS, 1, 1)
-        with pytest.raises(InvalidInput):
-            Perturbation(PerturbationKind.PLUS_TWO, 1, 2)
-        with pytest.raises(InvalidInput):
-            Perturbation(PerturbationKind.PLUS_PLUS, 0, 1)
-        p = Perturbation(PerturbationKind.PLUS_TWO, 3)
-        with pytest.raises(InvalidInput):
-            apply_perturbation(DegreeSequence([1, 1]), p)
-
-    @given(
-        st.lists(st.integers(min_value=2, max_value=8), min_size=2, max_size=8),
-        st.sampled_from(list(PerturbationKind)),
-        st.data(),
-    )
-    def test_sigma_delta(self, values, kind, data):
-        d = DegreeSequence(values)
-        i = data.draw(st.integers(1, d.n))
-        if kind.pairwise:
-            j = data.draw(st.integers(1, d.n).filter(lambda x: x != i))
-            p = Perturbation(kind, i, j)
-        else:
-            p = Perturbation(kind, i)
-        out = apply_perturbation(d, p)
-        assert out.sigma - d.sigma == sum(kind.deltas)
 
 
 class TestIterRegion:

@@ -626,7 +626,7 @@ def family_vectors(degrees, kind):
     (pairwise kinds) or every i (doubled kinds), deduplicated by a set."""
     n = len(degrees)
     vectors = set()
-    if kind.pairwise:
+    if len(kind.deltas) == 2:
         di = 1 if kind in (PerturbationKind.PLUS_PLUS, PerturbationKind.PLUS_MINUS) else -1
         dj = 1 if kind is PerturbationKind.PLUS_PLUS else -1
         for i in range(n):
@@ -797,6 +797,16 @@ class TestStaircase:
         assert staircase_sequence(3).degrees == (5, 4, 3, 3, 2, 1)
         assert bumped_staircase_sequence(2).degrees == (3, 3, 2, 2)
         assert bumped_staircase_sequence(4).degrees == (7, 6, 5, 5, 4, 3, 2, 2)
+
+    def test_bump_is_plus_one_at_positions_m_and_2m(self):
+        # The staircase written out, +1 at its 1-based positions m and 2m,
+        # then sorted; m = 1 gives 2,2, which is not graphic.
+        for m in range(1, 41):
+            values = [*range(2 * m - 1, m, -1), m, m, *range(m - 1, 0, -1)]
+            values[m - 1] += 1
+            values[2 * m - 1] += 1
+            assert bumped_staircase_sequence(m).degrees == tuple(sorted(values, reverse=True)), m
+        assert bumped_staircase_sequence(1).degrees == (2, 2)
 
     def test_counts(self, counter):
         # The staircase has one realization and its bump F(2m - 3), with F

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
+from degseq import graphicality
 from degseq.cli import main
 from degseq.enumeration import RealizationCounter, default_counter
 
@@ -23,15 +24,61 @@ ROOT = Path(__file__).resolve().parent.parent
 VALIDATOR = Draft7Validator(json.loads((ROOT / "schema" / "output.json").read_text()))
 
 
+# Per workload and command, after the first ops of seed 1 from a fresh memo:
+# (ops, stdout bytes, Erdos-Gallai scans, inequalities those scans checked,
+# chain moves accepted).  The work is exact and the same on every Python
+# version.  A change that moves a figure re-pins it and records old and new
+# in CHANGES.md.
+WORK_LEDGER = {
+    "regions": {
+        "check": (12, 48710, 12, 2979, 0),
+        "region": (28, 30396, 0, 0, 0),
+        "sweep": (8, 462827, 0, 0, 0),
+    },
+    "counting": {
+        "count": (78, 12816, 0, 0, 0),
+        "enumerate": (6, 76434, 6, 58, 0),
+        "family-bounds": (6, 2893, 6, 54, 0),
+        "nonstab-witness": (6, 1824, 0, 0, 0),
+        "pmeasure": (6, 1001, 6, 48, 0),
+        "split-witness": (6, 2877, 0, 0, 0),
+        "staircase-family": (6, 1199, 0, 0, 0),
+        "tyshkevich": (6, 2251, 18, 104, 0),
+    },
+    "sampling": {"mcmc": (8, 1244780, 12, 164, 7052)},
+}
+
+
 @pytest.mark.parametrize("workload, count", [("regions", 48), ("counting", 120), ("sampling", 8)])
 def test_the_oracle_accepts_the_first_ops_of_seed_1(monkeypatch, capsys, workload, count):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads, oracle = map(importlib.import_module, ("workloads", "oracle"))
+    monkeypatch.setattr(default_counter(), "_memo", {})
+    scans = []  # the inequalities each scan of the current op checked
+    scan = graphicality._eg_scan
+
+    def spy(degs, ks):
+        report = scan(degs, ks)
+        scans.append(len(report.checked_ks))
+        return report
+
+    # is_graphic, is_graphic_tv and require_graphic all scan through it
+    monkeypatch.setattr(graphicality, "_eg_scan", spy)
     counter = oracle.Counter()
+    ledger = {}
     for op in itertools.islice(workloads.ops(workload, 1), count):
         rc = main(op["argv"])
         out = capsys.readouterr().out
         assert oracle.check(op, rc, out, VALIDATOR, counter) is None, op["argv"]
+        command = op["argv"][1]
+        accepted = json.loads(out)["result"]["metadata"]["accepted"] if command == "mcmc" else 0
+        row = (1, len(out.encode()), len(scans), sum(scans), accepted)
+        ledger[command] = tuple(map(sum, zip(ledger.get(command, (0,) * 5), row)))
+        scans.clear()
+    pinned = WORK_LEDGER[workload]
+    assert ledger == pinned, "\n" + "\n".join(
+        f"{command}: pinned {pinned.get(command)}, ran {ledger.get(command)}"
+        for command in sorted(pinned.keys() | ledger.keys()))
 
 
 # (_query calls, cold ones, nodes expanded, memo entries) after the first ops

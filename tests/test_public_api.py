@@ -70,10 +70,10 @@ EXPORTS = {
     "ChainConfig", "ConstructionError", "CountResult", "DegreeSequence", "DegseqError",
     "EGReport", "InvalidInput", "InvalidRegion", "LabeledGraph", "MissingSigma",
     "MultiplicativityReport", "NegativeDegree", "NonstabilityWitness", "NotGraphic",
-    "NotSplit", "Perturbation", "PerturbationFamilyCount", "PerturbationKind",
-    "RealizationCounter", "Region", "RegionPredicate", "SampleResult", "SimpleRegion",
-    "SplitGraph", "SplitVerdict", "SplitWitness", "TooLarge", "VerySimpleRegion",
-    "apply_perturbation", "bumped_staircase_sequence", "count_realizations",
+    "NotSplit", "PerturbationFamilyCount", "PerturbationKind", "RealizationCounter",
+    "Region", "RegionPredicate", "SampleResult", "SimpleRegion", "SplitGraph",
+    "SplitVerdict", "SplitWitness", "TooLarge", "VerySimpleRegion",
+    "bumped_staircase_sequence", "count_realizations",
     "count_staircase_family", "default_counter", "edges_to_text", "enumerate_realizations",
     "family_count", "havel_hakimi_graph", "hs_index", "is_graphic", "is_graphic_tv",
     "is_split_sequence", "iter_region", "jms_star_sigma_margin", "leg", "make_rng",

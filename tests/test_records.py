@@ -17,7 +17,6 @@ from degseq import (
     LabeledGraph,
     MultiplicativityReport,
     NonstabilityWitness,
-    Perturbation,
     PerturbationFamilyCount,
     PerturbationKind,
     RegionPredicate,
@@ -52,8 +51,6 @@ CASES = [
     (lambda: DegreeSequence([1, 3, 2]), "DegreeSequence(degrees=(3, 2, 1))"),
     (lambda: VerySimpleRegion(4, 2, 1), "VerySimpleRegion(n=4, c1=2, c2=1)"),
     (lambda: SimpleRegion(4, 6, 2, 1), "SimpleRegion(n=4, sigma=6, c1=2, c2=1)"),
-    (lambda: Perturbation(K.PLUS_MINUS, 1, 2),
-     "Perturbation(kind=<PerturbationKind.PLUS_MINUS: '+-'>, i=1, j=2)"),
     (graph, "LabeledGraph(n=3, pairs=((0, 1),))"),
     (lambda: CountResult(6, 5, False),
      "CountResult(count=6, nodes_explored=5, from_cache=False)"),
@@ -86,8 +83,8 @@ CASES = [
      "witness=SplitWitness(sequence=DegreeSequence(degrees=(2, 1, 1)), ell=1, cross_edges=2, "
      "c=2, alpha=0), unique_verified=True, base_count=None, perturbed_count=None)"),
 ]
-FROZEN = {DegreeSequence, VerySimpleRegion, SimpleRegion, Perturbation, LabeledGraph,
-          RegionPredicate, ChainConfig, SplitGraph}
+FROZEN = {DegreeSequence, VerySimpleRegion, SimpleRegion, LabeledGraph, RegionPredicate,
+          ChainConfig, SplitGraph}
 IDS = [repr(make()).partition("(")[0] for make, _ in CASES]
 
 
@@ -96,7 +93,7 @@ def fields(record):
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 18 and len(set(IDS)) == 18
+    assert len(CASES) == 17 and len(set(IDS)) == 17
     assert all(isinstance(make(), Record) for make, _ in CASES)
     assert FROZEN <= {type(make()) for make, _ in CASES}
 
@@ -155,7 +152,6 @@ def test_bad_arguments_raise_type_error(call, message):
 def test_defaults():
     assert ChainConfig(1, 2).burn_in == 0
     assert EGReport(True, None, []).odd_sum is False
-    assert Perturbation(K.PLUS_TWO, 3).j is None
     assert RegionPredicate("phi_FG").epsilon is None
     nw = NonstabilityWitness(DegreeSequence([1, 1]), DegreeSequence([2, 2, 2]), 1, witness(),
                              True)

@@ -10,13 +10,10 @@ from degseq import (
     InvalidInput,
     LabeledGraph,
     NotGraphic,
-    Perturbation,
-    PerturbationKind,
     RealizationCounter,
     SplitGraph,
     TooLarge,
     VerySimpleRegion,
-    apply_perturbation,
     count_realizations,
     enumerate_realizations,
     havel_hakimi_graph,
@@ -346,8 +343,10 @@ class TestNonstabilityWitness:
                     degs, ell, m = witness.base.degrees, witness.witness.ell, witness.m
                     i = degs.index(m + ell)
                     j = degs.index(1 + ell, i + 1 if m == 1 else 0)
-                    bump = Perturbation(PerturbationKind.PLUS_PLUS, i + 1, j + 1)
-                    assert witness.perturbed == apply_perturbation(witness.base, bump), case
+                    bumped = list(degs)
+                    bumped[i] += 1
+                    bumped[j] += 1
+                    assert witness.perturbed == DegreeSequence(bumped), case
 
     def test_uncountable_region_gets_a_threshold_witness(self):
         # Chosen without counting: the first candidate (ell = 4, 8^4 3^16)
@@ -417,6 +416,30 @@ class TestNonstabilityWitness:
             nonstability_witness(4, 1_000_004, 3, 0)
         assert time.perf_counter() - start < 1
         assert nonstability_witness(4, (cap + 4) // 2, 3, 0).base.n == cap
+
+    def test_exact_bump_counts(self):
+        # Every witnessed region with n <= 12: at m = 1 the bumped staircase
+        # is 2,2, which is not graphic, so the perturbed count is 0; from
+        # m = 2 on it is F(2m - 3), with F the Fibonacci numbers.
+        fib = [0, 1, 1, 2, 3, 5, 8]
+        counter = RealizationCounter()
+        witnessed = 0
+        for n in range(1, 13):
+            for c1 in range(n):
+                for c2 in range(c1 + 1):
+                    try:
+                        if nonstability_witness(n, n + 1, c1, c2) is None:
+                            continue
+                    except ConstructionError:
+                        continue
+                    witnessed += 1
+                    for m in range(1, 5):
+                        witness = nonstability_witness(n, n + m, c1, c2, verify=True,
+                                                       counter=counter)
+                        want = 0 if m == 1 else fib[2 * m - 3]
+                        assert (witness.base_count, witness.perturbed_count) == (1, want), (
+                            n, c1, c2, m)
+        assert witnessed == 100
 
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
