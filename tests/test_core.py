@@ -10,12 +10,16 @@ from degseq import (
     InvalidRegion,
     NegativeDegree,
     PerturbationKind,
+    RealizationCounter,
     SimpleRegion,
     VerySimpleRegion,
+    bumped_staircase_sequence,
+    family_count,
     iter_region,
     leg,
     membership,
     parse_region,
+    staircase_sequence,
 )
 from degseq.core import LabeledGraph, edges_to_text
 from conftest import MALFORMED_EDGE_LISTS
@@ -162,6 +166,66 @@ class TestMembership:
 
 
 class TestPerturbation:
+    # A family member is the sequence with the kind's deltas added at some
+    # positions; the family totals (``family_count``) and the bumped
+    # staircase are what read the deltas.
+    def test_minus_minus_sorted_result(self):
+        d = DegreeSequence([1, 1, 1, 1])
+        assert DegreeSequence([0, 0, 1, 1]).degrees == (1, 1, 0, 0)
+        # all six -- members sort to 1,1,0,0, which has one realization
+        family = family_count(d, PerturbationKind.MINUS_MINUS, RealizationCounter())
+        assert (family.total, family.distinct_vectors) == (6, 6)
+
+    def test_plus_plus_matches_staircase_bump(self):
+        d = staircase_sequence(2)
+        assert d.degrees == (3, 2, 2, 1)
+        bumped = list(d.degrees)
+        for position, delta in zip((2, 4), PerturbationKind.PLUS_PLUS.deltas):
+            bumped[position - 1] += delta
+        assert bumped_staircase_sequence(2) == DegreeSequence(bumped)
+        assert bumped_staircase_sequence(2).degrees == (3, 3, 2, 2)
+
+    def test_negative_degree_error(self):
+        with pytest.raises(NegativeDegree):
+            DegreeSequence([-1, -1])
+        # the -- family of 0,0 has only that member, so it counts zero
+        family = family_count(DegreeSequence([0, 0]), PerturbationKind.MINUS_MINUS,
+                              RealizationCounter())
+        assert (family.total, family.distinct_vectors) == (0, 1)
+
+    def test_entry_above_n_minus_1_is_returned(self):
+        assert DegreeSequence([2, 2]).degrees == (2, 2)
+        assert bumped_staircase_sequence(1).degrees == (2, 2)
+        family = family_count(DegreeSequence([1, 1]), PerturbationKind.PLUS_PLUS,
+                              RealizationCounter())
+        assert (family.total, family.distinct_vectors) == (0, 1)
+
+    def test_position_validation(self):
+        # the bump's positions m and 2m must lie in a staircase, so m >= 1
+        for m in (0, -1):
+            with pytest.raises(InvalidInput):
+                bumped_staircase_sequence(m)
+        with pytest.raises(ValueError):
+            PerturbationKind("-+")
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=7),
+        st.sampled_from(list(PerturbationKind)),
+        st.data(),
+    )
+    def test_sigma_delta(self, values, kind, data):
+        d = DegreeSequence(values)
+        positions = data.draw(st.permutations(range(d.n)))[: len(kind.deltas)]
+        out = list(d.degrees)
+        for i, delta in zip(positions, kind.deltas):
+            out[i] += delta
+        if min(out) >= 0:
+            assert DegreeSequence(out).sigma - d.sigma == sum(kind.deltas)
+        # every delta sum is even, so an odd sum stays odd and counts zero
+        assert sum(kind.deltas) % 2 == 0
+        if d.sigma % 2:
+            assert family_count(d, kind, RealizationCounter()).total == 0
+
     def test_delta_table(self):
         assert {k.value: k.deltas for k in PerturbationKind} == {
             "--": (-1, -1), "++": (1, 1), "+-": (1, -1), "-2": (-2,), "+2": (2,),
