@@ -54,11 +54,11 @@ from .errors import LIMITS, ConstructionError, DegseqError, TooLarge, check_limi
 from .graphicality import (
     PREDICATE_NAMES,
     RegionPredicate,
+    _leg_text,
     _sweep_rows,
     is_graphic,
     is_graphic_tv,
     jms_star_sigma_margin,
-    leg,
     region_fully_graphic,
     satisfies_stability_bound,
     very_simple_region_fully_graphic,
@@ -108,8 +108,8 @@ def cmd_check(args) -> tuple[dict, str]:
 
 
 def cmd_leg(args) -> tuple[dict, str]:
-    seq = leg(SimpleRegion(args.n, args.sigma, args.c1, args.c2))
-    return {"sequence": str(seq)}, str(seq)
+    text = _leg_text(SimpleRegion(args.n, args.sigma, args.c1, args.c2))
+    return {"sequence": text}, text
 
 
 def cmd_region(args) -> tuple[dict, str]:
@@ -127,7 +127,7 @@ def cmd_region(args) -> tuple[dict, str]:
     sigma = region.sigma if isinstance(region, SimpleRegion) else None
     if args.predicate:
         epsilon = None
-        if args.epsilon:
+        if args.epsilon is not None:
             from fractions import Fraction
             try:
                 epsilon = Fraction(args.epsilon)
@@ -136,7 +136,7 @@ def cmd_region(args) -> tuple[dict, str]:
         pred = RegionPredicate(args.predicate, epsilon=epsilon)
         holds = pred.evaluate(n, c1, c2, sigma=sigma)
         result = {"predicate": args.predicate, "holds": holds}
-        if args.epsilon:
+        if epsilon is not None:
             result["epsilon"] = str(epsilon)
             result["exception_bound"] = pred.exception_bound
         if args.predicate == "phi_JMS_star_sigma":
@@ -148,7 +148,7 @@ def cmd_region(args) -> tuple[dict, str]:
             result = {"fully_graphic": fg}
         else:
             fg = region_fully_graphic(region)
-            result = {"fully_graphic": fg, "leg": str(leg(region))}
+            result = {"fully_graphic": fg, "leg": _leg_text(region)}
         human = "fully graphic" if fg else "not fully graphic"
     # The echo is the region decided, not the text or flags that named it.
     vars(args).update(n=n, sigma=sigma, c1=c1, c2=c2)

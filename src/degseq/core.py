@@ -147,8 +147,13 @@ class DegreeSequence(Record, frozen=True):
         return self.degrees[idx]
 
     def __str__(self) -> str:
-        # repr is str for an int, and on Python 3.11-3.12 a cheaper call in map()
-        return ",".join(map(repr, self.degrees))
+        # Made once and kept outside the fields, not by a cached_property, whose
+        # first read takes a lock (about 1 us on Python 3.11).  repr is str for an
+        # int, and on Python 3.11-3.12 a cheaper call in map().
+        text = vars(self).get("_text")
+        if text is None:
+            text = vars(self)["_text"] = ",".join(map(repr, self.degrees))
+        return text
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:

@@ -10,21 +10,25 @@ only descent indices, the least Erdos-Gallai (primitive) member of a region,
 fully-graphic decisions for regions and grids of regions, and the
 closed-form region predicates from the P-stability literature.
 
-Costs.  Both tests share one scan (after Ivanyi, Lucz, Mori and Soter): the
-prefix sums are built once and a pointer to the crossover (the number of
-entries >= k) only moves left as k grows, so a test costs O(n) in all.  A
-fixed-sum region decision costs O(1): it evaluates the inequality in closed
-form on the block form (c1, alpha), (a, 1), (c2, beta) of the primitive
-member, at its block ends only.  A very simple region decision, phi_FG
-and phi_JMS_star_k cost O(1): each reads one minimum, see ``_min_slack``.
-A sweep makes at most 2n region decisions per (n, sigma), see ``_sweep_rows``.
+Costs.  Both tests share one scan (after Ivanyi, Lucz, Mori and Soter, 2011):
+the prefix sums are built once and a pointer to the crossover (the number of
+entries >= k) only moves left as k grows, so a test costs O(n) in all; it
+stops at the first k past the crossover where the inequality holds, as every
+later one then holds (Tripathi and Vijay, 2003).  So does the stability bound
+at its own such k.  A fixed-sum region decision costs O(1): it evaluates the
+inequality in closed form on the block form (c1, alpha), (a, 1), (c2, beta)
+of the primitive member, at its block ends only.  A very simple region
+decision, phi_FG and phi_JMS_star_k cost O(1): each reads one minimum, see
+``_min_slack``.  A sweep makes at most 2n region decisions per (n, sigma), see
+``_sweep_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import gt
 
 from .core import DegreeSequence, Record, SimpleRegion, VerySimpleRegion
 from .errors import InvalidInput, MissingSigma, NotGraphic, check_limit
@@ -34,7 +38,7 @@ class EGReport(Record):
     """Outcome of a graphicality test.
 
     ``failing_k`` is the smallest index whose inequality fails, or None.
-    ``checked_ks`` lists the indices actually evaluated, in test order.
+    ``checked_ks`` lists the indices decided, in test order (past the crossover, implied).
     An odd degree sum short-circuits the test: ``graphic`` is False,
     ``odd_sum`` is True and no inequality is evaluated.
     """
@@ -51,12 +55,15 @@ class EGReport(Record):
 
 
 def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
-    """Evaluate the inequality at the increasing indices ``ks``, stopping at
-    the first failure, in O(n + len(ks)).
+    """Decide the inequality at the increasing indices ``ks``, stopping at
+    the first failure or at the crossover, in O(n + len(ks)).
 
     With ``w`` entries >= k, the entries after k that are capped at k are
     those at positions k+1..w, so with m = max(k, w) the right-hand side is
     k(k-1) + k(m-k) + (sum of the entries after m) = k(m-1) + total - prefix[m].
+    Once w <= k (the crossover), d_{k+1} < k and the slack
+    k(k-1) + total - 2 prefix[k] grows by 2(k - d_{k+1}) per step, so the scan
+    stops at the first such k that holds; the later indices count as decided.
     """
     prefix = list(accumulate(degs, initial=0))
     total = prefix[-1]
@@ -67,6 +74,8 @@ def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
         m = w if w > k else k
         if prefix[k] > k * (m - 1) + total - prefix[m]:
             return EGReport(graphic=False, failing_k=k, checked_ks=list(ks[: i + 1]))
+        if m == k:
+            break
     return EGReport(graphic=True, failing_k=None, checked_ks=list(ks))
 
 
@@ -97,9 +106,20 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
         raise InvalidInput(f"reduction requires max degree below n, got d1={degs[0]}")
     if seq.sigma % 2:
         return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
-    descents = [k for k in range(1, n) if degs[k - 1] > degs[k]]
+    descents = list(compress(range(1, n), map(gt, degs, degs[1:])))
     descents.append(n)
     return _eg_scan(degs, descents)
+
+
+def _leg_blocks(region: SimpleRegion) -> tuple[int, int, int]:
+    """(alpha, a, beta) with leg(region) = (c1)^alpha, a, (c2)^beta, a constant
+    leg as (c1)^(n-1), c1.  An n above ``WITNESS_MAX_SIZE`` raises TooLarge."""
+    n, sigma, c1, c2 = region.n, region.sigma, region.c1, region.c2
+    check_limit("WITNESS_MAX_SIZE", n)
+    if c1 == c2 or sigma == n * c1:
+        return n - 1, c1, 0
+    alpha, r = divmod(sigma - n * c2, c1 - c2)
+    return alpha, c2 + r, n - 1 - alpha
 
 
 def leg(region: SimpleRegion) -> DegreeSequence:
@@ -111,15 +131,14 @@ def leg(region: SimpleRegion) -> DegreeSequence:
     singleton constant sequence.  An n above ``WITNESS_MAX_SIZE`` raises
     TooLarge before any entry is built.
     """
-    n, sigma, c1, c2 = region.n, region.sigma, region.c1, region.c2
-    check_limit("WITNESS_MAX_SIZE", n)
-    if c1 == c2:
-        return DegreeSequence((c1,) * n)
-    alpha = (sigma - n * c2) // (c1 - c2)
-    if alpha >= n:  # only when sigma == n * c1
-        return DegreeSequence((c1,) * n)
-    a = sigma - (alpha * c1 + (n - 1 - alpha) * c2)
-    return DegreeSequence((c1,) * alpha + (a,) + (c2,) * (n - 1 - alpha))
+    alpha, a, beta = _leg_blocks(region)
+    return DegreeSequence((region.c1,) * alpha + (a,) + (region.c2,) * beta)
+
+
+def _leg_text(region: SimpleRegion) -> str:
+    """``str(leg(region))``, repeated block by block."""
+    alpha, a, beta = _leg_blocks(region)
+    return f"{region.c1}," * alpha + str(a) + f",{region.c2}" * beta
 
 
 def _leg_graphic(n: int, sigma: int, c1: int, c2: int) -> bool:
@@ -250,6 +269,8 @@ def satisfies_stability_bound(seq: DegreeSequence) -> bool:
 
     Holds iff for every k in [1, n]:
         sum_{i<=k} d_i <= k(k-1) + d_n * (n - k) + 1.
+    From k to k + 1 the slack changes by 2k - d_n - d_{k+1}, which grows with
+    k, so the scan stops at the first k that holds with d_{k+1} + d_n <= 2k.
     """
     degs = seq.degrees
     n = len(degs)
@@ -259,6 +280,8 @@ def satisfies_stability_bound(seq: DegreeSequence) -> bool:
         prefix += degs[k - 1]
         if prefix > k * (k - 1) + dn * (n - k) + 1:
             return False
+        if k < n and degs[k] + dn <= 2 * k:
+            return True
     return True
 
 

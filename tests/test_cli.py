@@ -203,6 +203,17 @@ class TestRegionCommands:
                                  "--epsilon", epsilon)
             assert code == 2 and out == "" and err.startswith("error: "), epsilon
 
+    def test_region_empty_epsilon_is_a_usage_error(self, capsys):
+        # An empty value is a value: it is read, and refused, whatever the predicate.
+        for mode in ((), ("--json",)):
+            for predicate in PREDICATE_NAMES:
+                for epsilon in (["--epsilon="], ["--epsilon", ""]):
+                    code, out, err = run(capsys, *mode, "region", "--n", "8", "--c1", "4",
+                                         "--c2", "1", "--sigma", "16", "--predicate",
+                                         predicate, *epsilon)
+                    assert (code, out) == (2, ""), (mode, predicate, epsilon)
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_region_epsilon_without_predicate_is_a_usage_error(self, capsys):
         for mode in ((), ("--json",)):
             for region in (["--n", "8", "--c1", "4", "--c2", "1"], ["n=8,sigma=16,c1=4,c2=1"]):

@@ -79,7 +79,8 @@ def near_boundary_regions(draw):
 
 def textbook_eg(degs, ks):
     """The literal Erdos-Gallai inequality at each k of ``ks``, in order,
-    stopping at the first failure: (graphic, failing_k, checked_ks)."""
+    stopping at the first failure: (graphic, failing_k, checked_ks).  No k
+    is skipped, so the scan's stop at the crossover is checked against it."""
     checked = []
     for k in ks:
         checked.append(k)
@@ -88,10 +89,18 @@ def textbook_eg(degs, ks):
     return True, None, checked
 
 
+def textbook_stability(degs):
+    """The literal stability bound, evaluated at every k."""
+    n = len(degs)
+    return all(sum(degs[:k]) <= k * (k - 1) + degs[-1] * (n - k) + 1 for k in range(1, n + 1))
+
+
 def assert_matches_textbook(degs):
-    """``is_graphic`` and ``is_graphic_tv`` against the textbook inequality."""
+    """``is_graphic``, ``is_graphic_tv`` and ``satisfies_stability_bound``
+    against the textbook inequalities."""
     n = len(degs)
     seq = DegreeSequence(degs)
+    assert satisfies_stability_bound(seq) == textbook_stability(degs), degs
     reports = [(is_graphic(seq), range(1, n + 1))]
     if degs[0] < n:
         descents = [k for k in range(1, n) if degs[k - 1] > degs[k]] + [n]
@@ -126,6 +135,25 @@ def degree_lists(draw):
     return tuple(sorted(degs, reverse=True))
 
 
+def raised_degrees(rng, n):
+    """A random graph's degrees on n vertices, then a few top entries raised
+    (to n and above at times) and, half the time, one entry moved by 1, so
+    that some sums are odd; sorted non-increasing."""
+    density = rng.random()
+    degs = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            degs[i] += 1
+            degs[j] += 1
+    degs.sort(reverse=True)
+    for i in range(min(n, rng.randint(0, 4))):
+        degs[i] += rng.randint(0, n // 2 + 2)
+    if rng.random() < 0.5:
+        i = rng.randrange(n)
+        degs[i] = abs(degs[i] + rng.choice((-1, 1)))
+    return tuple(sorted(degs, reverse=True))
+
+
 class TestScanAgainstTextbook:
     def test_exhaustive_small(self):
         # entries up to n + 1, so degrees at and above n are covered too
@@ -137,6 +165,19 @@ class TestScanAgainstTextbook:
     @given(degree_lists())
     def test_random_up_to_300(self, degs):
         assert_matches_textbook(degs)
+
+    def test_random_raised_up_to_60(self):
+        rng = random.Random(35)
+        seen = set()
+        for _ in range(2_000):
+            degs = raised_degrees(rng, rng.randint(1, 60))
+            assert_matches_textbook(degs)
+            seq = DegreeSequence(degs)
+            seen.add((sum(degs) % 2, degs[0] >= len(degs), is_graphic(seq).graphic,
+                      satisfies_stability_bound(seq)))
+        # odd and even sums, entries above n - 1, and both verdicts of each test
+        assert {key[0] for key in seen} == {key[1] for key in seen} == {0, 1}
+        assert {key[2:] for key in seen} >= {(True, True), (True, False), (False, False)}
 
 
 class TestIsGraphic:
@@ -250,6 +291,27 @@ class TestLeg:
         region = SimpleRegion(5, 12, 3, 2)
         members = list(iter_region(region))
         assert max(members) == leg(region)
+
+
+class TestLegText:
+    """The CLI's text of leg, repeated block by block, against ``str(leg(region))``."""
+
+    def test_every_region_up_to_12(self):
+        for region in all_simple_regions(12):
+            assert graphicality._leg_text(region) == str(leg(region)), region
+
+    def test_random_regions_up_to_5000(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            n = rng.randint(1, 5_000)
+            c1 = rng.randrange(n)
+            c2 = rng.choice((0, c1, rng.randint(0, c1)))
+            sigma = rng.choice((n * c2, n * c1, rng.randint(n * c2, n * c1)))
+            if sigma % 2:
+                sigma += 1 if sigma < n * c1 else -1
+            if n * c2 <= sigma <= n * c1 and not sigma % 2:
+                region = SimpleRegion(n, sigma, c1, c2)
+                assert graphicality._leg_text(region) == str(leg(region)), region
 
 
 class TestFullyGraphic:

@@ -143,6 +143,8 @@ LOWERED = {
     "SWEEP_MAX_ROWS": (10, [lambda: sweep(1, 4)]),  # 20 rows
     "WITNESS_MAX_SIZE": (10, [
         lambda: leg(SimpleRegion(11, 0, 1, 0)),
+        lambda: cli.cmd_region(SimpleNamespace(  # prints leg from its blocks
+            params="n=11,sigma=4,c1=1,c2=0", predicate=None, epsilon=None)),
         lambda: split_witness(VerySimpleRegion(11, 5, 0)),
         lambda: split_witness(VerySimpleRegion(10, 9, 1)).graph,  # 10 entries, 9 edges
         lambda: nonstability_witness(4, 8, 3, 0),  # a base of 12 entries

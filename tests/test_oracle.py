@@ -25,10 +25,10 @@ VALIDATOR = Draft7Validator(json.loads((ROOT / "schema" / "output.json").read_te
 
 
 # Per workload and command, after the first ops of seed 1 from a fresh memo:
-# (ops, stdout bytes, Erdos-Gallai scans, inequalities those scans checked,
-# chain moves accepted).  The work is exact and the same on every Python
-# version.  A change that moves a figure re-pins it and records old and new
-# in CHANGES.md.
+# (ops, stdout bytes, Erdos-Gallai scans, indices those scans decided (their
+# ``checked_ks``; those past the crossover are implied), chain moves
+# accepted).  The work is exact and the same on every Python version.  A
+# change that moves a figure re-pins it and records old and new in CHANGES.md.
 WORK_LEDGER = {
     "regions": {
         "check": (12, 48710, 12, 2979, 0),
@@ -54,7 +54,7 @@ def test_the_oracle_accepts_the_first_ops_of_seed_1(monkeypatch, capsys, workloa
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads, oracle = map(importlib.import_module, ("workloads", "oracle"))
     monkeypatch.setattr(default_counter(), "_memo", {})
-    scans = []  # the inequalities each scan of the current op checked
+    scans = []  # the indices each scan of the current op decided
     scan = graphicality._eg_scan
 
     def spy(degs, ks):

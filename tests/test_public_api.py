@@ -58,6 +58,8 @@ LIBRARY_ONLY = {
     "core.membership": "ROADMAP item 4 (region P-stability scan) gives it a command",
     "core.VerySimpleRegion.sigma_values": "ROADMAP item 4, through iter_region",
     "graphicality.region_satisfies_stability_bound": "ROADMAP item 17 (region --why)",
+    "graphicality.leg": "README API; the CLI prints its text from the same blocks, which"
+                        " test_graphicality checks against str(leg(region))",
     "graphicality.sweep": "README API; test_graphicality checks it against the members",
     "graphicality.iter_sweep": "README API; test_graphicality checks it against sweep",
     "mcmc.make_rng": "README API; test_mcmc checks it against hashlib",
