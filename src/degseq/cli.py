@@ -285,13 +285,8 @@ def cmd_mcmc(args) -> tuple[dict, str]:
     seq = args.degrees
     config = ChainConfig(seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     run = sample(seq, config)
-    # With no move made, the final state is the start, whose text is kept.
-    moved = run.metadata["accepted"]
-    result = {
-        **vars(run),
-        "distinct_states": len(run.histogram),
-        "final": edges_to_text(run.final.edges()) if moved else run.metadata["start"],
-    }
+    result = {"final": run.final_text, "histogram": run.histogram, "metadata": run.metadata,
+              "distinct_states": len(run.histogram)}
     try:  # no exact-space report above ENUMERATE_MAX_N, where a count may take seconds
         total = count_realizations(seq).count if seq.n <= LIMITS["ENUMERATE_MAX_N"][0] else 0
     except TooLarge:
@@ -446,7 +441,10 @@ def _streamed(result: dict) -> tuple[str, list | dict, Iterator[str]] | None:
     if "realizations" in result:
         return "realizations", [], map('"%s"'.__mod__, result["realizations"])
     if "histogram" in result:
-        return "histogram", {}, map('"%s": %d'.__mod__, sorted(result["histogram"].items()))
+        histogram = result["histogram"]
+        keys = sorted(histogram)  # str against str, not (key, count) tuples
+        items = zip(keys, map(histogram.__getitem__, keys))
+        return "histogram", {}, map('"%s": %d'.__mod__, items)
     return None
 
 

@@ -7,21 +7,24 @@ stays put.  The proposal is symmetric, every step preserves the degree
 sequence exactly, and the stationary distribution is uniform over the
 labeled realizations.
 
-One engine, :func:`_switch`, makes the move on neighbour bitsets plus the
-sorted edge list, and :func:`sample` replays its list edits on the edges'
-text.  These moves are the 2-switches, which join all realizations (see
+One loop, :func:`_run`, walks the chain: it makes each move on neighbour
+bitsets plus the sorted edge list, and keeps the edges' text in step with
+the list.  These moves are the 2-switches, which join all realizations (see
 :func:`switch_connected`).
 
 The moves come from a standard stream, the same on every platform and
 Python version.  Block b of seed s is the first ``8 * DRAW_BLOCK`` bytes of
 SHAKE128 over the ASCII text ``"s/b"`` (``hashlib.shake_128(b"%d/%d" % (s,
 b))``), read as little-endian unsigned 64-bit words; the stream is blocks
-0, 1, 2, ... in order, whatever the number of steps.  With m edges a step
-takes the next word w below ``2**64 - 2**64 % (m(m-1))`` (larger words are
-skipped, so every draw is exactly uniform), sets r = w % (m(m-1)) and
-i, j' = divmod(r, m - 1).  When j' >= i the step is ``_switch(i, j' + 1, 0)``,
-else ``_switch(i, j', 1)``: the order of the pair picks the re-pairing, so
-the m(m-1) values of r give each unordered pair with each re-pairing once.
+0, 1, 2, ... in order, whatever the number of steps.  With m edges, sorted,
+a step takes the next word w below ``2**64 - 2**64 % (m(m-1))`` (larger
+words are skipped, so every draw is exactly uniform), sets
+r = w % (m(m-1)) and i, j' = divmod(r, m - 1).  When j' >= i, edges i and
+j' + 1, read as (a, b) and (c, d), become (a, c) and (b, d); otherwise
+edges i and j' do, edge i read as (b, a).  The move is made when the four
+endpoints are distinct and neither new pair is an edge.  The order of the
+pair picks the re-pairing, so the m(m-1) values of r give each unordered
+pair with each re-pairing once.
 
 The starting state is built greedily (Havel-Hakimi): repeatedly satisfy the
 vertex of largest residual degree from the next-largest residuals.  The
@@ -119,50 +122,21 @@ def havel_hakimi_graph(seq: DegreeSequence) -> LabeledGraph:
     return LabeledGraph(n, edges)
 
 
-def _switch(adj: list[int], edges: list[tuple[int, int]], i: int, j: int, flip: int) -> tuple:
-    """The switch move, in place: edges[i] = (a,b), read as (b,a) when
-    ``flip`` is 1, and edges[j] = (c,d) become (a,c) and (b,d) unless an
-    endpoint repeats or either is already an edge.  ``edges`` stays sorted.
-    Returns () if not, else the edits (hi, lo, p, q): del edges[hi], edges[lo]
-    (hi > lo), then the new edges inserted at p, then q (p < q)."""
-    a, b = edges[i]
-    c, d = edges[j]
-    if a == c or a == d or b == c or b == d:  # shared by every orientation
-        return ()
-    if flip:
-        a, b = b, a
-    if adj[a] >> c & 1 or adj[b] >> d & 1:
-        return ()
-    adj[a] ^= 1 << b | 1 << c
-    adj[b] ^= 1 << a | 1 << d
-    adj[c] ^= 1 << d | 1 << a
-    adj[d] ^= 1 << c | 1 << b
-    if i < j:
-        i, j = j, i
-    del edges[i]
-    del edges[j]
-    e = (a, c) if a < c else (c, a)
-    f = (b, d) if b < d else (d, b)
-    if f < e:
-        e, f = f, e
-    p = bisect_left(edges, e)
-    edges.insert(p, e)
-    q = bisect_left(edges, f, p + 1)
-    edges.insert(q, f)
-    return i, j, p, q
+def _run(graph: LabeledGraph, labels: list[str], text: str, words: Iterator[int],
+         burn_in: int, steps: int) -> tuple[list[tuple[int, int]], str, Counter, int]:
+    """Walk ``burn_in + steps`` steps from ``graph``, drawing from ``words``;
+    the one code that makes the switch move (module docstring).
 
-
-def _run(graph: LabeledGraph, labels: list[str], words: Iterator[int],
-         burn_in: int, steps: int) -> tuple[list[tuple[int, int]], Counter, int]:
-    """Walk ``burn_in + steps`` steps from ``graph``, drawing from ``words``.
-
-    Returns the final sorted edge list, the histogram of the ``steps``
-    recorded states, keyed on edge text, and the number of moves made.  The
-    edge labels ``labels`` follow the edge list, and a state's key is joined
-    once, when it is left or at the end, and only if some step recorded it.
+    ``labels`` are the start's edge labels, edited in place as the walk goes,
+    and ``text`` their join.  Returns the final sorted edge list, its text,
+    the histogram of the ``steps`` recorded states, keyed on edge text, and
+    the number of moves made.  A state's key is joined once, when it is left
+    or at the end, and only if some step recorded it; the final text is
+    ``text`` unless a move was made.
     """
     edges = list(graph.edges())
     histogram: Counter = Counter()
+    get = histogram.get  # a new key skips Counter.__missing__, which is Python code
     m = len(edges)
     accepted, entered = 0, 0  # the state has been recorded since step entered
     if m >= 2 and burn_in + steps:
@@ -173,26 +147,51 @@ def _run(graph: LabeledGraph, labels: list[str], words: Iterator[int],
         for step, w in zip(range(-burn_in, steps), words):
             while w >= limit:
                 w = next(words)
+            # edges[i] = (a, b) and edges[j] = (c, d) become (a, c) and (b, d);
+            # j' < i reads edges[i] as (b, a), the pair's other re-pairing.
             i, j = divmod(w % moves, m1)
-            moved = _switch(adj, edges, i, j + 1, 0) if j >= i else _switch(adj, edges, i, j, 1)
-            if moved:
-                accepted += 1
-                if step > entered:
-                    histogram[",".join(labels)] += step - entered
-                hi, lo, p, q = moved
-                del labels[hi], labels[lo]
-                labels.insert(p, _EDGE_LABELS[edges[p]])
-                labels.insert(q, _EDGE_LABELS[edges[q]])
-                entered = step if step > 0 else 0
+            if j >= i:
+                j += 1
+                a, b = edges[i]
+            else:
+                b, a = edges[i]
+            c, d = edges[j]
+            if a == c or a == d or b == c or b == d or adj[a] >> c & 1 or adj[b] >> d & 1:
+                continue
+            adj[a] ^= 1 << b | 1 << c
+            adj[b] ^= 1 << a | 1 << d
+            adj[c] ^= 1 << d | 1 << a
+            adj[d] ^= 1 << c | 1 << b
+            accepted += 1
+            if step > entered:
+                key = ",".join(labels)
+                histogram[key] = get(key, 0) + step - entered
+            entered = step if step > 0 else 0
+            if i < j:
+                i, j = j, i
+            del edges[i], edges[j], labels[i], labels[j]
+            e = (a, c) if a < c else (c, a)
+            f = (b, d) if b < d else (d, b)
+            if f < e:
+                e, f = f, e
+            p = bisect_left(edges, e)
+            edges.insert(p, e)
+            labels.insert(p, _EDGE_LABELS[e])
+            q = bisect_left(edges, f, p + 1)
+            edges.insert(q, f)
+            labels.insert(q, _EDGE_LABELS[f])
+    if accepted:
+        text = ",".join(labels)
     if steps > entered:
-        histogram[",".join(labels)] += steps - entered
-    return edges, histogram, accepted
+        histogram[text] = get(text, 0) + steps - entered
+    return edges, text, histogram, accepted
 
 
 class SampleResult(Record):
     final: LabeledGraph
     histogram: Counter
     metadata: dict
+    final_text: str
 
 
 def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
@@ -202,8 +201,9 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     ``"1-2,3-4"``), so every key is a realization of ``seq``.  Only the
     ``steps`` states after burn-in are recorded, one per step, so the
     histogram total equals ``config.steps``; ``final`` is the state after the
-    last step.  Moves come from ``make_rng(config.seed)`` (see the module
-    docstring), decoded inline.  Work (burn_in + steps) * (m + 4) + n * n,
+    last step and ``final_text`` its edge text.  Moves come from
+    ``make_rng(config.seed)`` and are made by :func:`_run` (see the module
+    docstring).  Work (burn_in + steps) * (m + 4) + n * n,
     for m edges on n vertices (the chain's steps, then the greedy start),
     above ``MCMC_MAX_WORK`` raises TooLarge before the start graph is built.
     """
@@ -213,7 +213,8 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
     labels = list(map(_EDGE_LABELS.__getitem__, start.edges()))
     start_text = ",".join(labels)  # before the walk edits the labels
     words = _words(config.seed, config.burn_in + config.steps)  # one a step, unless rejected
-    edges, histogram, accepted = _run(start, labels, words, config.burn_in, config.steps)
+    edges, text, histogram, accepted = _run(start, labels, start_text, words,
+                                            config.burn_in, config.steps)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": config.seed,
@@ -223,7 +224,7 @@ def sample(seq: DegreeSequence, config: ChainConfig) -> SampleResult:
         "start": start_text,
     }
     final = LabeledGraph(seq.n, edges) if accepted else start
-    return SampleResult(final=final, histogram=histogram, metadata=metadata)
+    return SampleResult(final=final, histogram=histogram, metadata=metadata, final_text=text)
 
 
 def switch_connected(seq: DegreeSequence) -> bool:

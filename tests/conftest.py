@@ -85,25 +85,23 @@ def all_sorted_sequences(n: int):
 
 
 def switch_component(seq) -> int:
-    """How many realizations of ``seq`` the chain's engine ``mcmc._switch``
-    reaches from the Havel-Hakimi start, along both re-pairings of every
-    pair of edges; a connected switch graph gives the exact count."""
+    """How many realizations of ``seq`` the chain's walk ``mcmc._run``
+    reaches from the Havel-Hakimi start, one-step walks fed each of the
+    m(m-1) words r < m(m-1), which make both re-pairings of every pair of
+    edges; a connected switch graph gives the exact count."""
     start = havel_hakimi_graph(seq)
-    seen = {start.adj}
-    frontier = [(start.adj, start.edges())]
-    pairs = itertools.combinations(range(len(start.edges())), 2)
-    moves = [(i, j, flip) for i, j in pairs for flip in (0, 1)]
+    m = len(start.edges())
+    seen = {start.edges()}
+    frontier = [start]
     while frontier:
-        adj, edges = frontier.pop()
-        work_adj, work_edges = list(adj), list(edges)
-        for i, j, flip in moves:
-            if mcmc._switch(work_adj, work_edges, i, j, flip):
-                key = tuple(work_adj)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((key, tuple(work_edges)))
-                work_adj[:] = adj
-                work_edges[:] = edges
+        graph = frontier.pop()
+        labels = [f"{u + 1}-{v + 1}" for u, v in graph.edges()]
+        text = ",".join(labels)
+        for r in range(m * (m - 1)):
+            edges, _, _, accepted = mcmc._run(graph, list(labels), text, iter([r]), 1, 0)
+            if accepted and tuple(edges) not in seen:
+                seen.add(tuple(edges))
+                frontier.append(LabeledGraph(graph.n, edges))
     return len(seen)
 
 

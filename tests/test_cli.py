@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from degseq import (DegreeSequence, __version__, cli, enumeration, graphicality,
+from degseq import (DegreeSequence, __version__, cli, core, enumeration, graphicality,
                     splitgraph, sweep)
 from degseq.cli import build_parser, main
 from degseq.errors import LIMITS, DegseqError
@@ -531,6 +531,28 @@ class TestMcmcCommand:
         argv = ["--json", "mcmc", "5,4,3,3,2,1", "--steps", steps, "--seed", "1"]
         assert run(capsys, *argv) == (0, self.NO_MOVE[steps], "")
 
+    def test_final_after_moves_is_the_walks_text(self, capsys, monkeypatch):
+        # 75^1000 has 37,500 edges, more than the label memo holds: labelling
+        # the final state again would format most of its labels a second time.
+        formatted = Counter()
+        missing = core._EdgeLabels.__missing__
+
+        def counted(labels, edge):
+            formatted[edge] += 1
+            return missing(labels, edge)
+
+        core._EDGE_LABELS.clear()
+        monkeypatch.setattr(core._EdgeLabels, "__missing__", counted)
+        result = run_json(capsys, "mcmc", ",".join(["75"] * 1000), "--steps", "6",
+                          "--seed", "1", "--burn-in", "2")["result"]
+        moves = result["metadata"]["accepted"]
+        assert moves > 0
+        # Each start edge is labelled once, and each move labels its two new edges.
+        assert sum(formatted.values()) <= 37_500 + 2 * moves
+        final = [tuple(map(int, pair.split("-"))) for pair in result["final"].split(",")]
+        assert final == sorted(final) and len(final) == 37_500
+        assert result["histogram"][result["final"]] >= 1
+
     def test_seed_domain(self, capsys):
         code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "-1")
         assert code == 1 and err.startswith("error: seed")
@@ -601,7 +623,8 @@ class TestStreamedEnvelopes:
         def sample(seq, config):
             run = real_sample(seq, config)
             hist = Counter({text: i % 7 + 1 for i, text in enumerate(texts)})
-            return type(run)(final=run.final, histogram=hist, metadata=run.metadata)
+            return type(run)(final=run.final, histogram=hist, metadata=run.metadata,
+                             final_text=run.final_text)
 
         monkeypatch.setattr(cli, "sample", sample)
         argv = "mcmc 2,2,2,2,2,2,2,2,2 --steps 10 --seed 1"

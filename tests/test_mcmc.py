@@ -66,11 +66,18 @@ def edge_label(edge):
     return f"{edge[0] + 1}-{edge[1] + 1}"
 
 
-def one_step(graph, words):
-    """One chain step from ``graph``, drawing from ``words``, through the walk
-    ``sample`` runs; the input graph itself when no move is made."""
+def walk(graph, words, steps):
+    """``steps`` recorded steps from ``graph``, drawing from ``words``, through
+    the walk ``sample`` runs: its edges, text, histogram and move count, and
+    the label list it kept in step."""
     labels = list(map(edge_label, graph.edges()))
-    edges, _, accepted = mcmc._run(graph, labels, words, 0, 1)
+    return *mcmc._run(graph, labels, ",".join(labels), words, 0, steps), labels
+
+
+def one_step(graph, words):
+    """One chain step from ``graph``, drawing from ``words``; the input graph
+    itself when no move is made."""
+    edges, _, _, accepted, _ = walk(graph, words, 1)
     return LabeledGraph(graph.n, edges) if accepted else graph
 
 
@@ -93,6 +100,12 @@ def stream_words(seed, block_words=4096):
             yield int.from_bytes(data[k:k + 8], "little")
 
 
+def decoded_switch(state, r):
+    """The textbook switch that the documented draw layout decodes r to."""
+    i, j = divmod(r, len(state) - 1)
+    return textbook_switch(state, i, j + 1, 0) if j >= i else textbook_switch(state, i, j, 1)
+
+
 def replay(seq, seed, burn_in, steps):
     """The states of a ``sample`` run, step by step, re-derived from the
     documented stream and draw layout with the textbook switch.  Returns the
@@ -107,8 +120,7 @@ def replay(seq, seed, burn_in, steps):
             w = next(words)
             while w >= 2**64 - 2**64 % n_moves:
                 w = next(words)
-            i, j = divmod(w % n_moves, m - 1)
-            new = textbook_switch(state, i, j + 1, 0) if j >= i else textbook_switch(state, i, j, 1)
+            new = decoded_switch(state, w % n_moves)
             if new is not None:
                 state, moved = new, moved + 1
         trajectory.append(tuple(sorted(state)))
@@ -387,35 +399,35 @@ class TestStateSpace:
 
 class TestEngineOracle:
     def test_move_matches_textbook_switch(self):
-        """Every state, every i != j and both re-pairings, for n <= 6."""
+        """Every state for n <= 6 and every r < m(m-1), which is every
+        unordered pair of edges with both re-pairings: a one-step walk fed
+        the one word r makes the textbook switch, with its labels in step.
+        Then one walk over all the r in order visits the textbook's states,
+        so the later moves read the bitsets that the earlier ones edited."""
         moves = 0
         for n in range(1, 7):
             for degs in all_sorted_sequences(n):
                 for g in enumerate_realizations(DegreeSequence(degs)):
                     edges = g.edges()
-                    m = len(edges)
-                    for i in range(m):
-                        for j in range(m):
-                            if i == j:
-                                continue
-                            for flip in (0, 1):
-                                adj, work = list(g.adj), list(edges)
-                                changed = mcmc._switch(adj, work, i, j, flip)
-                                want = textbook_switch(set(edges), i, j, flip)
-                                assert bool(changed) == (want is not None), (degs, edges, i, j, flip)
-                                want = sorted(want) if changed else list(edges)
-                                assert work == want
-                                assert tuple(adj) == LabeledGraph.from_edges(n, want).adj
-                                if changed:  # the reported edits keep labels in step
-                                    hi, lo, p, q = changed
-                                    assert hi > lo and p < q
-                                    labels = [edge_label(e) for e in edges]
-                                    del labels[hi], labels[lo]
-                                    labels.insert(p, edge_label(work[p]))
-                                    labels.insert(q, edge_label(work[q]))
-                                    assert labels == [edge_label(e) for e in want]
-                                moves += 1
-        assert moves == 103980  # sum of 2m(m-1) over the 1043 states
+                    words = range(len(edges) * (len(edges) - 1))
+                    for r in words:
+                        want = decoded_switch(set(edges), r)
+                        got, text, _, accepted, labels = walk(g, iter([r]), 1)
+                        assert accepted == (want is not None), (degs, edges, r)
+                        want = sorted(want) if accepted else list(edges)
+                        assert got == want
+                        assert labels == list(map(edge_label, want))
+                        assert text == ",".join(labels)
+                        moves += 1
+                    state, trajectory = set(edges), []
+                    for r in words:
+                        state = decoded_switch(state, r) or state
+                        trajectory.append(tuple(sorted(state)))
+                    got, _, histogram, _, _ = walk(g, iter(words), len(words))
+                    assert got == list(trajectory[-1] if trajectory else edges)
+                    assert Counter({parse_edge_text(k): v for k, v in histogram.items()}) == (
+                        Counter(trajectory))
+        assert moves == 51990  # sum of m(m-1) over the 1043 states
 
     def test_draws_cover_every_move_uniformly(self):
         """On a perfect matching every move is made and gives its own graph,
@@ -487,24 +499,47 @@ class TestEngineOracle:
 class TestSampleInvariants:
     BLOCK = mcmc.DRAW_BLOCK
 
+    @staticmethod
+    def check_against_replay(seq, seed, burn_in, steps):
+        """``sample``'s histogram, final state, its text and move count equal
+        the replay's; returns the number of moves made."""
+        start = havel_hakimi_graph(seq).edges()
+        run = sample(seq, ChainConfig(seed=seed, steps=steps, burn_in=burn_in))
+        trajectory, moved = replay(seq, seed, burn_in, steps)
+        visits = Counter({parse_edge_text(k): v for k, v in run.histogram.items()})
+        assert sum(run.histogram.values()) == steps
+        assert visits == Counter(trajectory[burn_in:])
+        for key in visits:
+            assert key == tuple(sorted(set(key)))
+            assert LabeledGraph.from_edges(seq.n, key).degrees() == seq.degrees
+        assert run.final.edges() == (trajectory[-1] if trajectory else start)
+        assert run.final_text == edges_to_text(run.final.edges())
+        assert run.metadata["accepted"] == moved
+        if len(start) < 2:
+            assert moved == 0 and set(visits) <= {start}
+        return moved
+
     @pytest.mark.parametrize("degs", [(2, 2, 1, 1, 1, 1), (3, 3, 2, 2, 2), (1, 1), (0, 0, 0)])
     @pytest.mark.parametrize("burn_in", [0, 7])
     def test_histogram_final_and_accepted_match_replay(self, degs, burn_in):
-        seq = DegreeSequence(degs)
-        start = havel_hakimi_graph(seq).edges()
         for steps in (0, 1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1):
-            run = sample(seq, ChainConfig(seed=steps + burn_in, steps=steps, burn_in=burn_in))
-            trajectory, moved = replay(seq, steps + burn_in, burn_in, steps)
-            visits = Counter({parse_edge_text(k): v for k, v in run.histogram.items()})
-            assert sum(run.histogram.values()) == steps
-            assert visits == Counter(trajectory[burn_in:])
-            for key in visits:
-                assert key == tuple(sorted(set(key)))
-                assert LabeledGraph.from_edges(seq.n, key).degrees() == seq.degrees
-            assert run.final.edges() == (trajectory[-1] if trajectory else start)
-            assert run.metadata["accepted"] == moved
-            if len(start) < 2:
-                assert moved == 0 and set(visits) <= {start}
+            self.check_against_replay(DegreeSequence(degs), steps + burn_in, burn_in, steps)
+
+    @pytest.mark.parametrize("n, density", [(17, 0.15), (23, 0.2), (29, 0.17)])
+    @pytest.mark.parametrize("burn_in", [0, 500])
+    def test_mid_chain_matches_replay(self, n, density, burn_in):
+        # Shaped like the sampling benchmark's mid chains: the degrees of a
+        # random graph G(n, density), where most steps make a move and so
+        # edit the edge list, its labels and the bitsets.
+        rng = random.Random(n)
+        degs = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                degs[u] += 1
+                degs[v] += 1
+        steps = 1000
+        moved = self.check_against_replay(DegreeSequence(degs), n + burn_in, burn_in, steps)
+        assert moved > (burn_in + steps) // 3
 
     def test_one_step_of_the_stream_is_a_one_step_sample(self):
         seq = DegreeSequence([2, 2, 2, 1, 1])

@@ -66,9 +66,9 @@ CASES = [
     (lambda: RegionPredicate("phi_eps", Fraction(1, 2)),
      "RegionPredicate(name='phi_eps', epsilon=Fraction(1, 2))"),
     (lambda: ChainConfig(seed=1, steps=2), "ChainConfig(seed=1, steps=2, burn_in=0)"),
-    (lambda: SampleResult(graph(), Counter({"1-2": 2}), {"seed": 1}),
+    (lambda: SampleResult(graph(), Counter({"1-2": 2}), {"seed": 1}, "1-2"),
      "SampleResult(final=LabeledGraph(n=3, pairs=((0, 1),)), histogram=Counter({'1-2': 2}), "
-     "metadata={'seed': 1})"),
+     "metadata={'seed': 1}, final_text='1-2')"),
     (lambda: SplitVerdict(True, 2, 2, 2), "SplitVerdict(is_split=True, m=2, lhs=2, rhs=2)"),
     (split, "SplitGraph(graph=LabeledGraph(n=3, pairs=((0, 1), (0, 2))), clique=frozenset({0}), "
             "independent=frozenset({1, 2}))"),
