@@ -46,7 +46,7 @@ from .enumeration import (
     count_staircase_family,
     bumped_staircase_sequence,
     _p_measure_terms,
-    realization_edge_lists,
+    _realization_masks,
     staircase_sequence,
     verify_family_bounds,
 )
@@ -163,22 +163,29 @@ def cmd_count(args) -> tuple[dict, str]:
     return vars(res), str(res.count)
 
 
+class _VertexText(dict):
+    """Vertex u's edges (u, v) as text, per upper-neighbour mask, made on first use;
+    as LabeledGraph does, it refuses a bit v outside u + 1 .. n - 1 (ConstructionError)."""
+
+    def __init__(self, u: int, n: int):
+        self.u, self.n = u, n
+
+    def __missing__(self, mask: int) -> str:
+        u, n = self.u, self.n
+        if mask >> n or mask & (2 << u) - 1:
+            raise ConstructionError(f"mask {mask:#x} of vertex {u + 1} is out of range for n = {n}")
+        self[mask] = text = ",".join([_EDGE_LABELS[u, v] for v in range(u + 1, n) if mask >> v & 1])
+        return text
+
+
 def cmd_enumerate(args) -> tuple[dict, list[str] | tuple[str]]:
     seq = args.degrees
-    edge_lists = realization_edge_lists(seq, args.limit)
+    masks = _realization_masks(seq, args.limit)
     if args.limit is None or args.limit > LIMITS["ENUMERATE_MAX_GRAPHS"][0]:  # the count decides
         check_limit("ENUMERATE_MAX_GRAPHS", count_realizations(seq).count)
-    # The checks LabeledGraph makes: an edge (u, v) has text only if 0 <= u < v < n,
-    # and an increasing list repeats no edge.
-    labels = {(u, v): _EDGE_LABELS[u, v] for u in range(seq.n) for v in range(u + 1, seq.n)}
-    graphs = []
-    for edges in edge_lists:
-        if not all(map(operator.lt, edges, edges[1:])):
-            raise ConstructionError(f"an edge list for {seq} is not strictly increasing")
-        try:
-            graphs.append(",".join(map(labels.__getitem__, edges)))
-        except KeyError as exc:
-            raise ConstructionError(f"edge {exc} is out of range for {seq}") from None
+    # per call, so no text outlives the command; vertex u's text is texts[u][up[u]]
+    texts = [_VertexText(u, seq.n) for u in range(seq.n)]
+    graphs = [",".join(filter(None, map(dict.__getitem__, texts, up))) for up in masks]
     result = {"realizations": graphs, "yielded": len(graphs)}
     return result, graphs or ("(no realizations)",)
 

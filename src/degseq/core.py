@@ -102,9 +102,13 @@ class DegreeSequence(Record, frozen=True):
 
     def __init__(self, degrees: Iterable[int]):
         try:
-            degs = tuple(sorted(map(operator.index, degrees), reverse=True))
+            self._store(sorted(map(operator.index, degrees), reverse=True))
         except TypeError as exc:
             raise InvalidInput(f"degree sequence entries must be integers ({exc})") from None
+
+    def _store(self, degs: list[int]) -> None:
+        """Keep ``degs``, integers sorted non-increasing, as the entries."""
+        degs = tuple(degs)
         if not degs:
             raise InvalidInput("degree sequence must be non-empty")
         if degs[-1] < 0:
@@ -115,19 +119,20 @@ class DegreeSequence(Record, frozen=True):
     def parse(cls, text: str) -> "DegreeSequence":
         """Parse the canonical comma-separated form, e.g. ``4,4,3,1,1,1,1,1``,
         ignoring blanks and empty entries.  Text whose every part ``int`` reads,
-        blanks and all, takes one pass; other text is read part by part."""
+        blanks and all, takes one pass, and its entries are sorted once; other
+        text is read part by part."""
         try:
-            return cls(map(int, text.split(",")))
+            values = sorted(map(int, text.split(",")), reverse=True)
         except ValueError:
-            pass
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise InvalidInput(f"cannot parse degree sequence from {text!r}")
-        try:
-            values = [int(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse degree sequence from {text!r}") from exc
-        return cls(values)
+            try:
+                values = sorted((int(p) for p in text.split(",") if p.strip()), reverse=True)
+            except ValueError:
+                values = []
+            if not values:
+                raise InvalidInput(f"cannot parse degree sequence from {text!r}") from None
+        seq = object.__new__(cls)
+        seq._store(values)
+        return seq
 
     @property
     def n(self) -> int:

@@ -16,6 +16,9 @@ compositions are few and it removes d edges at once.  (At 3d < 2N the
 counter ran about 5% faster still but kept up to 9% more memo entries.)
 Counts are exact big integers.
 
+Enumeration (``_realization_masks``) is a label-level backtracker of its own; it
+yields each realization as one shared list of upper-neighbour masks, in a fixed order.
+
 On top of the counter sit the perturbation-family totals, the local
 stability measure p(D), the family-bound verifier relating the totals of
 the five perturbation families, and the staircase family whose base
@@ -260,17 +263,16 @@ def count_realizations(
     return (counter or default_counter()).count(seq)
 
 
-def realization_edge_lists(
-    seq: DegreeSequence,
-    limit: int | None = None,
-) -> Iterator[list[tuple[int, int]]]:
-    """Yield the sorted edge list of every labeled realization of ``seq`` once.
+def _realization_masks(seq: DegreeSequence, limit: int | None = None) -> Iterator[list[int]]:
+    """Yield every labeled realization of ``seq`` once, as upper-neighbour masks.
 
     Vertices are eliminated in order of maximum residual degree (the first
     label among ties); each level branches over the eliminated vertex's
-    possible neighbourhoods, which partitions the realization set, so no
-    graph is produced twice.  At most ``limit`` lists are yielded (none for
-    0).  A negative limit raises InvalidInput and a length above
+    neighbourhoods in ``combinations`` order, which partitions the realization
+    set, so no graph is produced twice.  Each yield is the search's one list
+    ``up``, read before resuming: bit v of ``up[u]`` is the edge (u, v), u < v,
+    so by u and then v it is the sorted edge list.  At most ``limit`` are
+    yielded.  A negative limit raises InvalidInput and a length above
     ``ENUMERATE_MAX_N`` raises TooLarge, both at the call; the search's dead
     ends escape the step budget, so it has a length bound of its own.  Only a
     graphic root has a leaf, so a non-graphic ``seq`` yields nothing without
@@ -283,32 +285,35 @@ def realization_edge_lists(
     check_limit("ENUMERATE_MAX_N", n)
     if not is_graphic(seq).graphic:
         return iter(())
-    active = [v for v in range(n) if degrees[v] > 0]
-    return itertools.islice(_backtrack(list(degrees), active, []), limit)
+    search = _backtrack(list(degrees), range(n), [0] * n) if degrees[0] else iter([[0] * n])
+    return itertools.islice(search, limit)
 
 
-def _backtrack(residual: list[int], active: list[int],
-               edges: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-    """The search of :func:`realization_edge_lists` below ``edges``; its lists are
-    arguments, not closure cells, so a dropped search holds no reference cycle."""
-    live = [v for v in active if residual[v] > 0]
-    if not live:
-        yield sorted(edges)
-        return
+def _backtrack(residual: list[int], live: Iterable[int], up: list[int]) -> Iterator[list[int]]:
+    """The search of :func:`_realization_masks` below ``up``, over the vertices of
+    ``live`` with a residual (one at least); a pick that leaves none is a leaf with
+    no frame.  Its lists are arguments, not closure cells: no reference cycle."""
+    live = list(filter(residual.__getitem__, live))
     pivot = max(live, key=residual.__getitem__)
     need = residual[pivot]
-    others = [v for v in live if v != pivot]
+    others = live.copy()
+    others.remove(pivot)
     if need > len(others):
         return
+    rest = sum(map(residual.__getitem__, others)) - need  # the residual after any pick
     residual[pivot] = 0
+    bit = 1 << pivot
     for nbrs in itertools.combinations(others, need):
-        for v in nbrs:
+        for v in nbrs:  # the edge (pivot, v) is bit pivot of up[v] or bit v of up[pivot]
             residual[v] -= 1
-            edges.append((pivot, v) if pivot < v else (v, pivot))
-        yield from _backtrack(residual, active, edges)
+            up[v if v < pivot else pivot] ^= bit if v < pivot else 1 << v
+        if rest:
+            yield from _backtrack(residual, others, up)
+        else:
+            yield up
         for v in nbrs:
             residual[v] += 1
-        del edges[-need:]
+            up[v if v < pivot else pivot] ^= bit if v < pivot else 1 << v
     residual[pivot] = need
 
 
@@ -318,10 +323,12 @@ def enumerate_realizations(
 ) -> Iterator[LabeledGraph]:
     """Yield every labeled realization of ``seq`` exactly once, validated.
 
-    The lists of :func:`realization_edge_lists`, in its order and under its
-    limits (checked at the call), each built by ``LabeledGraph.from_edges``.
+    The masks of :func:`_realization_masks`, in its order and under its
+    limits (checked at the call), each read bit by bit into a ``LabeledGraph``.
     """
-    return (LabeledGraph.from_edges(seq.n, e) for e in realization_edge_lists(seq, limit))
+    return (LabeledGraph(seq.n, [(u, v) for u, mask in enumerate(up)
+                                 for v in range(mask.bit_length()) if mask >> v & 1])
+            for up in _realization_masks(seq, limit))
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,8 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
 
 def _leg_blocks(region: SimpleRegion) -> tuple[int, int, int]:
     """(alpha, a, beta) with leg(region) = (c1)^alpha, a, (c2)^beta, a constant
-    leg as (c1)^(n-1), c1.  An n above ``WITNESS_MAX_SIZE`` raises TooLarge."""
+    leg as (c1)^(n-1), c1; in O(1), without a bound on n."""
     n, sigma, c1, c2 = region.n, region.sigma, region.c1, region.c2
-    check_limit("WITNESS_MAX_SIZE", n)
     if c1 == c2 or sigma == n * c1:
         return n - 1, c1, 0
     alpha, r = divmod(sigma - n * c2, c1 - c2)
@@ -131,12 +130,14 @@ def leg(region: SimpleRegion) -> DegreeSequence:
     singleton constant sequence.  An n above ``WITNESS_MAX_SIZE`` raises
     TooLarge before any entry is built.
     """
+    check_limit("WITNESS_MAX_SIZE", region.n)
     alpha, a, beta = _leg_blocks(region)
     return DegreeSequence((region.c1,) * alpha + (a,) + (region.c2,) * beta)
 
 
 def _leg_text(region: SimpleRegion) -> str:
     """``str(leg(region))``, repeated block by block."""
+    check_limit("WITNESS_MAX_SIZE", region.n)
     alpha, a, beta = _leg_blocks(region)
     return f"{region.c1}," * alpha + str(a) + f",{region.c2}" * beta
 
@@ -286,8 +287,24 @@ def satisfies_stability_bound(seq: DegreeSequence) -> bool:
 
 
 def region_satisfies_stability_bound(region: SimpleRegion) -> bool:
-    """Region-wide stability bound; equivalent to the bound on leg(region)."""
-    return satisfies_stability_bound(leg(region))
+    """Region-wide stability bound: the bound on leg(region), in O(1) and for any n.
+
+    On a block of leg's entries equal to e, the slack
+    k(k-1) + d_n(n-k) + 1 - (d_1 + ... + d_k) changes by 2k - d_n - e from k
+    to k + 1, a convex quadratic in k, so it is least at k = ceil((d_n + e)/2)
+    clamped into the block; each of the three blocks is read there only.
+    """
+    n, c1, c2 = region.n, region.c1, region.c2
+    alpha, a, beta = _leg_blocks(region)
+    dn = c2 if beta else a
+    prefix = 0  # the entries before the block
+    for lo, hi, e in ((1, alpha, c1), (alpha + 1, alpha + 1, a), (alpha + 2, n, c2)):
+        if lo <= hi:
+            k = min(max((dn + e + 1) // 2, lo), hi)
+            if prefix + e * (k - lo + 1) > k * (k - 1) + dn * (n - k) + 1:
+                return False
+            prefix += e * (hi - lo + 1)
+    return True
 
 
 # ---------------------------------------------------------------------------

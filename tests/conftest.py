@@ -28,8 +28,9 @@ from degseq import (
 from degseq import mcmc
 
 
-# Edge lists that no graph on vertices 0..3 has; the graph's constructor and
-# the CLI's own check in ``cmd_enumerate`` must refuse each one.
+# Edge lists that no graph on vertices 0..3 has; the graph's constructor must
+# refuse each one.  (The CLI's ``enumerate`` reads masks, not edge lists;
+# ``tests/test_cli.py`` feeds its check malformed masks.)
 MALFORMED_EDGE_LISTS = [
     [(0, 1), (2, 4)],  # a vertex outside 0..3
     [(1, 0), (2, 3)],  # u > v

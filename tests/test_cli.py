@@ -20,7 +20,6 @@ from degseq import (DegreeSequence, __version__, cli, core, enumeration, graphic
 from degseq.cli import build_parser, main
 from degseq.errors import LIMITS, DegseqError
 from degseq.graphicality import PREDICATE_NAMES, iter_sweep
-from conftest import MALFORMED_EDGE_LISTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "output.json").read_text())
@@ -137,9 +136,18 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "enumerate", *argv)
         assert code == 0 and out == text
 
-    @pytest.mark.parametrize("edges", MALFORMED_EDGE_LISTS)
-    def test_enumerate_prints_no_unchecked_edge_list(self, capsys, monkeypatch, edges):
-        monkeypatch.setattr(cli, "realization_edge_lists", lambda seq, limit: iter([edges]))
+    @pytest.mark.parametrize("masks", [
+        [0b10, 0, 0, 1 << 4],  # a bit at n
+        [1 << 70, 0, 0b1000, 0],  # a bit far above n
+        [0b110, 0b1, 0, 0],  # a bit below u: (1, 0), the edge (0, 1) again
+        [0b1, 0b1000, 0, 0],  # u's own bit: a self-loop at vertex 0
+        [0b10, 0b10, 0, 0],  # u's own bit: a self-loop at vertex 1
+        [0b10, -0b1000, 0, 0],  # a negative mask
+    ])
+    def test_enumerate_prints_no_unchecked_edge_list(self, capsys, monkeypatch, masks):
+        # a well-formed graph, 1-2,3-4, then the malformed one: neither is printed
+        monkeypatch.setattr(cli, "_realization_masks",
+                            lambda seq, limit: iter([[0b10, 0, 0b1000, 0], masks]))
         code, out, err = run(capsys, "--json", "enumerate", "1,1,1,1")
         assert code == 1 and out == "" and err.startswith("error: ")
 
@@ -485,8 +493,8 @@ class TestMcmcCommand:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("an enumerator was called")
 
-        monkeypatch.setattr(cli, "realization_edge_lists", no_enumeration)
-        monkeypatch.setattr(enumeration, "realization_edge_lists", no_enumeration)
+        monkeypatch.setattr(cli, "_realization_masks", no_enumeration)
+        monkeypatch.setattr(enumeration, "_realization_masks", no_enumeration)
         monkeypatch.setattr(enumeration, "enumerate_realizations", no_enumeration)
         envelope = run_json(capsys, "mcmc", "2,2,2,1,1", "--steps", "3000", "--seed", "7")
         result = envelope["result"]
@@ -616,8 +624,8 @@ class TestStreamedEnvelopes:
         # The first `states` graphs of 2^9, each with its own count, as the
         # chain's histogram: _ROWS_PER_WRITE items a write, the rest in one.
         seq = DegreeSequence([2] * 9)
-        texts = [cli.edges_to_text(edges)
-                 for edges in enumeration.realization_edge_lists(seq, states)]
+        texts = [cli.edges_to_text(g.edges())
+                 for g in enumeration.enumerate_realizations(seq, states)]
         real_sample = cli.sample
 
         def sample(seq, config):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -60,6 +61,34 @@ class TestDegreeSequence:
     @given(st.lists(_PART, max_size=6).map(",".join))
     def test_parse_agrees_with_the_per_part_path(self, text):
         assert parse_outcome(DegreeSequence.parse, text) == parse_outcome(parse_per_part, text)
+
+    def test_parse_equals_the_sequence_of_its_entries(self):
+        # Seeded texts of ints with blanks around them, empty parts between
+        # them, negatives, and now and then a part int does not read.
+        rng = random.Random(36)
+        blanks = ["", " ", "\t", " \n "]
+        for _ in range(500):
+            values = [rng.randint(-2, 30) for _ in range(rng.randint(0, 12))]
+            parts = [f"{rng.choice(blanks)}{v}{rng.choice(blanks)}" for v in values]
+            for _ in range(rng.randint(0, 3)):
+                parts.insert(rng.randint(0, len(parts)), rng.choice(blanks))
+            bad = rng.random() < 0.2
+            if bad:
+                parts.insert(rng.randint(0, len(parts)), rng.choice(["x", "1.5", "--1", "2 3"]))
+            text = ",".join(parts)
+            if bad or not values:
+                expected = InvalidInput
+            elif min(values) < 0:
+                expected = NegativeDegree
+            else:
+                expected = DegreeSequence(values)
+            try:
+                got = DegreeSequence.parse(text)
+            except (InvalidInput, NegativeDegree) as exc:
+                got = type(exc)
+            assert got == expected, text
+            if got not in (InvalidInput, NegativeDegree):
+                assert (str(got), hash(got)) == (str(expected), hash(expected)), text
 
     def test_input_is_sorted(self):
         assert DegreeSequence([1, 3, 2]).degrees == (3, 2, 1)

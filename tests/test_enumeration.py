@@ -567,7 +567,7 @@ class TestEnumerateRealizations:
         seq = DegreeSequence([13, 13, 12, 11, 11, 11, 10, 10, 8, 5, 4, 4, 3, 3, 3, 1])
         start = time.perf_counter()
         assert list(enumerate_realizations(seq, limit=1)) == []
-        assert list(enumeration.realization_edge_lists(seq)) == []
+        assert list(enumeration._realization_masks(seq)) == []
         assert time.perf_counter() - start < 1
 
     def test_yielded_graphs_pass_full_validation(self):
@@ -581,7 +581,7 @@ class TestEnumerateRealizations:
             list(enumerate_realizations(DegreeSequence([0] * 18)))
 
     def test_argument_errors_raise_at_the_call(self):
-        for enumerate_ in (enumerate_realizations, enumeration.realization_edge_lists):
+        for enumerate_ in (enumerate_realizations, enumeration._realization_masks):
             with pytest.raises(TooLarge) as exc:
                 enumerate_(DegreeSequence([1] * 18))
             assert exc.value.args == ("ENUMERATE_MAX_N", 16, 18)
@@ -589,12 +589,12 @@ class TestEnumerateRealizations:
                 enumerate_(DegreeSequence([1, 1]), limit=-1)
 
     def test_a_search_leaves_no_reference_cycle(self):
-        # Whole, partial (one list taken, the rest dropped) and validated: each
-        # search is freed by reference counting, with nothing left for the
+        # Whole, partial (one mask list taken, the rest dropped) and validated:
+        # each search is freed by reference counting, with nothing left for the
         # cyclic collector.
         seq = DegreeSequence([3, 3, 2, 2, 2, 1, 1])
-        searches = (lambda: list(enumeration.realization_edge_lists(seq)),
-                    lambda: next(enumeration.realization_edge_lists(seq, 3)),
+        searches = (lambda: list(enumeration._realization_masks(seq)),
+                    lambda: next(enumeration._realization_masks(seq, 3)),
                     lambda: list(enumerate_realizations(seq, 5)))
         gc.collect()
         gc.disable()

@@ -533,6 +533,43 @@ class TestStabilityBound:
         assert not region_satisfies_stability_bound(SimpleRegion(6, 14, 5, 1))
         assert region_satisfies_stability_bound(SimpleRegion(4, 12, 3, 3))
 
+    def test_region_form_matches_the_scan_of_leg(self):
+        for region in all_simple_regions(20):
+            expected = satisfies_stability_bound(leg(region))
+            assert region_satisfies_stability_bound(region) == expected, region
+
+    def test_region_form_matches_the_scan_of_leg_on_seeded_regions(self):
+        rng = random.Random(35)
+        verdicts = []
+        while len(verdicts) < 300:
+            n = rng.randint(1, 5000)
+            c1 = rng.randrange(n)
+            c2 = rng.randint(0, c1)
+            start = n * c2 + n * c2 % 2
+            if start > n * c1:  # no even sum
+                continue
+            region = SimpleRegion(n, rng.randrange(start, n * c1 + 1, 2), c1, c2)
+            expected = satisfies_stability_bound(leg(region))
+            assert region_satisfies_stability_bound(region) == expected, region
+            verdicts.append(expected)
+        assert min(verdicts.count(True), verdicts.count(False)) >= 30
+
+    def test_region_form_has_no_size_limit(self):
+        # leg refuses these; the block form reads them at once.  Just over the
+        # limit, the scan of leg's entries, built here, agrees.
+        n = LIMITS["WITNESS_MAX_SIZE"][0] + 1
+        verdicts = []
+        for region in (SimpleRegion(n, 2 * n, 3, 1), SimpleRegion(n, 2 * n, n - 1, 1)):
+            alpha, a, beta = graphicality._leg_blocks(region)
+            entries = DegreeSequence([region.c1] * alpha + [a] + [region.c2] * beta)
+            verdicts.append(region_satisfies_stability_bound(region))
+            assert verdicts[-1] == satisfies_stability_bound(entries), region
+        assert verdicts == [True, False]
+        start = time.perf_counter()
+        assert region_satisfies_stability_bound(SimpleRegion(10**12, 0, 1, 0))
+        assert not region_satisfies_stability_bound(SimpleRegion(10**12, 10**12, 10**12 - 1, 0))
+        assert time.perf_counter() - start < 1
+
 
 class TestPredicates:
     def test_min_max_degree_form(self):

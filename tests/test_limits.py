@@ -31,7 +31,7 @@ from degseq import (
     very_simple_region_fully_graphic,
 )
 from degseq.cli import main
-from degseq.enumeration import realization_edge_lists
+from degseq.enumeration import _realization_masks
 from degseq.errors import LIMITS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +45,7 @@ CASES = {
         " (set the variable to change it)",
         ["count", ",".join(["1000"] * 2000)]),
     "ENUMERATE_MAX_N": (
-        lambda: realization_edge_lists(DegreeSequence([1] * 18)), 16, 18,
+        lambda: _realization_masks(DegreeSequence([1] * 18)), 16, 18,
         "ENUMERATE_MAX_N exceeded: 18 > 16 entries in a sequence to enumerate",
         ["enumerate", ",".join(["1"] * 18)]),
     "ENUMERATE_MAX_GRAPHS": (
@@ -134,7 +134,7 @@ def _lower(monkeypatch, limit, value):
 # lower one; together they reach each of the limit's checks)
 LOWERED = {
     "DEGSEQ_STEP_BUDGET": (50, [lambda: RealizationCounter().count([2] * 6)]),
-    "ENUMERATE_MAX_N": (3, [lambda: realization_edge_lists(DegreeSequence([1] * 4))]),
+    "ENUMERATE_MAX_N": (3, [lambda: _realization_masks(DegreeSequence([1] * 4))]),
     "ENUMERATE_MAX_GRAPHS": (2, [
         lambda: cli.cmd_enumerate(SimpleNamespace(degrees=DegreeSequence([1] * 4), limit=None))]),
     "MCMC_MAX_WORK": (15, [

@@ -8,6 +8,7 @@ so a change that breaks an answer fails here before a benchmark run.  The
 perfbench files are loaded read-only, by path.
 """
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -111,3 +112,23 @@ def test_the_counter_ledger_of_counting_seed_1(monkeypatch, capsys):
         if done in COUNTER_LEDGER:
             ledger[done] = (calls, cold, nodes, len(counter._memo))
     assert ledger == COUNTER_LEDGER, f"\npinned {COUNTER_LEDGER}\nran    {ledger}"
+
+
+# sha256 of the --json stdout, concatenated, of the 89 enumerate ops among the
+# first 1,700 ops of counting seed 1: every graph they list, in the search's
+# order.  Pinned before the search yielded masks, so the masks and their text
+# must give the edge lists' output byte for byte.
+ENUMERATE_STDOUT_SHA256 = "5da133a4bceb85a01c424d299384bf9b42fd8360c5c252e25b3253a7ceda7933"
+
+
+def test_the_enumerate_ops_of_counting_seed_1_print_the_pinned_bytes(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = itertools.islice(workloads.ops("counting", 1), 1700)
+    argvs = [op["argv"] for op in ops if op["argv"][1] == "enumerate"]
+    assert len(argvs) == 89
+    digest = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ENUMERATE_STDOUT_SHA256
