@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import itertools
 import json
@@ -355,6 +356,33 @@ class TestCountRealizations:
         assert RealizationCounter(step_budget=98_000).count([1] * 2000).count == expected
         with pytest.raises(TooLarge):
             RealizationCounter(step_budget=97_999).count([1] * 2000)
+
+    def test_refusal_points_are_pinned(self):
+        # Degrees of seeded random graphs, n = 5..16, each counted cold under
+        # two budgets drawn log-uniform from 10^3..10^4.5 and 10^4.5..10^6:
+        # each outcome, (count, nodes) or the step total a refusal reports,
+        # goes into one hash.  A change to when or how much the counter
+        # charges moves some refusal's total.
+        rng = random.Random(38)
+        outcomes, refused = [], 0
+        for n in range(5, 17):
+            for p in (0.15, 0.3, 0.5, 0.7) * 2:
+                degrees = [0] * n
+                for u, v in itertools.combinations(range(n), 2):
+                    if rng.random() < p:
+                        degrees[u] += 1
+                        degrees[v] += 1
+                for low in (3, 4.5):
+                    budget = round(10 ** rng.uniform(low, low + 1.5))
+                    try:
+                        outcomes.append(diagnostics(
+                            RealizationCounter(step_budget=budget).count(degrees))[:2])
+                    except TooLarge as exc:
+                        outcomes.append(exc.requested)
+                        refused += 1
+        assert (len(outcomes), refused) == (192, 33)
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "9f7da0b7fe63871e5f9b279a9a1be99c6679f9155d64335ee0fae166ab6c656b"
 
     def test_cache_flag_and_diagnostics(self):
         counter = RealizationCounter()

@@ -82,11 +82,27 @@ def test_the_oracle_accepts_the_first_ops_of_seed_1(monkeypatch, capsys, workloa
         for command in sorted(pinned.keys() | ledger.keys()))
 
 
-# (_query calls, cold ones, nodes expanded, memo entries) after the first ops
-# of counting seed 1, from a fresh memo: the counter's work, exact and the
-# same on every Python version.  A change that moves a figure re-pins it and
-# records old and new in CHANGES.md.
-COUNTER_LEDGER = {120: (441, 105, 4924, 4918), 1700: (6347, 1058, 14012, 14006)}
+# (_query calls, cold ones, nodes expanded, memo entries, budget checks, the
+# sum over cold queries of the highest step total each compared) after the
+# first ops of counting seed 1, from a fresh memo: the counter's work, exact
+# and the same on every Python version.  A change that moves a figure re-pins
+# it and records old and new in CHANGES.md.
+COUNTER_LEDGER = {120: (441, 105, 4924, 4918, 56371, 131092),
+                  1700: (6347, 1058, 14012, 14006, 211029, 567805)}
+
+
+class StepRecorder:
+    """A stand-in for a counter's step budget that never refuses: ``steps >
+    budget`` asks ``budget < steps``, so each check the counter makes lands
+    here, and the cold query's highest total is kept in ``peaks[-1]``."""
+
+    def __init__(self):
+        self.checks, self.peaks = 0, []
+
+    def __lt__(self, steps):
+        self.checks += 1
+        self.peaks[-1] = max(self.peaks[-1], steps)
+        return False
 
 
 def test_the_counter_ledger_of_counting_seed_1(monkeypatch, capsys):
@@ -96,6 +112,7 @@ def test_the_counter_ledger_of_counting_seed_1(monkeypatch, capsys):
     monkeypatch.setattr(counter, "_memo", {})
     calls = cold = nodes = 0
     query = RealizationCounter._query
+    recorder = StepRecorder()
 
     def spy(self, key):
         nonlocal calls, cold, nodes
@@ -103,14 +120,21 @@ def test_the_counter_ledger_of_counting_seed_1(monkeypatch, capsys):
         calls, cold, nodes = calls + 1, cold + (not result[2]), nodes + result[1]
         return result
 
+    def budget(self):  # read once by each cold query
+        recorder.peaks.append(0)
+        return recorder
+
     monkeypatch.setattr(RealizationCounter, "_query", spy)
+    monkeypatch.setattr(RealizationCounter, "step_budget", property(budget))
     ledger = {}
     ops = itertools.islice(workloads.ops("counting", 1), max(COUNTER_LEDGER))
     for done, op in enumerate(ops, 1):
         main(op["argv"])
         capsys.readouterr()
         if done in COUNTER_LEDGER:
-            ledger[done] = (calls, cold, nodes, len(counter._memo))
+            ledger[done] = (calls, cold, nodes, len(counter._memo),
+                            recorder.checks, sum(recorder.peaks))
+    assert len(recorder.peaks) == cold
     assert ledger == COUNTER_LEDGER, f"\npinned {COUNTER_LEDGER}\nran    {ledger}"
 
 
