@@ -89,8 +89,8 @@ except ImportError:
     from json import JSONEncoder
     _encode = JSONEncoder(sort_keys=True).iterencode
 
-# Entries of a streamed member (``_streamed``) written at once, and so held
-# in memory at once as text.
+# Entries of a streamed member (``_streamed``), or lines of a command's text,
+# written at once, and so held in memory at once as text.
 _ROWS_PER_WRITE = 256
 
 
@@ -309,30 +309,25 @@ def cmd_mcmc(args) -> tuple[dict, str]:
 
 
 def cmd_sweep(args) -> tuple[dict, Iterator[str]]:
-    """The rows' JSON text and their text lines, both over one pass of the grid's runs.
+    """The rows' JSON text and their text lines, each over one pass of the grid's blocks.
 
     All values are ints or ASCII labels, so a head '{"c1": C1, "c2": C2,
-    "classification": "' plus the run's 'LABEL", "n": N, "sigma": S}' is
-    json.dumps(row, sort_keys=True), and 'n=N sigma=S c1=C1 c2=' plus 'C2 LABEL'
-    the text line; map joins them in C.  The plain grid keeps one c1's heads.
+    "classification": "' plus a tail 'LABEL", "n": N, "sigma": S}' is
+    json.dumps(row, sort_keys=True), and 'n=N sigma=S ' plus 'c1=C1 c2=C2 '
+    plus 'LABEL' the text line; map joins a block's heads and tails in C.
     """
-    runs = _sweep_rows(args.n_min, args.n_max, args.with_sigma)
-    heads = functools.lru_cache(None if args.with_sigma else 1)(lambda c1: list(
+    grid = args.n_min, args.n_max, args.with_sigma
+    json_heads = functools.cache(lambda c1: list(
         map(f'{{"c1": {c1}, "c2": %d, "classification": "'.__mod__, range(c1 + 1))))
-    ends = functools.cache(lambda label: list(map(f"%d {label}".__mod__, range(args.n_max))))
-
-    def json_rows(run):
-        n, s, c1, lo, hi, label = run
-        tail = f'{label}", "n": {n}}}' if s is None else f'{label}", "n": {n}, "sigma": {s}}}'
-        return map(operator.add, heads(c1)[lo:hi + 1], itertools.repeat(tail))
-
-    def text_lines(run):
-        n, s, c1, lo, hi, label = run
-        head = f"n={n} c1={c1} c2=" if s is None else f"n={n} sigma={s} c1={c1} c2="
-        return map(operator.add, itertools.repeat(head), ends(label)[lo:hi + 1])
-
-    return ({"rows": itertools.chain.from_iterable(map(json_rows, runs))},
-            itertools.chain.from_iterable(map(text_lines, runs)))
+    text_heads = functools.cache(lambda c1: list(map(f"c1={c1} c2=%d ".__mod__, range(c1 + 1))))
+    rows = _sweep_rows(*grid, json_heads, lambda n, s, label: (
+        f'{label}", "n": {n}}}' if s is None else f'{label}", "n": {n}, "sigma": {s}}}'))
+    lines = _sweep_rows(*grid, text_heads, lambda n, s, label: label)
+    return ({"rows": itertools.chain.from_iterable(
+                map(operator.add, heads, tails) for _, _, heads, tails in rows)},
+            itertools.chain.from_iterable(
+                map((f"n={n} " if s is None else f"n={n} sigma={s} ").__add__,
+                    map(operator.add, heads, tails)) for n, s, heads, tails in lines))
 
 
 _DEGREES = {"type": DegreeSequence.parse}
@@ -490,10 +485,12 @@ def main(argv=None) -> int:
             _print_envelope(envelope)
         else:
             # A string, or lines (enumerate's graphs, a sweep's rows written
-            # as they come): either way the text of print("\n".join(lines)).
+            # _ROWS_PER_WRITE at a time as they come): either way the text of
+            # print("\n".join(lines)).
             lines = iter((human,) if isinstance(human, str) else human)
             print(next(lines, ""))
-            sys.stdout.writelines(line + "\n" for line in lines)
+            while batch := list(itertools.islice(lines, _ROWS_PER_WRITE)):
+                sys.stdout.write("\n".join(batch) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # As the Python docs' note on SIGPIPE shows: stdout now writes to

@@ -19,8 +19,9 @@ at its own such k.  A fixed-sum region decision costs O(1): it evaluates the
 inequality in closed form on the block form (c1, alpha), (a, 1), (c2, beta)
 of the primitive member, at its block ends only.  A very simple region
 decision, phi_FG and phi_JMS_star_k cost O(1): each reads one minimum, see
-``_min_slack``.  A sweep makes at most 2n region decisions per (n, sigma), see
-``_sweep_rows``.
+``_min_slack``.  A sweep hands out the grid in blocks of rows, one per
+(n, sigma), see ``_sweep_rows``: a block costs at most 2n region decisions
+and one list slice per c1, and an odd sum's block no per-c1 work at all.
 """
 
 from __future__ import annotations
@@ -205,41 +206,62 @@ def very_simple_region_fully_graphic(region: VerySimpleRegion) -> bool:
     return _min_slack(region.n, region.c1, region.c2) >= -1
 
 
-def _sweep_rows(n_min: int, n_max: int, with_sigma: bool) -> Iterator[tuple]:
-    """The grid as runs (n, sigma, c1, c2_lo, c2_hi, label) in (n, sigma, c1, c2)
-    order, sigma None in the plain grid, counted on the call.  At fixed n (and
-    sigma) a region only gains members as c1 rises or c2 falls, so one inside a
-    fully graphic region is fully graphic.  So the fully graphic c2 of each c1
-    are those >= some t, and t never falls as c1 rises: one walk per (n, sigma)
-    asks the predicate once per c1 and once per rise of t.
+def _sweep_rows(n_min: int, n_max: int, with_sigma: bool, heads, tail) -> Iterator[tuple]:
+    """The grid as blocks (n, sigma, row heads, row tails), one per (n, sigma),
+    or one per n with sigma None in the plain grid, counted on the call.  Row
+    (c1, c2) of a block has the head ``heads(c1)[c2]`` and, at the same place
+    in the block's (c1, c2) order, the tail ``tail(n, sigma, label)``.  At
+    fixed n (and sigma) a region only gains members as c1 rises or c2 falls,
+    so one inside a fully graphic region is fully graphic.  So the fully
+    graphic c2 of each c1 are those >= some t, and t never falls as c1 rises:
+    one walk per block asks the predicate once per c1 and once per rise of t.
     """
     total = 0
     for n in range(max(n_min, 1), n_max + 1):  # ends soon after the limit
         # n(n+1)/2 pairs c1 >= c2, each with n(c1 - c2) + 1 sums
         total += n * (n + 1) // 2 + (n * n * (n * n - 1) // 6 if with_sigma else 0)
         check_limit("SWEEP_MAX_ROWS", total)
-    return _staircase(range(max(n_min, 1), n_max + 1), with_sigma)  # n <= 0 has no c1 < n
+    return _staircase(range(max(n_min, 1), n_max + 1),  # n <= 0 has no c1 < n
+                      with_sigma, heads, tail)
 
 
-def _staircase(ns: range, with_sigma: bool) -> Iterator[tuple]:
-    """The runs of ``_sweep_rows`` over the n in ``ns``."""
+def _staircase(ns: range, with_sigma: bool, heads, tail) -> Iterator[tuple]:
+    """The blocks of ``_sweep_rows`` over the n in ``ns``."""
     for n in ns:
-        for s in range(n * (n - 1) + 1) if with_sigma else (None,):
-            # An odd sum has no member: t = n puts every row below t, as EMPTY.
-            t, below = (n, "EMPTY") if with_sigma and s % 2 else (0, "NOT_FULLY_GRAPHIC")
-            # n*c2 <= s <= n*c1 means c2 <= floor and c1 >= ceil of s/n.
-            for c1 in range(-(-s // n), n) if with_sigma else range(n):
+        if not with_sigma:
+            block, tails, t = [], [], 0
+            no, yes, none = (tail(n, None, label)
+                             for label in ("NOT_FULLY_GRAPHIC", "FULLY_GRAPHIC", "EMPTY"))
+            for c1 in range(n):
                 # c1 == c2 with n*c1 odd is the plain grid's one region without an even sum.
-                hi = (c1 if c1 * n <= s else s // n) if with_sigma else c1 - n * c1 % 2
-                while t <= hi and not (_leg_graphic(n, s, c1, t) if with_sigma
-                                       else _min_slack(n, c1, t) >= -1):
+                hi = c1 - n * c1 % 2
+                while t <= hi and _min_slack(n, c1, t) < -1:
                     t += 1
-                if t:
-                    yield n, s, c1, 0, t - 1 if t <= hi else hi, below
-                if t <= hi:
-                    yield n, s, c1, t, hi, "FULLY_GRAPHIC"
-                if hi < c1 and not with_sigma:
-                    yield n, s, c1, c1, c1, "EMPTY"
+                block += heads(c1)
+                tails += [no] * t + [yes] * (hi + 1 - t) + [none] * (c1 - hi)
+            yield n, None, block, tails
+            continue
+        key = None
+        for s in range(n * (n - 1) + 1):
+            # n*c2 <= s <= n*c1: each c1 from ceil(s/n) up has the c2 0..q, so
+            # the sums that share q and the first c1 share one list of heads.
+            q, first = s // n, -(-s // n)
+            if key != (q, first):
+                key, block = (q, first), []
+                for c1 in range(first, n):
+                    block += heads(c1)[:q + 1]
+            if s % 2:  # no member: one EMPTY tail per row
+                yield n, s, block, [tail(n, s, "EMPTY")] * len(block)
+                continue
+            # each c1's t tails below the staircase and q + 1 - t above it, as one slice
+            tails, t = [], 0
+            window = ([tail(n, s, "NOT_FULLY_GRAPHIC")] * (q + 1)
+                      + [tail(n, s, "FULLY_GRAPHIC")] * (q + 1))
+            for c1 in range(first, n):
+                while t <= q and not _leg_graphic(n, s, c1, t):
+                    t += 1
+                tails += window[q + 1 - t:2 * q + 2 - t]
+            yield n, s, block, tails
 
 
 def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dict]:
@@ -254,10 +276,11 @@ def iter_sweep(n_min: int, n_max: int, with_sigma: bool = False) -> Iterator[dic
     ``SWEEP_MAX_ROWS`` rows raises TooLarge; each row is built only when the
     iterator reaches it.
     """
+    blocks = _sweep_rows(n_min, n_max, with_sigma,
+                         lambda c1: [(c1, c2) for c2 in range(c1 + 1)], lambda n, s, label: label)
     return ({"n": n, "sigma": s, "c1": c1, "c2": c2, "classification": label} if with_sigma
             else {"n": n, "c1": c1, "c2": c2, "classification": label}
-            for n, s, c1, lo, hi, label in _sweep_rows(n_min, n_max, with_sigma)
-            for c2 in range(lo, hi + 1))
+            for n, s, block, tails in blocks for (c1, c2), label in zip(block, tails))
 
 
 def sweep(n_min: int, n_max: int, with_sigma: bool = False) -> list[dict]:

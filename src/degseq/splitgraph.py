@@ -288,6 +288,12 @@ def nonstability_witness(
     s(n - 1) = c2 - (n - 1) < 0), else no candidate is threshold and
     ConstructionError is raised.  A ``base`` longer than ``WITNESS_MAX_SIZE``
     (it has n + 2m = 2 n_prime - n entries) raises TooLarge.
+
+    At m = 1 the witness is still returned, though it shows no blow-up: the
+    bumped staircase is 2,2, which is not graphic, so ``perturbed`` is not
+    graphic either and its count is 0.  ``base`` is uniquely realizable at
+    every m, so the pair is a witness in form; the exponential growth of
+    ``perturbed_count`` needs m >= 2.
     """
     region = VerySimpleRegion(n, c1, c2)
     if n_prime <= n:

@@ -18,8 +18,9 @@ from jsonschema import Draft7Validator
 from degseq import (DegreeSequence, __version__, cli, core, enumeration, graphicality,
                     splitgraph, sweep)
 from degseq.cli import build_parser, main
+from degseq.core import SimpleRegion
 from degseq.errors import LIMITS, DegseqError
-from degseq.graphicality import PREDICATE_NAMES, iter_sweep
+from degseq.graphicality import PREDICATE_NAMES, is_graphic, iter_sweep, leg
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "output.json").read_text())
@@ -294,18 +295,56 @@ class TestRegionCommands:
             _, human = cli.cmd_sweep(build_parser().parse_args(argv))
             assert not isinstance(human, str) and list(human) == lines
 
-    def test_sweep_rows_from_runs_are_the_library_rows(self):
-        # Each row's JSON and text line are joined from a run's pieces: they
+    def test_sweep_rows_are_the_library_rows(self):
+        # Each row's JSON and text line are joined from a block's pieces: they
         # are json.dumps of the library's row and its f-string line, n <= 20.
         for flag in ([], ["--with-sigma"]):
             args = build_parser().parse_args(["sweep", "--n-min", "1", "--n-max", "20", *flag])
             rows = list(iter_sweep(1, 20, with_sigma=bool(flag)))
-            result, _ = cli.cmd_sweep(args)  # one pass: JSON or text, not both
+            result, lines = cli.cmd_sweep(args)  # each over its own walk
             assert list(result["rows"]) == [json.dumps(row, sort_keys=True) for row in rows]
-            _, lines = cli.cmd_sweep(args)
             assert list(lines) == [
                 " ".join(f"{k}={row[k]}" for k in ("n", "sigma", "c1", "c2") if k in row)
                 + f" {row['classification']}" for row in rows]
+
+    def test_sweep_output_from_least_members(self, capsys):
+        # Every row's JSON and text line, built here from is_graphic(leg(...))
+        # without the sweep's walk, on ranges that start mid-grid.  Odd n
+        # with an odd sigma = q*n admits c1 = q, unlike the other sums of q.
+        def label(n, sigma, c1, c2):
+            if sigma % 2:
+                return "EMPTY"
+            graphic = is_graphic(leg(SimpleRegion(n, sigma, c1, c2))).graphic
+            return "FULLY_GRAPHIC" if graphic else "NOT_FULLY_GRAPHIC"
+
+        grids = {}
+        for n in range(2, 14):
+            rows = [{"n": n, "sigma": sigma, "c1": c1, "c2": c2,
+                     "classification": label(n, sigma, c1, c2)}
+                    for sigma in range(n * (n - 1) + 1) for c1 in range(n)
+                    for c2 in range(c1 + 1) if n * c2 <= sigma <= n * c1]
+            plain = []
+            for c1 in range(n):
+                for c2 in range(c1 + 1):
+                    labels = {label(n, sigma, c1, c2)
+                              for sigma in range(n * c2, n * c1 + 1)} - {"EMPTY"}
+                    plain.append({"n": n, "c1": c1, "c2": c2, "classification": min(
+                        labels, key=["NOT_FULLY_GRAPHIC", "FULLY_GRAPHIC"].index, default="EMPTY")})
+            grids[n] = {(): plain, ("--with-sigma",): rows}
+        assert any(row["sigma"] == row["c1"] * n and row["sigma"] % 2
+                   for n in (3, 5) for row in grids[n][("--with-sigma",)])
+        for n_min in range(2, 10):
+            n_max = min(n_min + 4, 13)
+            for flag in ((), ("--with-sigma",)):
+                argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max), *flag]
+                rows = [row for n in range(n_min, n_max + 1) for row in grids[n][flag]]
+                inputs = {"n_max": n_max, "n_min": n_min, "with_sigma": bool(flag)}
+                assert run(capsys, "--json", *argv) == (0, json.dumps(
+                    {"command": "sweep", "inputs": inputs, "result": {"rows": rows},
+                     "version": __version__}, sort_keys=True) + "\n", ""), argv
+                lines = [" ".join(f"{key}={row[key]}" for key in ("n", "sigma", "c1", "c2")
+                                  if key in row) + f" {row['classification']}" for row in rows]
+                assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", ""), argv
 
     def test_sweep_with_sigma_marks_odd_sums_empty(self, capsys):
         envelope = run_json(

@@ -415,7 +415,7 @@ class TestSweep:
         with pytest.raises(TooLarge):
             iter_sweep(2, 200, with_sigma=True)  # before any row is asked for
         with pytest.raises(TooLarge):
-            _sweep_rows(2, 200, True)
+            _sweep_rows(2, 200, True, None, None)  # before it reads heads or tails
         # Every row keeps its keys in this insertion order.
         for with_sigma, keys in ((False, ["n", "c1", "c2", "classification"]),
                                  (True, ["n", "sigma", "c1", "c2", "classification"])):

@@ -28,25 +28,27 @@ VALIDATOR = Draft7Validator(json.loads((ROOT / "schema" / "output.json").read_te
 # Per workload and command, after the first ops of seed 1 from a fresh memo:
 # (ops, stdout bytes, Erdos-Gallai scans, indices those scans decided (their
 # ``checked_ks``; those past the crossover are implied), chain moves
-# accepted).  The work is exact and the same on every Python version.  A
-# change that moves a figure re-pins it and records old and new in CHANGES.md.
+# accepted, region decisions: calls to ``_leg_graphic`` and ``_min_slack``,
+# the sweep's included).  The work is exact and the same on every Python
+# version.  A change that moves a figure re-pins it and records old and new
+# in CHANGES.md.
 WORK_LEDGER = {
     "regions": {
-        "check": (12, 48710, 12, 2979, 0),
-        "region": (28, 30396, 0, 0, 0),
-        "sweep": (8, 462827, 0, 0, 0),
+        "check": (12, 48710, 12, 2979, 0, 0),
+        "region": (28, 30396, 0, 0, 0, 28),
+        "sweep": (8, 462827, 0, 0, 0, 1355),
     },
     "counting": {
-        "count": (78, 12816, 0, 0, 0),
-        "enumerate": (6, 76434, 6, 58, 0),
-        "family-bounds": (6, 2893, 6, 54, 0),
-        "nonstab-witness": (6, 1824, 0, 0, 0),
-        "pmeasure": (6, 1001, 6, 48, 0),
-        "split-witness": (6, 2877, 0, 0, 0),
-        "staircase-family": (6, 1199, 0, 0, 0),
-        "tyshkevich": (6, 2251, 18, 104, 0),
+        "count": (78, 12816, 0, 0, 0, 0),
+        "enumerate": (6, 76434, 6, 58, 0, 0),
+        "family-bounds": (6, 2893, 6, 54, 0, 0),
+        "nonstab-witness": (6, 1824, 0, 0, 0, 6),
+        "pmeasure": (6, 1001, 6, 48, 0, 0),
+        "split-witness": (6, 2877, 0, 0, 0, 6),
+        "staircase-family": (6, 1199, 0, 0, 0, 0),
+        "tyshkevich": (6, 2251, 18, 104, 0, 0),
     },
-    "sampling": {"mcmc": (8, 1244780, 12, 164, 7052)},
+    "sampling": {"mcmc": (8, 1244780, 12, 164, 7052, 0)},
 }
 
 
@@ -65,6 +67,11 @@ def test_the_oracle_accepts_the_first_ops_of_seed_1(monkeypatch, capsys, workloa
 
     # is_graphic, is_graphic_tv and require_graphic all scan through it
     monkeypatch.setattr(graphicality, "_eg_scan", spy)
+    decisions = []
+    for name in ("_leg_graphic", "_min_slack"):
+        decide = getattr(graphicality, name)
+        monkeypatch.setattr(graphicality, name, lambda *region, decide=decide:
+                            decisions.append(region) or decide(*region))
     counter = oracle.Counter()
     ledger = {}
     for op in itertools.islice(workloads.ops(workload, 1), count):
@@ -73,9 +80,10 @@ def test_the_oracle_accepts_the_first_ops_of_seed_1(monkeypatch, capsys, workloa
         assert oracle.check(op, rc, out, VALIDATOR, counter) is None, op["argv"]
         command = op["argv"][1]
         accepted = json.loads(out)["result"]["metadata"]["accepted"] if command == "mcmc" else 0
-        row = (1, len(out.encode()), len(scans), sum(scans), accepted)
-        ledger[command] = tuple(map(sum, zip(ledger.get(command, (0,) * 5), row)))
+        row = (1, len(out.encode()), len(scans), sum(scans), accepted, len(decisions))
+        ledger[command] = tuple(map(sum, zip(ledger.get(command, (0,) * 6), row)))
         scans.clear()
+        decisions.clear()
     pinned = WORK_LEDGER[workload]
     assert ledger == pinned, "\n" + "\n".join(
         f"{command}: pinned {pinned.get(command)}, ran {ledger.get(command)}"

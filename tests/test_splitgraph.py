@@ -441,6 +441,21 @@ class TestNonstabilityWitness:
                             n, c1, c2, m)
         assert witnessed == 100
 
+    def test_m_1_witness_shows_no_blow_up(self, counter):
+        # Every non-fully-graphic region with c2 = 0 or c1 = n - 1, n <= 8:
+        # at n' = n + 1 the witness is returned with a uniquely realizable
+        # base, but the bump 2,2 is not graphic, so neither is the perturbed
+        # sequence, and it counts 0.
+        regions = [(n, c1, c2) for n in range(1, 9) for c1 in range(n) for c2 in range(c1 + 1)
+                   if (c2 == 0 or c1 == n - 1)
+                   and not very_simple_region_fully_graphic(VerySimpleRegion(n, c1, c2))]
+        assert len(regions) == 36
+        for n, c1, c2 in regions:
+            witness = nonstability_witness(n, n + 1, c1, c2, verify=True, counter=counter)
+            assert witness.m == 1 and witness.unique_verified, (n, c1, c2)
+            assert (witness.base_count, witness.perturbed_count) == (1, 0), (n, c1, c2)
+            assert not is_graphic(witness.perturbed).graphic, (n, c1, c2)
+
     def test_perturbed_differs_by_one_double_step(self, counter):
         witness = nonstability_witness(6, 9, 5, 1, verify=True, counter=counter)
         assert witness.perturbed.sigma == witness.base.sigma + 2
