@@ -115,9 +115,10 @@ def cmd_leg(args) -> tuple[dict, str]:
 def cmd_region(args) -> tuple[dict, str]:
     if args.epsilon is not None and not args.predicate:
         raise ValueError("--epsilon needs --predicate phi_eps")
-    if args.params:
+    flags = (args.n, args.c1, args.c2, args.sigma)
+    if args.params and flags == (None,) * 4:
         region = parse_region(args.params)
-    elif None in (args.n, args.c1, args.c2):
+    elif args.params or None in flags[:3]:
         raise ValueError("give either a region string or --n, --c1 and --c2")
     elif args.sigma is None:
         region = VerySimpleRegion(args.n, args.c1, args.c2)

@@ -199,11 +199,7 @@ class SimpleRegion(Record, frozen=True):
     c2: int
 
     def __post_init__(self):
-        _read_integers(self, InvalidRegion, self.__match_args__)
-        if not (self.n > self.c1 >= self.c2 >= 0):
-            raise InvalidRegion(
-                f"need n > c1 >= c2 >= 0, got n={self.n}, c1={self.c1}, c2={self.c2}"
-            )
+        VerySimpleRegion.__post_init__(self)  # reads all four fields, checks the bounds
         if not (self.n * self.c1 >= self.sigma >= self.n * self.c2):
             raise InvalidRegion(
                 f"need n*c1 >= sigma >= n*c2, got sigma={self.sigma} for {self}"
@@ -228,8 +224,11 @@ def parse_region(text: str) -> Region:
         if "=" not in part:
             raise InvalidInput(f"cannot parse region field {part!r}")
         key, _, value = part.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise InvalidInput(f"region field {key!r} given twice: {text!r}")
         try:
-            fields[key.strip()] = int(value)
+            fields[key] = int(value)
         except ValueError as exc:
             raise InvalidInput(f"cannot parse region field {part!r}") from exc
     unknown = set(fields) - {"n", "sigma", "c1", "c2"}

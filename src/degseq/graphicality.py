@@ -11,17 +11,18 @@ fully-graphic decisions for regions and grids of regions, and the
 closed-form region predicates from the P-stability literature.
 
 Costs.  Both tests share one scan (after Ivanyi, Lucz, Mori and Soter, 2011):
-the prefix sums are built once and a pointer to the crossover (the number of
-entries >= k) only moves left as k grows, so a test costs O(n) in all; it
-stops at the first k past the crossover where the inequality holds, as every
-later one then holds (Tripathi and Vijay, 2003).  So does the stability bound
-at its own such k.  A fixed-sum region decision costs O(1): it evaluates the
-inequality in closed form on the block form (c1, alpha), (a, 1), (c2, beta)
-of the primitive member, at its block ends only.  A very simple region
-decision, phi_FG and phi_JMS_star_k cost O(1): each reads one minimum, see
-``_min_slack``.  A sweep hands out the grid in blocks of rows, one per
-(n, sigma), see ``_sweep_rows``: a block costs at most 2n region decisions
-and one list slice per c1, and an odd sum's block no per-c1 work at all.
+the prefix sums are built once, their total decides the odd sum, and a pointer
+to the crossover (the number of entries >= k) only moves left as k grows, so a
+test costs O(n) in all; it stops at the first k past the crossover where the
+inequality holds, as every later one then holds (Tripathi and Vijay, 2003).
+So does the stability bound at its own such k.  A fixed-sum region decision
+costs O(1): it evaluates the inequality in closed form on the block form
+(c1, alpha), (a, 1), (c2, beta) of the primitive member, at its block ends
+only.  A very simple region decision, phi_FG and phi_JMS_star_k cost O(1):
+each reads one minimum, see ``_min_slack``.  A sweep hands out the grid in
+blocks of rows, one per (n, sigma), see ``_sweep_rows``: a block costs at most
+2n region decisions and one list slice per c1, and an odd sum's block no
+per-c1 work at all.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class EGReport(Record):
 
     ``failing_k`` is the smallest index whose inequality fails, or None.
     ``checked_ks`` lists the indices decided, in test order (past the crossover, implied).
-    An odd degree sum short-circuits the test: ``graphic`` is False,
-    ``odd_sum`` is True and no inequality is evaluated.
+    An odd degree sum, read by the scan from its own total, short-circuits the test:
+    ``graphic`` is False, ``odd_sum`` is True and no inequality is evaluated.
     """
 
     graphic: bool
@@ -57,7 +58,8 @@ class EGReport(Record):
 
 def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
     """Decide the inequality at the increasing indices ``ks``, stopping at
-    the first failure or at the crossover, in O(n + len(ks)).
+    the first failure or at the crossover, in O(n + len(ks)).  An odd total,
+    read from the prefix sums, is the odd-sum report, with no index decided.
 
     With ``w`` entries >= k, the entries after k that are capped at k are
     those at positions k+1..w, so with m = max(k, w) the right-hand side is
@@ -68,6 +70,8 @@ def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
     """
     prefix = list(accumulate(degs, initial=0))
     total = prefix[-1]
+    if total % 2:
+        return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     w = len(degs)
     for i, k in enumerate(ks):
         while w and degs[w - 1] < k:
@@ -82,8 +86,6 @@ def _eg_scan(degs: tuple[int, ...], ks: Sequence[int]) -> EGReport:
 
 def is_graphic(seq: DegreeSequence) -> EGReport:
     """Full graphicality test, checking every index until one fails."""
-    if seq.sigma % 2:
-        return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     return _eg_scan(seq.degrees, range(1, len(seq) + 1))
 
 
@@ -105,8 +107,6 @@ def is_graphic_tv(seq: DegreeSequence) -> EGReport:
     n = len(degs)
     if degs[0] >= n:
         raise InvalidInput(f"reduction requires max degree below n, got d1={degs[0]}")
-    if seq.sigma % 2:
-        return EGReport(graphic=False, failing_k=None, checked_ks=[], odd_sum=True)
     descents = list(compress(range(1, n), map(gt, degs, degs[1:])))
     descents.append(n)
     return _eg_scan(degs, descents)

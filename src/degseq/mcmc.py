@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_left
@@ -71,8 +72,7 @@ def _block(seed: int, index: int, start: int, stop: int) -> array:
 def make_rng(seed: int) -> Iterator[int]:
     """The chain's move stream for ``seed``: an endless iterator of 64-bit
     words (layout in the module docstring; ``RNG_ALGORITHM`` names it)."""
-    _check_seed(seed)
-    return _words(seed, DRAW_BLOCK)
+    return _words(_read_seed(seed), DRAW_BLOCK)
 
 
 def _words(seed: int, need: int) -> Iterator[int]:
@@ -83,10 +83,15 @@ def _words(seed: int, need: int) -> Iterator[int]:
     return itertools.chain.from_iterable(itertools.starmap(_block, parts))
 
 
-def _check_seed(seed: int) -> None:
-    """The seed domain: any integer >= 0."""
-    if not isinstance(seed, int) or seed < 0:
+def _read_seed(seed: int) -> int:
+    """``seed`` by ``operator.index``, in the seed domain: any integer >= 0."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
         raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
+    return value
 
 
 class ChainConfig(Record, frozen=True):
@@ -95,7 +100,7 @@ class ChainConfig(Record, frozen=True):
     burn_in: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        vars(self)["seed"] = _read_seed(self.seed)
         _read_integers(self, InvalidInput, ("steps", "burn_in"))
         if self.steps < 0 or self.burn_in < 0:
             raise InvalidInput("steps and burn_in must be >= 0")
@@ -172,8 +177,7 @@ def _run(graph: LabeledGraph, labels: list[str], text: str, words: Iterator[int]
             del edges[i], edges[j], labels[i], labels[j]
             e = (a, c) if a < c else (c, a)
             f = (b, d) if b < d else (d, b)
-            if f < e:
-                e, f = f, e
+            # e < f: e's lower end, a (c when edges[i] reads (b, a)), is the least endpoint.
             p = bisect_left(edges, e)
             edges.insert(p, e)
             labels.insert(p, _EDGE_LABELS[e])

@@ -234,6 +234,18 @@ class TestRegionCommands:
                              "--predicate", "phi_JMS", "--epsilon", "1/2")
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_region_named_once(self, capsys):
+        # A region string with any region flag is a usage error; a string that
+        # names a field twice is a domain error.
+        for mode in ((), ("--json",)):
+            for flags in (["--sigma", "4"], ["--n", "9", "--c1", "8", "--c2", "0"], ["--c2", "1"]):
+                code, out, err = run(capsys, *mode, "region", "n=3,c1=2,c2=1", *flags)
+                assert (code, out) == (2, ""), (mode, flags)
+                assert err == "error: give either a region string or --n, --c1 and --c2\n"
+            code, out, err = run(capsys, *mode, "region", "n=3,c1=2,c2=1,c2=0")
+            assert (code, out) == (1, "") and err.count("\n") == 1
+            assert err.startswith("error: region field 'c2' given twice"), err
+
     def test_predicate_on_invalid_region_exits_1(self, capsys):
         for argv in (["--n", "5", "--c1", "5", "--c2", "1", "--predicate", "phi_FG"],
                      ["--n", "5", "--c1", "9", "--c2", "-3", "--predicate", "phi_JMS"],
@@ -421,6 +433,15 @@ class TestWitnessCommands:
         # the split test, then the greedy start of each factor
         assert calls["hs_index"] == 1 and calls["is_graphic"] <= 3, calls
 
+    @pytest.mark.parametrize("argv, line", [
+        ("family-bounds 0", "note: the +- family is empty"),
+        ("split-check 2,2,2,2", "not split (6 != 8)"),
+        ("nonstab-witness --n 1 --n-prime 2 --c1 0 --c2 0", "no witness (region fully graphic)"),
+    ])
+    def test_text_of_the_rare_outcomes(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "") and out.splitlines()[-1] == line
+
     def test_nonstab_witness(self, capsys):
         envelope = run_json(
             capsys,
@@ -599,6 +620,13 @@ class TestMcmcCommand:
         final = [tuple(map(int, pair.split("-"))) for pair in result["final"].split(",")]
         assert final == sorted(final) and len(final) == 37_500
         assert result["histogram"][result["final"]] >= 1
+
+    def test_a_count_over_the_step_budget_skips_the_exact_space(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration.default_counter(), "_memo", {})
+        monkeypatch.setenv("DEGSEQ_STEP_BUDGET", "10")
+        result = run_json(capsys, "mcmc", "2,2,2,1,1", "--steps", "10", "--seed", "1")["result"]
+        assert not {"state_space", "tv_to_uniform", "switch_connected"} & set(result)
+        assert sum(result["histogram"].values()) == 10
 
     def test_seed_domain(self, capsys):
         code, _, err = run(capsys, "mcmc", "1,1,1,1", "--steps", "10", "--seed", "-1")

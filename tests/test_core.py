@@ -107,6 +107,10 @@ class TestDegreeSequence:
         d = DegreeSequence([2, 1, 1])
         assert (d.n, d.sigma) == (3, 4)
 
+    def test_index_and_slice(self):
+        d = DegreeSequence([1, 3, 2])
+        assert (d[0], d[-1], d[1:], d[::-1]) == (3, 1, (2, 1), (1, 2, 3))
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             DegreeSequence([])
@@ -150,6 +154,8 @@ class TestRegions:
             SimpleRegion(8, 34, 4, 1)  # above n*c1
         with pytest.raises(InvalidRegion):
             SimpleRegion(8, 6, 4, 1)  # below n*c2
+        with pytest.raises(InvalidRegion, match="got n=3, c1=1, c2=2$"):
+            SimpleRegion(3, 4, 1, 2)  # c1 < c2, the very simple region's bounds
 
     def test_parse_region(self):
         r = parse_region("n=8,sigma=16,c1=4,c2=1")
@@ -158,6 +164,15 @@ class TestRegions:
         assert v == VerySimpleRegion(10, 3, 2)
         with pytest.raises(InvalidInput):
             parse_region("n=3,c1=1")
+        assert parse_region(",n=8, ,sigma=16,,c1=4,c2=1,") == r  # empty parts are skipped
+        for text in ("n=8,sigma,c1=4,c2=1", "n=8,c1=four,c2=1"):
+            with pytest.raises(InvalidInput, match="cannot parse region field"):
+                parse_region(text)
+
+    def test_parse_region_refuses_a_repeated_field(self):
+        for text in ("n=3,c1=2,c2=1,c2=0", "n=3,c1=2,c2=1,c2=1", "n=8,sigma=16,c1=4,c2=1,sigma=8"):
+            with pytest.raises(InvalidInput, match="given twice"):
+                parse_region(text)
 
     def test_sigma_values_even_and_in_range(self):
         r = VerySimpleRegion(5, 3, 1)
@@ -184,6 +199,10 @@ class TestMembership:
         assert not membership(DegreeSequence([3, 3, 1, 1, 0]), r)  # wrong length
         assert not membership(DegreeSequence([2, 2, 1, 1]), r)  # sum 6 != 8
         assert not membership(DegreeSequence([3, 3, 3, 1]), r)  # sum 10, odd parity aside
+
+    def test_odd_sum_is_no_member(self):
+        assert not membership(DegreeSequence([2, 1, 0]), VerySimpleRegion(3, 2, 0))
+        assert membership(DegreeSequence([2, 2, 0]), VerySimpleRegion(3, 2, 0))
 
     def test_leg_is_member_for_all_small_regions(self):
         for n in range(1, 7):
@@ -308,6 +327,8 @@ class TestLabeledGraph:
             LabeledGraph.from_edges(3, [(0, 3)])
         with pytest.raises(InvalidInput):
             LabeledGraph(2, (1, 0))  # neighbour bitsets, not pairs
+        with pytest.raises(InvalidInput, match="n >= 0, got -1"):
+            LabeledGraph(-1, [])
 
     def test_validation_against_every_short_list(self):
         # Oracle: for n <= 3, every list of up to three pairs with entries in

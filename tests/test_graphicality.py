@@ -593,6 +593,10 @@ class TestPredicates:
             with pytest.raises(MissingSigma):
                 pred.evaluate(8, 4, 1)
 
+    def test_unknown_name(self):
+        with pytest.raises(InvalidInput, match="unknown predicate 'phi_X'"):
+            RegionPredicate("phi_X")
+
     def test_phi_eps_validation_and_bound(self):
         with pytest.raises(InvalidInput):
             RegionPredicate("phi_eps")

@@ -290,6 +290,19 @@ class TestSample:
             run = sample(DegreeSequence([1, 1, 1, 1]), ChainConfig(seed=seed, steps=20))
             assert sum(run.histogram.values()) == 20 and run.metadata["seed"] == seed
 
+    def test_seed_is_read_as_an_integer(self):
+        # As steps and burn_in are: by operator.index, and stored as the int.
+        class Index:
+            def __index__(self):
+                return 7
+
+        for seed, value in ((True, 1), (Index(), 7)):
+            config = ChainConfig(seed=seed, steps=20)
+            assert type(config.seed) is int and config.seed == value
+            run = sample(DegreeSequence([1, 1, 1, 1]), config)
+            assert type(run.metadata["seed"]) is int and run.metadata["seed"] == value
+            assert next(make_rng(seed)) == next(make_rng(value))
+
     def test_work_cap_is_checked_before_the_start_graph(self, monkeypatch):
         # (burn_in + steps) * (m + 4) + n * n with m = 1, n = 2: 14 at the cap
         # runs, and one over it does not.

@@ -40,6 +40,8 @@ BRANCHES = {
     "tyshkevich 2,1,1 1,1 --verify": 0,
     "region --n 3 --c1 4 --c2 1": 1,  # InvalidRegion
     "region --n 4 --c1 2 --c2 1 --sigma 20": 1,  # InvalidRegion, naming the region
+    "region n=3,c1=2,c2=1,c2=0": 1,  # InvalidInput, a field named twice
+    "region n=3,c1=2,c2=1 --sigma 4": 2,  # a usage error, a region named twice
     "nonstab-witness --n 6 --n-prime 8 --c1 4 --c2 1": 1,  # ConstructionError
     "mcmc 2,2,2 --steps 100000000000 --seed 1": 3,  # TooLarge
     "check": 2,  # a usage error, answered by the argparse parser
